@@ -9,7 +9,9 @@ with its unit, the correctness verdict, and as the last line one JSON
 object: ``{"correct", "attempted", "failed", "metrics"}``.  With
 ``--trace 0`` the metrics are the end-to-end ones of ``BENCHMARK.json``;
 with ``--trace 1`` half the samples are traced and the metrics are the
-per-layer ones, and the spans are written to ``perfbench/out/``.
+per-layer ones, and the spans are written to ``perfbench/out/``.  Times are
+reported at one host speed: each is scaled by the speed of a probe loop
+timed around and during it (``speed.py``); the unscaled ones are printed too.
 
 Exit codes: 0 every check passed, 1 a check failed (the result is still
 printed), 2 bad arguments, or the package sources or BENCHMARK.json are
@@ -33,6 +35,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 from answers import with_overrides
+from speed import REF_NS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -116,20 +119,31 @@ def p99(values):
     return quantiles(values, n=100, method="inclusive")[98]
 
 
-def end_to_end(workload, samples):
-    """The user-visible metrics of a set of untraced samples."""
-    m = {"setup_s": median([s["setup_s"] for s in samples]),
+def end_to_end(workload, samples, scaled=True):
+    """The user-visible metrics of a set of untraced samples.
+
+    Each time is scaled by REF_NS over the probe speed measured around it
+    (``speed.py``), so that it reads as at one host speed; ``scaled=False``
+    gives the times as the clock read them.
+    """
+    def at_ref(ns):
+        return REF_NS / ns if scaled else 1.0
+
+    m = {"setup_s": median([s["setup_s"] * at_ref(s["setup_ref_ns"]) for s in samples]),
          "peak_rss_mb": median([s["rss_mb"] for s in samples])}
     if workload == "path":
         # an operation is a word of eight e_i/f_i steps; wall_s is one round
         # of 125 operations
-        rounds = [r for s in samples for r in s["rounds_s"]]
-        lat_us = [ns / 1e3 for s in samples for ns in s["lat_ns"]]
+        rounds, lat_us = [], []
+        for s in samples:
+            for r, ns, lat in zip(s["rounds_s"], s["rounds_ref_ns"], s["lat_ns"]):
+                rounds.append(r * at_ref(ns))
+                lat_us += [t / 1e3 * at_ref(ns) for t in lat]
         m["wall_s"] = median(rounds)
         m["ops_per_s"] = sum(s["ops"] for s in samples) / sum(rounds)
     else:
         # an operation is one cold pass of the whole workload
-        walls = [s["wall_s"] for s in samples]
+        walls = [s["wall_s"] * at_ref(s["ref_ns"]) for s in samples]
         lat_us = [w * 1e6 for w in walls]
         m["wall_s"] = median(walls)
         m["ops_per_s"] = len(walls) / sum(walls)
@@ -139,8 +153,14 @@ def end_to_end(workload, samples):
 
 
 def per_layer(workload, samples, traced):
+    """Layer metrics, median over the traced samples; times scaled as in end_to_end."""
+    def value(s, name):
+        v = s["layer"][name]
+        return v * REF_NS / s["ref_ns"] if name.endswith("_s") else v
+
     names = traced[0]["layer"]
-    m = {name: median([s["layer"][name] for s in traced]) for name in names}
+    m = {name: median([value(s, name) for s in traced]) for name in names}
+    m["host.probe_ns"] = median([s["ref_ns"] for s in samples + traced])
     m["trace.overhead_s"] = (end_to_end(workload, traced)["wall_s"]
                              - end_to_end(workload, samples)["wall_s"])
     return m
@@ -188,6 +208,10 @@ def main(argv=None) -> int:
           f" ({len(traced)} traced)  smoke {args.smoke}")
     for name, m in metrics.items():
         print(f"  {name:32s} {m['value']:.6g} {m['unit']}")
+    if metrics and not args.trace:
+        raw = end_to_end(args.workload, good, scaled=False)
+        print("  unscaled: " + "  ".join(f"{k} {raw[k]:.6g}" for k in ("wall_s", "setup_s", "op_p99_us"))
+              + f"  (probe {median(s['ref_ns'] for s in good):.4g} ns, scaled to {REF_NS:g} ns)")
     for s in samples:
         for msg in s["failures"]:
             print(f"  FAIL {msg}")

@@ -11,12 +11,15 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
 import pytest
 
+import speed
 from answers import BL_SIZE, KNOWN, MINIMAL, SQUARE_SIZE, TABLEAUX
+from run import end_to_end
 from spans import Tracer, patch, self_times
 
 HERE = Path(__file__).resolve().parent
@@ -62,6 +65,28 @@ def test_patch_reaches_every_binding_and_undoes():
     assert tracer.size_total("owner.f") == 2  # one distinct argument
     undo()
     assert owner.f is f and user.g is f
+
+
+def test_probes_run_during_a_segment_and_stay_out_of_the_clock():
+    speed.begin()
+    c0, w0 = speed.clock(), time.perf_counter_ns()
+    while time.perf_counter_ns() - w0 < 0.5e9:
+        pass
+    c1, w1 = speed.clock(), time.perf_counter_ns()
+    probes = len(speed._segment)
+    ns = speed.end()
+    assert probes >= 3  # the opening one and two from the timer
+    assert (w1 - w0) - (c1 - c0) >= 2 * speed.PROBE_ITERS * ns / 2
+    assert speed.end() is None  # closing twice is harmless
+
+
+def test_times_are_scaled_to_the_reference_speed():
+    slow = {"setup_s": 0.2, "setup_ref_ns": 2 * speed.REF_NS, "rss_mb": 20.0,
+            "wall_s": 3.0, "ref_ns": 1.5 * speed.REF_NS}
+    got = end_to_end("build", [slow])
+    assert got["setup_s"] == pytest.approx(0.1) and got["wall_s"] == pytest.approx(2.0)
+    assert got["op_p50_us"] == pytest.approx(2e6) and got["peak_rss_mb"] == 20.0
+    assert end_to_end("build", [slow], scaled=False)["wall_s"] == 3.0
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in BENCH["workloads"]])

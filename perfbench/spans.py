@@ -10,9 +10,7 @@ by ``Tracer.accumulate`` into a total time and a call count instead.
 
 from __future__ import annotations
 
-import time
-
-clock = time.perf_counter_ns
+from speed import clock
 
 
 def patch(modules, original, replacement):

@@ -3,7 +3,8 @@
 ``run.py`` starts ``python3 -S perfbench/worker.py SPEC`` once per sample,
 so a cold sample pays for its own imports and starts with every cache
 empty.  SPEC is a JSON object (see ``run.py``).  The last line printed is a
-JSON object with the sample's timings, its correctness checks and, when
+JSON object with the sample's timings, the host speed probed around and
+during each timed part (``speed.py``), its correctness checks and, when
 traced, its spans and layer metrics.  An exception raised by the program is
 caught and reported as a failed check, never as a traceback.
 """
@@ -20,8 +21,10 @@ import resource
 import sys
 from pathlib import Path
 
+import speed
 from answers import with_overrides
-from spans import Tracer, clock, patch, self_times
+from speed import clock
+from spans import Tracer, patch, self_times
 
 FACTORS = 64  # tensor factors in a path
 WORD = 8  # e_i/f_i steps in one path operation
@@ -150,10 +153,13 @@ def run_verify(mods, spec, gate, out, tracer):
     check_perfect = mods["perfect"].check_perfect
     patch(mods.values(), check_perfect, recording(check_perfect, reports))
     buf = io.StringIO()
+    yield  # no set-up beyond the imports
+    speed.begin()
     t = clock()
     with contextlib.redirect_stdout(buf):
         rc = mods["cli"].main(["verify", "--level", str(level)])
     out["wall_s"] = (clock() - t) / 1e9
+    out["ref_ns"] = speed.end()
     yield
     lines = buf.getvalue().splitlines()
     gate.check(rc == 0, f"verify --level {level} exited {rc}")
@@ -176,6 +182,8 @@ def run_verify(mods, spec, gate, out, tracer):
 def run_build(mods, spec, gate, out, tracer):
     level = spec["level"]
     g2, affine, perfect = mods["g2"], mods["affine"], mods["perfect"]
+    yield  # no set-up beyond the imports
+    speed.begin()
     t = clock()
     tableaux = [g2.enumerate_tableaux(n) for n in range(level + 1)]
     mod = affine.model(level)
@@ -184,6 +192,7 @@ def run_build(mods, spec, gate, out, tracer):
     rep = affine.verify_construction(level)
     minimal = perfect.minimal_elements(level)
     out["wall_s"] = (clock() - t) / 1e9
+    out["ref_ns"] = speed.end()
     yield
     for n, words in enumerate(tableaux):
         gate.known(f"tableaux.{n}", len(words))
@@ -207,9 +216,12 @@ QSUITE = ("level1.verify_module_relations", "level1.verify_prepolarization",
 
 def run_qsuite(mods, spec, gate, out, tracer):
     calls = [getattr(mods[name.split(".")[0]], name.split(".")[1]) for name in QSUITE]
+    yield  # no set-up beyond the imports
+    speed.begin()
     t = clock()
     reports = [call() for call in calls]
     out["wall_s"] = (clock() - t) / 1e9
+    out["ref_ns"] = speed.end()
     yield
     for name, rep in zip(QSUITE, reports):
         gate.reads_pass(rep, name)
@@ -229,6 +241,7 @@ def run_path(mods, spec, gate, out, tracer):
     t = clock()
     bl = affine.bl_crystal(spec["level"])
     out["setup_s"] += (clock() - t) / 1e9
+    yield
     gate.known(f"bl_size.{spec['level']}", len(bl.elements))
 
     def callbacks(i):
@@ -251,13 +264,14 @@ def run_path(mods, spec, gate, out, tracer):
     rng = random.Random(spec["seed"] * 1000 + spec["child"])
     elements = sorted(bl.elements)  # independent of the program's own order
     path = [rng.choice(elements) for _ in range(FACTORS)]
-    rounds, lat = [], []
+    rounds, round_ns, lat = [], [], []  # per round: time, probe speed, op latencies
     ops = steps = hits = 0
     start = clock()
     while ops < spec["max_ops"] and clock() - start < spec["loop_s"] * 1e9:
         plan = [[(rng.choice("ef"), rng.randrange(3)) for _ in range(WORD)]
                 for _ in range(min(ROUND, spec["max_ops"] - ops))]
-        trail = []
+        trail, lat_round = [], []
+        speed.begin(timer=False)
         t_round = clock()
         for word in plan:
             t = clock()
@@ -270,8 +284,10 @@ def run_path(mods, spec, gate, out, tracer):
                 trail.append((path, nxt))
                 if isinstance(nxt, list):
                     path = nxt
-            lat.append(clock() - t)
+            lat_round.append(clock() - t)
         rounds.append((clock() - t_round) / 1e9)
+        round_ns.append(speed.end())
+        lat.append(lat_round)
         ops += len(plan)
         steps += len(trail)
         # outside the timing: e_i(f_i(b)) = b (and f_i(e_i(b)) = b), and the
@@ -287,7 +303,8 @@ def run_path(mods, spec, gate, out, tracer):
                            f"{op}_{i} on {before} gave {after}: inverse {back}, shifts {shift}")
             else:
                 gate.check(after is None, f"{op}_{i} on {before} raised {after!r}")
-    out.update(ops=ops, steps=steps, hits=hits, rounds_s=rounds, lat_ns=lat)
+    out.update(ops=ops, steps=steps, hits=hits, rounds_s=rounds, rounds_ref_ns=round_ns,
+               lat_ns=lat, ref_ns=sum(round_ns) / len(round_ns))
     yield
 
 
@@ -311,10 +328,12 @@ def layer_metrics(tracer, out):
 def main(spec):
     gate = Gate(with_overrides(spec["expect"]))
     out = {"ok": False}
+    speed.begin()
     t = clock()
     try:
         mods = import_package(spec["root"])
     except Exception as exc:
+        speed.end()
         gate.check(False, f"cannot import g2crystal: {exc!r}")
         return gate, out
     out["setup_s"] = (clock() - t) / 1e9
@@ -322,6 +341,8 @@ def main(spec):
     tracer, undo = install_tracer(mods) if spec["trace"] else (None, [])
     steps = WORKLOADS[spec["workload"]](mods, spec, gate, out, tracer)
     try:
+        next(steps)  # the workload's own set-up, if any
+        out["setup_ref_ns"] = speed.end()
         next(steps)  # the timed part
         out["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         for fn in undo:
@@ -329,6 +350,7 @@ def main(spec):
         next(steps, None)  # the checks
         out["ok"] = True
     except Exception as exc:  # the program failed: data, not a crash
+        speed.end()
         gate.check(False, f"{spec['workload']} raised {exc!r}")
     if tracer is not None and out["ok"]:
         out["layer"] = layer_metrics(tracer, out)
