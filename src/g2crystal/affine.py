@@ -10,9 +10,9 @@ E_A is defined case by case on the r = 0 layer and extended to the rest by
 commuting past f_0; F_A is the conjugate C_A E_A C_A under the involution,
 and the mutual-inverse property is verified rather than assumed.  The
 bijection Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is
-built from explicit tableau anchors and closed under the operator
-compatibilities it must satisfy; every assignment is cross-checked and any
-conflict or gap raises a construction fault.
+the unique classical crystal isomorphism, built by a breadth-first walk from
+the {1,2}-highest elements; any conflict or gap raises a construction fault.
+The explicit tableau anchor formulas are kept as an independent check.
 """
 
 from __future__ import annotations
@@ -122,21 +122,8 @@ class AffineModel:
             for q in range(p, p + k + 1)
             for r in range(j + q - 2 * p + 1)
         ]
-        self._coords_cache: dict[tuple, AParam] = {}
 
     # -- A2-crystal-backed operators ------------------------------------
-
-    def _tableau(self, b: AParam) -> a2.A2Tableau:
-        return a2.from_coords(b.k, b.j, b.p, b.q, b.r)
-
-    def _param(self, i, k, j, t: a2.A2Tableau) -> AParam:
-        key = (i, k, j, t.row1, t.row2)
-        got = self._coords_cache.get(key)
-        if got is None:
-            p, q, r = a2.string_coords(t)
-            got = AParam(i, k, j, p, q, r)
-            self._coords_cache[key] = got
-        return got
 
     def f1(self, b: AParam) -> AParam | None:
         c = a2.alpha_coord_maps(b.k, b.j)[0].get((b.p, b.q, b.r))
@@ -305,6 +292,50 @@ def _anchor_highest(l, i, j) -> tuple[int, ...]:
     return g2.sort_word(w)
 
 
+def _anchor_cases(l):
+    """Yield (rule, model element, word) for each explicit anchor formula."""
+    for p in range(l + 1):
+        yield "R1", AParam(0, l, l, 0, 0, p), (6,) * p + (-2,) * (l - p)
+        yield "R1", AParam(0, l, l, l, 2 * l, l - p), (2,) * (l - p) + (-6,) * p
+    for k in range(l + 1):
+        for p in range(l + 1):
+            w = g2.apply_power("e", 2, (6,) * p + (-2,) * (l - p), l - k)
+            yield "R2", AParam(0, k, l, 0, 0, p), w
+        # w is now the p = l word of R2, the base of the R3 color-1 string
+        for q in range(1, l + k + 1):
+            w = g2.apply_power("f", 1, w, 1)
+            yield "R3", AParam(0, k, l, q, q, l - q) if q <= l else AParam(0, k, l, l, q, 0), w
+    for i in range(l // 2 + 1):
+        for j in range(i, l - i + 1):
+            yield "R4", AParam(i, l - i, j, 0, 0, 0), _anchor_highest(l, i, j)
+            for p in range(j + 1):
+                w = _anchor_f0p(l, i, j, p)
+                yield "R5", AParam(i, l - i, j, 0, 0, p), w
+                # a mis-transcribed (invalid) word fails R5 and voids its
+                # R6 string instead of raising inside g2.apply
+                w = w if g2.is_valid_word(w) else None
+                for q in range(1, (l - i - j) // 3 + j - max(i - p, 0) + 1):
+                    w = g2.apply_power("f", 1, w, 1)
+                    yield "R6", (AParam(i, l - i, j, q, q, p - q) if q <= p
+                                 else AParam(i, l - i, j, p, q, 0)), w
+
+
+def verify_anchors(l: int, forward) -> dict[str, int]:
+    """Failure counts per rule of the explicit anchor formulas against a table.
+
+    R1 the boundary families, R2 their e_2-powers, R3/R6 f_1-powers over the
+    boundary and f_0-power anchors, R4/R5 the residue-case tableau formulas,
+    R8/R9 the involution law Phi(C_A b) = involution(Phi(b)) everywhere.
+    """
+    counts = dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0)
+    for rule, b, w in _anchor_cases(l):
+        counts[rule] += forward.get(b) != w
+    mod = model(l)
+    counts["R8/R9"] = sum(g2.involution(forward[mod.CA(b)]) != w
+                          for b, w in forward.items())
+    return counts
+
+
 class PhiTable:
     """The bijection between model parameters and tableau words at one level."""
 
@@ -317,227 +348,57 @@ class PhiTable:
         return len(self.forward)
 
 
-def _g_apply(op, i, word):
-    return g2.apply(op, i, word)
-
-
 def build_phi(l: int) -> PhiTable:
     """Construct the bijection from the model crystal onto the tableau sum.
 
-    Anchor rules are applied in a fixed order; a later rule disagreeing with
-    an existing assignment, an out-of-crystal image, or a leftover gap is a
-    construction fault, never silently resolved.  Remaining elements are
-    closed under the color-1 compatibility, the extra-color compatibility,
-    conjugation under the two involutions, and finally by weight elimination
-    (a parameter and a word forced to pair because they are alone in their
-    weight class).
+    Each B(n*Lambda_1), n <= l, occurs once in the target, so Phi is the
+    unique classical crystal isomorphism.  The model's {1,2}-highest elements
+    (e_1 = E_A = None) must be one per n, of weight n*Lambda_1; each is sent
+    to [1^n] and the table follows f_1 <-> f_1 and F_A <-> f_2 breadth-first.
+    An edge defined on one side only, a conflicting or non-injective
+    assignment, or an element left unreached is a construction fault.
     """
     mod = model(l)
     forward: dict[AParam, tuple[int, ...]] = {}
     backward: dict[tuple[int, ...], AParam] = {}
 
-    def assign(b, w, rule):
-        if w is None:
-            raise ConstructionFault(f"{rule}: image vanished for {b}")
-        if not _valid_param(l, b):
-            raise ConstructionFault(f"{rule}: parameter out of range {b}")
+    def assign(b, w):
         old = forward.get(b)
         if old is not None:
             if old != w:
-                raise ConstructionFault(f"{rule}: conflict at {b}: {old} vs {w}")
+                raise ConstructionFault(f"conflict at {b}: {old} vs {w}")
             return False
         owner = backward.get(w)
         if owner is not None:
-            raise ConstructionFault(f"{rule}: word {w} already assigned to {owner}, not {b}")
+            raise ConstructionFault(f"word {w} already assigned to {owner}, not {b}")
         forward[b] = w
         backward[w] = b
         return True
 
-    # R1: the two boundary families of the top block.
-    for p in range(l + 1):
-        assign(AParam(0, l, l, 0, 0, p), (6,) * p + (-2,) * (l - p), "R1")
-    for p in range(l + 1):
-        assign(AParam(0, l, l, l, 2 * l, l - p), (2,) * (l - p) + (-6,) * p, "R1")
-
-    # R2: raising powers of the extra color off the boundary family.
-    for k in range(l + 1):
-        for p in range(l + 1):
-            w = (6,) * p + (-2,) * (l - p)
-            w = g2.apply_power("e", 2, w, l - k)
-            assign(AParam(0, k, l, 0, 0, p), w, "R2")
-
-    # R3: color-1 powers on the p = l edge of the same blocks.
-    for k in range(l + 1):
-        g = forward[AParam(0, k, l, 0, 0, l)]
-        for q in range(1, l + k + 1):
-            g = _g_apply("f", 1, g)
-            b = AParam(0, k, l, q, q, l - q) if q <= l else AParam(0, k, l, l, q, 0)
-            assign(b, g, "R3")
-
-    # R4: highest elements of the k = l-i blocks (residue-case formulas).
-    for i in range(l // 2 + 1):
-        for j in range(i, l - i + 1):
-            assign(AParam(i, l - i, j, 0, 0, 0), _anchor_highest(l, i, j), "R4")
-
-    # R5: their f_0 powers.
-    for i in range(l // 2 + 1):
-        for j in range(i, l - i + 1):
-            for p in range(j + 1):
-                assign(AParam(i, l - i, j, 0, 0, p), _anchor_f0p(l, i, j, p), "R5")
-
-    # R6: color-1 powers over the R5 anchors.
-    for i in range(l // 2 + 1):
-        for j in range(i, l - i + 1):
-            y = mod.y_of(i, j)
-            for p in range(j + 1):
-                g = forward[AParam(i, l - i, j, 0, 0, p)]
-                qmax = y + j - max(i - p, 0)
-                for q in range(1, qmax + 1):
-                    g = _g_apply("f", 1, g)
-                    b = (AParam(i, l - i, j, q, q, p - q) if q <= p
-                         else AParam(i, l - i, j, p, q, 0))
-                    assign(b, g, "R6")
-
-    # Classify anchors once.
-    seeds = {"BC": [], "BW": [], "BU": [], "BR": []}
-    for b in mod.elements:
-        c = mod.classify(b)
-        if c:
-            seeds[c].append(b)
-
-    # R7: extend along raising strings from B_C and B_R.
-    for b in seeds["BC"] + seeds["BR"]:
-        g = forward.get(b)
-        if g is None:
-            raise ConstructionFault(f"R7: seed {b} has no anchor value")
-        x = b
-        while True:
-            x2 = mod.EA(x)
-            if x2 is None:
-                break
-            g = _g_apply("e", 2, g)
-            assign(x2, g, "R7")
-            x = x2
-
-    # R8: B_W and B_U strings via the two involutions.
-    for b in seeds["BW"] + seeds["BU"]:
-        x = b
-        while x is not None:
-            s = mod.CA(x)
-            gs = forward.get(s)
-            if gs is None:
-                raise ConstructionFault(f"R8: conjugate {s} of {x} unassigned")
-            assign(x, g2.involution(gs), "R8")
-            x = mod.EA(x)
-
-    # R9: the f_0-top rows over B_R strings, again via the involutions.
-    for b in seeds["BR"]:
-        rtop = mod.phi0(b)
-        x = b
-        while x is not None:
-            t = x._replace(r=rtop)
-            s = mod.CA(t)
-            gs = forward.get(s)
-            if gs is None:
-                raise ConstructionFault(f"R9: conjugate {s} of {t} unassigned")
-            assign(t, g2.involution(gs), "R9")
-            x = mod.EA(x)
-
-    # Closure: color-1 first, then the extra color, involutions, and
-    # weight elimination for whatever the named rules leave open.
-    universe = gl_elements(l)
-    if len(mod.elements) != len(universe):
+    highest = sorted((mod.weight(b), b) for b in mod.elements
+                     if mod.e1(b) is None and mod.EA(b) is None)
+    if [wt for wt, _ in highest] != [(n, -2 * n) for n in range(l + 1)]:
         raise ConstructionFault(
-            f"size mismatch: model {len(mod.elements)} vs words {len(universe)}")
-
-    def wt_target(b):
-        w1, w0 = mod.weight(b)
-        return (w1, -2 * w1 - w0)
-
-    def closure_pass():
-        changed = False
-        for b in list(forward):
-            g = forward[b]
-            for opA, opG, colG in ((mod.f1, "f", 1), (mod.e1, "e", 1)):
-                t = opA(b)
-                if t is not None and t not in forward:
-                    changed |= assign(t, _g_apply(opG, colG, g), "color1-closure")
-        return changed
-
-    def extra_color_pass():
-        changed = False
-        for b in list(forward):
-            g = forward[b]
-            t = mod.EA(b)
-            if t is not None and t not in forward:
-                changed |= assign(t, _g_apply("e", 2, g), "color2-closure")
-            t = mod.FA(b)
-            if t is not None and t not in forward:
-                changed |= assign(t, _g_apply("f", 2, g), "color2-closure")
-        return changed
-
-    def conjugation_pass():
-        changed = False
-        for b in mod.elements:
-            if b in forward:
-                continue
-            s = mod.CA(b)
-            gs = forward.get(s)
-            if gs is not None:
-                changed |= assign(b, g2.involution(gs), "C-closure")
-        return changed
-
-    def elimination_pass():
-        open_params = [b for b in mod.elements if b not in forward]
-        open_words = [w for w in universe if w not in backward]
-        by_wt_p: dict[tuple, list] = {}
-        by_wt_w: dict[tuple, list] = {}
-        for b in open_params:
-            by_wt_p.setdefault(wt_target(b), []).append(b)
-        for w in open_words:
-            wt = g2.weight(w)
-            by_wt_w.setdefault((wt.m1, wt.m2), []).append(w)
-        if set(by_wt_p) != set(by_wt_w):
-            raise ConstructionFault("weight classes of open parameters and words differ")
-        changed = False
-        for key, params in by_wt_p.items():
-            words = by_wt_w[key]
-            if len(params) != len(words):
-                raise ConstructionFault(
-                    f"weight class {key}: {len(params)} parameters vs {len(words)} words")
-            if len(params) == 1:
-                changed |= assign(params[0], words[0], "wt-elimination")
-        return changed
-
-    while len(forward) < len(mod.elements):
-        if closure_pass():
-            continue
-        if extra_color_pass():
-            continue
-        if conjugation_pass():
-            continue
-        if elimination_pass():
-            continue
+            f"highest elements {[b for _, b in highest]} are not one per n*Lambda_1, n <= {l}")
+    frontier = [b for _, b in highest]
+    for n, b in enumerate(frontier):
+        assign(b, (1,) * n)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            w = forward[b]
+            for t, img in ((mod.f1(b), g2.apply("f", 1, w)),
+                           (mod.FA(b), g2.apply("f", 2, w))):
+                if (t is None) != (img is None):
+                    raise ConstructionFault(f"lowering edge at {b} ~ {w} exists on one side only")
+                if t is not None and assign(t, img):
+                    nxt.append(t)
+        frontier = nxt
+    if len(forward) != len(mod.elements):
         missing = [b for b in mod.elements if b not in forward][:5]
         raise ConstructionFault(f"gap: unassigned parameters remain, e.g. {missing}")
-
-    if len(backward) != len(universe):
+    if len(backward) != gl_count(l):
         raise ConstructionFault("assignment is not onto the word set")
-
-    # Self-check: the finished table must intertwine the color-1 and
-    # extra-color operators and match weights on every element, so a table
-    # is never handed out with a silent closure inconsistency.
-    for b, w in forward.items():
-        for opA, opG in ((mod.f1, ("f", 1)), (mod.e1, ("e", 1)),
-                         (mod.FA, ("f", 2)), (mod.EA, ("e", 2))):
-            t = opA(b)
-            lhs = forward.get(t) if t is not None else None
-            if lhs != g2.apply(*opG, w):
-                raise ConstructionFault(f"operator compatibility fails at {b} for {opG}")
-        w1, w0 = mod.weight(b)
-        wt = g2.weight(w)
-        if wt.m1 != w1 or wt.m2 != -2 * w1 - w0:
-            raise ConstructionFault(f"weight mismatch at {b}")
     return PhiTable(l, forward, backward)
 
 
@@ -754,6 +615,13 @@ def verify_construction(l: int) -> dict:
         if (bl.e(0, w) is None) != (mod.e0(b) is None):
             bad.append((b, "e0"))
     record("vanishing_compatibility", bad)
+
+    # the paper's explicit anchor formulas, as an oracle independent of the BFS
+    counts = verify_anchors(l, table.forward)
+    bad_rules = [rule for rule, n in counts.items() if n]
+    report["anchor_formulas"] = {"pass": not bad_rules, "rules": counts,
+                                 "failures": sum(counts.values()),
+                                 "counterexamples": bad_rules}
 
     # restriction to the finite colors {1,2}: one component per n <= l
     comps = _components(bl.elements, [bl._f[1], bl._f[2]])

@@ -12,7 +12,8 @@ import json
 import sys
 
 from . import g2, perfect
-from .affine import bl_crystal, gl_count, model, phi_table, verify_construction
+from .affine import (ConstructionFault, bl_crystal, gl_count, model, phi_table,
+                     verify_construction)
 from .cartan import dominant_weights
 
 
@@ -80,7 +81,11 @@ def cmd_graph(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     for l in range(1, args.level + 1):
-        rep = verify_construction(l)
+        try:
+            rep = verify_construction(l)
+        except ConstructionFault as exc:
+            _emit(f"level {l}: construction FAILED: {exc}", out)
+            return 1
         for name in sorted(rep):
             if name == "all_pass":
                 continue
@@ -171,6 +176,16 @@ def cmd_qcheck(args, out) -> int:
     return 0 if ok else 1
 
 
+def _at_least(lo):
+    """An argparse type: an integer no smaller than lo."""
+    def level(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return level
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g2crystal",
@@ -178,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", help="dimension table and model-count identity")
-    p.add_argument("--max-level", type=int, default=4)
+    p.add_argument("--max-level", type=_at_least(0), default=4)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_dims)
 
@@ -186,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ("verify", cmd_verify), ("minimal", cmd_minimal),
                      ("phi", cmd_phi), ("connectivity", cmd_connectivity)):
         p = sub.add_parser(name)
-        p.add_argument("--level", type=int, required=True)
+        p.add_argument("--level", type=_at_least(1 if name == "verify" else 0),
+                       required=True)
         p.add_argument("--out")
         if name == "graph":
             p.add_argument("--format", choices=("json", "dot", "text"), default="json")
@@ -205,15 +221,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "level", 0) is not None and getattr(args, "level", 0) < 0:
-        parser.print_usage(sys.stderr)
-        return 2
-    out = sys.stdout
     path = getattr(args, "out", None)
-    if path:
-        with open(path, "w") as fh:
-            return args.fn(args, fh)
-    return args.fn(args, out)
+    if not path:
+        return args.fn(args, sys.stdout)
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        print(f"g2crystal: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with fh:
+        return args.fn(args, fh)
 
 
 if __name__ == "__main__":

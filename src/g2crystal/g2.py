@@ -104,7 +104,11 @@ def is_valid_word(word) -> bool:
         return False
     if any(ORDER_INDEX[w[k]] > ORDER_INDEX[w[k + 1]] for k in range(len(w) - 1)):
         return False
-    c = _counts(w)
+    return _counts_ok(_counts(w))
+
+
+def _counts_ok(c) -> bool:
+    """The incomparable-pair test and the five counting constraints."""
     for pair in _INCOMPARABLE:
         if all(c[a] > 0 for a in pair):
             return False
@@ -195,33 +199,15 @@ def enumerate_tableaux(n: int) -> tuple[tuple[int, ...], ...]:
     out = []
 
     def rec(word, lo):
+        # every prefix passes the counting constraints and letters are taken
+        # in order, so each full-length word is valid
         if len(word) == n:
-            if is_valid_word(word):
-                out.append(word)
+            out.append(word)
             return
         for idx in range(lo, 14):
-            a = LETTERS[idx]
-            w2 = word + (a,)
-            # prune on counting constraints early
-            if is_prefix_ok(w2):
+            w2 = word + (LETTERS[idx],)
+            if _counts_ok(_counts(w2)):
                 rec(w2, idx)
-
-    def is_prefix_ok(w):
-        c = _counts(w)
-        for pair in _INCOMPARABLE:
-            if all(c[a] > 0 for a in pair):
-                return False
-        if c[5] + c[7] + c[8] + c[-5] > 1:
-            return False
-        if c[3] + c[4] + c[5] + c[7] > 1:
-            return False
-        if c[7] + c[-5] + c[-4] + c[-3] > 1:
-            return False
-        if c[5] + (1 if c[6] else 0) + c[7] > 1:
-            return False
-        if c[7] + (1 if c[-6] else 0) + c[-5] > 1:
-            return False
-        return True
 
     rec((), 0)
     count = dim(n)

@@ -1,3 +1,5 @@
+import pytest
+
 from g2crystal import a2, affine, g2
 from g2crystal.affine import AParam
 
@@ -403,8 +405,56 @@ def test_level1_crystal_table_exact():
 
 
 def test_construction_fault_on_bad_param():
-    import pytest
-
     mod = affine.model(2)
     with pytest.raises(affine.ConstructionFault):
         mod.CA(AParam(0, 5, 5, 0, 0, 0))
+
+
+def test_anchor_formulas_hold_through_level6():
+    for l in range(1, 7):
+        counts = affine.verify_anchors(l, affine.phi_table(l).forward)
+        assert counts == dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0), l
+    entry = affine.verify_construction(2)["anchor_formulas"]
+    assert entry["pass"] and entry["failures"] == 0
+
+
+# -- failure injection: a mis-transcribed case must not pass silently -----
+
+
+def test_injected_ea_plus_case_is_a_construction_fault(monkeypatch, fresh_caches):
+    # the k == i, j == i+1 case with its threshold p <= i lowered to p <= i-1
+    original = affine.ea_plus
+
+    def ea_plus(l, i, k, j, p, q):
+        if k == i and j == i + 1 and p == i:
+            return (i, k, j + 1, p + 1, q + 1) if j < l - i else None
+        return original(l, i, k, j, p, q)
+
+    monkeypatch.setattr(affine, "ea_plus", ea_plus)
+    with pytest.raises(affine.ConstructionFault):
+        affine.phi_table(2)
+
+
+def test_injected_anchor_formula_fails_only_its_rule(monkeypatch, fresh_caches):
+    # the m == 2 residue case of the highest-element formula ends in -4, not -3
+    original = affine._anchor_highest
+
+    def anchor_highest(l, i, j):
+        y, m = divmod(l - i - j, 3)
+        if m == 2:
+            return g2.sort_word((6,) * (y + 1) + g2.cstrip(y + i) + (-4,) + (-2,) * (y + j))
+        return original(l, i, j)
+
+    monkeypatch.setattr(affine, "_anchor_highest", anchor_highest)
+    rep = affine.verify_construction(3)
+    entry = rep["anchor_formulas"]
+    assert not entry["pass"] and not rep["all_pass"]
+    assert [rule for rule, n in entry["rules"].items() if n] == ["R4"]
+    assert all(v["pass"] for name, v in rep.items()
+               if isinstance(v, dict) and name != "anchor_formulas")
+
+
+def test_injected_letter_step_is_a_construction_fault(monkeypatch, fresh_caches):
+    monkeypatch.setitem(g2.F1_STEP, 4, 6)
+    with pytest.raises(affine.ConstructionFault):
+        affine.phi_table(2)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+from g2crystal import g2
 from g2crystal.cli import main
 
 
@@ -93,3 +95,39 @@ def test_deterministic_output(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["graph"]) == 2
     capsys.readouterr()
+
+
+def test_output_digests(capsys):
+    # pins the exported bijection and crystal graph byte for byte
+    for argv, digest in (
+            (["phi", "--level", "4"],
+             "1eb4812636cd5d82919a1ad2ecf8da34bca15c7f89dc1ed7b51160864e23c68d"),
+            (["graph", "--level", "4", "--format", "text"],
+             "197d4cb8672abc142a21df8bcac51df8f382fd188afcec66420b674a1ba68c31")):
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_negative_max_level_is_usage_error(capsys):
+    assert main(["dims", "--max-level", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_level_zero_is_usage_error(capsys):
+    assert main(["verify", "--level", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "dims.txt"
+    assert main(["dims", "--max-level", "1", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(path) in err
+
+
+def test_verify_reports_construction_fault(monkeypatch, fresh_caches, capsys):
+    monkeypatch.setitem(g2.F1_STEP, 4, 6)
+    code, out = run_cli(["verify", "--level", "2"], capsys)
+    assert code == 1
+    assert out.splitlines()[-1].startswith("level 1: construction FAILED: ")
