@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .signature import act_factor
+from .signature import act_factor, unmatched
 
 # (eps, phi) of each letter for color a and color b.
 _EP_A = {1: (0, 1), 2: (1, 0), 3: (0, 0)}
@@ -133,26 +133,12 @@ def apply_power(op, color, t, k):
 
 def eps(color: str, t: A2Tableau) -> int:
     ep = _EP_A if color == "a" else _EP_B
-    stack = 0
-    minus = 0
-    for x in t.factors():
-        e, f = ep[x]
-        for _ in range(e):
-            if stack:
-                stack -= 1
-            else:
-                minus += 1
-        stack += f
-    return minus
+    return len(unmatched([ep[x] for x in t.factors()])[0])
 
 
 def phi(color: str, t: A2Tableau) -> int:
     ep = _EP_A if color == "a" else _EP_B
-    stack = 0
-    for x in t.factors():
-        e, f = ep[x]
-        stack = max(stack - e, 0) + f
-    return stack
+    return len(unmatched([ep[x] for x in t.factors()])[1])
 
 
 @lru_cache(maxsize=None)

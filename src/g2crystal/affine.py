@@ -143,9 +143,6 @@ class AffineModel:
             return None
         return b._replace(r=b.r - 1)
 
-    def eps0(self, b: AParam) -> int:
-        return b.r
-
     def phi0(self, b: AParam) -> int:
         return b.j + b.q - 2 * b.p - b.r
 
@@ -421,13 +418,21 @@ class BlCrystal:
         self.index = {w: n for n, w in enumerate(self.elements)}
         self._f = {0: {}, 1: {}, 2: {}}
         self._e = {0: {}, 1: {}, 2: {}}
+        # (eps_i, phi_i) per color, indexed like elements
+        self._eps = ([], [], [])
+        self._phi = ([], [], [])
         for w in self.elements:
             for i in (1, 2):
+                e, p = g2.string_lengths(i, w)
+                self._eps[i].append(e)
+                self._phi[i].append(p)
                 img = g2.apply("f", i, w)
                 if img is not None:
                     self._f[i][w] = img
                     self._e[i][img] = w
             b = self.phi.backward[w]
+            self._eps[0].append(b.r)
+            self._phi[0].append(self.model.phi0(b))
             b2 = self.model.f0(b)
             if b2 is not None:
                 img = self.phi.forward[b2]
@@ -441,15 +446,10 @@ class BlCrystal:
         return self._e[i].get(w)
 
     def eps(self, i, w) -> int:
-        if i == 0:
-            return self.phi.backward[w].r
-        return g2.eps(i, w)
+        return self._eps[i][self.index[w]]
 
     def phi_i(self, i, w) -> int:
-        if i == 0:
-            b = self.phi.backward[w]
-            return self.model.phi0(b)
-        return g2.phi(i, w)
+        return self._phi[i][self.index[w]]
 
     def weight(self, w) -> ClassicalWeight:
         return g2.weight(w)
@@ -464,14 +464,6 @@ class BlCrystal:
 @lru_cache(maxsize=None)
 def bl_crystal(l: int) -> BlCrystal:
     return BlCrystal(l)
-
-
-def f0(l: int, word) -> tuple[int, ...] | None:
-    return bl_crystal(l).f(0, tuple(word))
-
-
-def e0(l: int, word) -> tuple[int, ...] | None:
-    return bl_crystal(l).e(0, tuple(word))
 
 
 # -- exhaustive verification --------------------------------------------
@@ -630,7 +622,7 @@ def verify_construction(l: int) -> dict:
     ok = sizes == expected
     sources = []
     for comp in comps:
-        srcs = [w for w in comp if g2.eps(1, w) == 0 and g2.eps(2, w) == 0]
+        srcs = [w for w in comp if bl.eps(1, w) == 0 and bl.eps(2, w) == 0]
         sources.append(srcs)
     ok = ok and all(len(s) == 1 and s[0] == (1,) * len(s[0]) for s in sources)
     report["restriction_12"] = {"pass": ok, "sizes": sizes, "failures": 0 if ok else 1,
@@ -643,7 +635,7 @@ def verify_construction(l: int) -> dict:
     ok = True
     for comp in comps:
         srcs = [w for w in comp
-                if g2.eps(1, w) == 0 and table.backward[w].r == 0
+                if bl.eps(1, w) == 0 and bl.eps(0, w) == 0
                 and mod.e1(table.backward[w]) is None]
         ok &= len(srcs) == 1
         if srcs:

@@ -19,17 +19,6 @@ CARTAN_MATRIX = (
 # (alpha_i, alpha_i) for i in {0, 1, 2}: alpha_0, alpha_1 long, alpha_2 short.
 ROOT_NORMS = (3, 3, 1)
 
-# c = h_0 + 2 h_1 + h_2.
-CENTRAL_COEFFS = (1, 2, 1)
-
-
-@dataclass(frozen=True)
-class CartanData:
-    matrix: tuple = CARTAN_MATRIX
-    root_norms: tuple = ROOT_NORMS
-    central: tuple = CENTRAL_COEFFS
-
-
 def cartan_entry(i: int, j: int) -> int:
     """Return <h_i, alpha_j>."""
     if i not in (0, 1, 2) or j not in (0, 1, 2):
@@ -57,14 +46,8 @@ class ClassicalWeight:
     def __neg__(self) -> "ClassicalWeight":
         return ClassicalWeight(-self.m0, -self.m1, -self.m2)
 
-    def is_dominant(self) -> bool:
-        return self.m0 >= 0 and self.m1 >= 0 and self.m2 >= 0
-
     def to_json(self) -> dict:
         return {"m0": self.m0, "m1": self.m1, "m2": self.m2}
-
-
-ZERO_WEIGHT = ClassicalWeight(0, 0, 0)
 
 
 def level(w: ClassicalWeight) -> int:

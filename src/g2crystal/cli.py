@@ -176,12 +176,19 @@ def cmd_qcheck(args, out) -> int:
     return 0 if ok else 1
 
 
-def _at_least(lo):
-    """An argparse type: an integer no smaller than lo."""
+# the tensor-square BFS visits |B^l|^2 states: 2842^2 (8.1e6) at l = 5, 6384^2 (4.1e7) at l = 6
+SQUARE_MAX_LEVEL = 5
+
+
+def _at_least(lo, hi=None):
+    """An argparse type: an integer no smaller than lo and, if given, at most hi."""
     def level(text):
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {hi} (the tensor-square search bound), got {value}")
         return value
     return level
 
@@ -201,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ("verify", cmd_verify), ("minimal", cmd_minimal),
                      ("phi", cmd_phi), ("connectivity", cmd_connectivity)):
         p = sub.add_parser(name)
-        p.add_argument("--level", type=_at_least(1 if name == "verify" else 0),
+        hi = SQUARE_MAX_LEVEL if name in ("verify", "connectivity") else None
+        p.add_argument("--level", type=_at_least(1 if name == "verify" else 0, hi),
                        required=True)
         p.add_argument("--out")
         if name == "graph":
@@ -223,14 +231,23 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     path = getattr(args, "out", None)
     if not path:
-        return args.fn(args, sys.stdout)
+        return _run(args, sys.stdout)
     try:
         fh = open(path, "w")
     except OSError as exc:
         print(f"g2crystal: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 2
     with fh:
-        return args.fn(args, fh)
+        return _run(args, fh)
+
+
+def _run(args, out) -> int:
+    """Run the subcommand; a construction fault is one output line and exit 1."""
+    try:
+        return args.fn(args, out)
+    except ConstructionFault as exc:
+        _emit(f"construction FAILED: {exc}", out)
+        return 1
 
 
 if __name__ == "__main__":

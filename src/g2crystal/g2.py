@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import ClassicalWeight, from_classical_pair
-from .signature import act_factor
+from .signature import act_factor, unmatched
 
 LETTERS = (1, 2, 3, 4, 5, 6, 7, 8, -6, -5, -4, -3, -2, -1)
 ORDER_INDEX = {a: i for i, a in enumerate(LETTERS)}
@@ -131,26 +131,19 @@ def weight(word) -> ClassicalWeight:
     return from_classical_pair(m1, m2)
 
 
-def eps(i: int, word) -> int:
+def string_lengths(i: int, word) -> tuple[int, int]:
+    """(eps_i, phi_i) of a word: the unmatched minus and plus counts."""
     ep = EP1 if i == 1 else EP2
-    stack = 0
-    minus = 0
-    for a in reversed(word):
-        e, f = ep[a]
-        take = min(stack, e)
-        stack -= take
-        minus += e - take
-        stack += f
-    return minus
+    minus, plus = unmatched([ep[a] for a in reversed(word)])
+    return len(minus), len(plus)
+
+
+def eps(i: int, word) -> int:
+    return string_lengths(i, word)[0]
 
 
 def phi(i: int, word) -> int:
-    ep = EP1 if i == 1 else EP2
-    stack = 0
-    for a in reversed(word):
-        e, f = ep[a]
-        stack = max(stack - e, 0) + f
-    return stack
+    return string_lengths(i, word)[1]
 
 
 def apply(op: str, i: int, word) -> tuple[int, ...] | None:

@@ -15,18 +15,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import g2
+from .cartan import CARTAN_MATRIX, ROOT_NORMS
 from .qlaurent import QRat, qbracket, qfactorial
 
-BASIS = (1, 2, 3, 4, 5, 6, 7, 8, -6, -5, -4, -3, -2, -1, 9)
+BASIS = g2.LETTERS + (9,)
 
-NORMS = (3, 3, 1)  # (alpha_i, alpha_i) for i = 0, 1, 2
+NORMS = ROOT_NORMS  # (alpha_i, alpha_i) for i = 0, 1, 2
 
 # <h_1, wt>, <h_2, wt> per basis label; label 9 has weight zero.
-_WT12 = {
-    1: (1, 0), 2: (-1, 3), 3: (0, 1), 4: (1, -1), 5: (-1, 2), 6: (2, -3),
-    7: (0, 0), 8: (0, 0), -6: (-2, 3), -5: (1, -2), -4: (-1, 1),
-    -3: (0, -1), -2: (1, -3), -1: (-1, 0), 9: (0, 0),
-}
+_WT12 = {**g2.LETTER_WEIGHT, 9: (0, 0)}
 
 
 def qint(m: int, i: int) -> QRat:
@@ -145,8 +143,7 @@ def v1_divided(kind, i, k, u):
 
 
 def _serre_exponent(i, j):
-    cartan = ((2, -1, 0), (-1, 2, -1), (0, -3, 2))
-    return 1 - cartan[i][j]
+    return 1 - CARTAN_MATRIX[i][j]
 
 
 def verify_module_relations() -> dict:
@@ -163,7 +160,7 @@ def verify_module_relations() -> dict:
     bad = []
     for i in range(3):
         for j in range(3):
-            aij = ((2, -1, 0), (-1, 2, -1), (0, -3, 2))[i][j]
+            aij = CARTAN_MATRIX[i][j]
             for kind, table in (("e", E_TABLE), ("f", F_TABLE)):
                 s = 1 if kind == "e" else -1
                 lhs = matrix_of(lambda u: v1_apply(("t", i, 1),
@@ -369,39 +366,18 @@ def _string_basis(i: int):
 
 
 def _in_string_coords(i, u):
-    """Coefficients of u in the string basis for color i."""
+    """Coefficients of u in the string basis for color i.
+
+    They are the kernel vector of [chains | -u] whose last entry is one; no
+    kernel vector has a nonzero last entry when u lies outside the span.
+    """
     chains = _string_basis(i)
-    # solve sum c_n chain_n = u
-    cols = {a: n for n, a in enumerate(BASIS)}
-    rows = []
-    for a in BASIS:
-        rows.append([ch.get(a, QRat.zero()) for _, ch in chains] + [u.get(a, QRat.zero())])
-    # gaussian solve
-    n = len(chains)
-    mat = [list(r) for r in rows]
-    piv_of_col = {}
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(mat)) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inv()
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        piv_of_col[col] = rank
-        rank += 1
-    sol = [QRat.zero()] * n
-    for col, r in piv_of_col.items():
-        sol[col] = mat[r][n]
-    # consistency
-    for r in range(len(mat)):
-        if all(mat[r][c].is_zero() for c in range(n)) and not mat[r][n].is_zero():
-            raise ArithmeticError("vector outside the string-basis span")
-    return sol
+    rows = [[ch.get(a, QRat.zero()) for _, ch in chains] + [-u.get(a, QRat.zero())]
+            for a in BASIS]
+    for v in nullspace(rows, len(chains) + 1):
+        if not v[-1].is_zero():
+            return v[:-1]
+    raise ArithmeticError("vector outside the string-basis span")
 
 
 def kashiwara(kind: str, i: int, u):

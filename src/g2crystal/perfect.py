@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .affine import bl_crystal
+from .affine import _components, bl_crystal
 from .cartan import ClassicalWeight, dominant_weights, level, simple_root
 
 
@@ -66,27 +66,20 @@ def minimal_elements(l: int) -> list[tuple[int, ...]]:
 
 
 def _self_connected(bl) -> bool:
-    if not bl.elements:
-        return True
-    seen = {bl.elements[0]}
-    frontier = deque(seen)
-    maps = [bl._f[i] for i in (0, 1, 2)] + [bl._e[i] for i in (0, 1, 2)]
-    while frontier:
-        w = frontier.popleft()
-        for mp in maps:
-            nxt = mp.get(w)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(bl.elements)
+    return len(_components(bl.elements, [bl._f[i] for i in (0, 1, 2)])) <= 1
 
 
-def _square_connected(bl) -> tuple[bool, int]:
-    """BFS on the tensor square with the bracketing rule per color."""
+def _square_connected(bl) -> tuple[int, int]:
+    """(states reached from () (x) (), all states) of the tensor square x (x) y.
+
+    The bracketing rule is inlined in its two-factor closed form, since a
+    call per state is too slow here: f_i acts on x when phi_i(x) > eps_i(y),
+    e_i when phi_i(x) >= eps_i(y), and on y otherwise.
+    """
     n = len(bl.elements)
     idx = bl.index
-    eps = [[bl.eps(i, w) for w in bl.elements] for i in (0, 1, 2)]
-    phi = [[bl.phi_i(i, w) for w in bl.elements] for i in (0, 1, 2)]
+    eps = bl._eps
+    phi = bl._phi
     fmap = [[idx.get(bl.f(i, w)) if bl.f(i, w) is not None else None for w in bl.elements]
             for i in (0, 1, 2)]
     emap = [[idx.get(bl.e(i, w)) if bl.e(i, w) is not None else None for w in bl.elements]
@@ -123,7 +116,7 @@ def _square_connected(bl) -> tuple[bool, int]:
                 seen[nxt] = 1
                 count += 1
                 frontier.append(nxt)
-    return count == n * n, n * n
+    return count, n * n
 
 
 def check_perfect(l: int) -> PerfectReport:
@@ -131,7 +124,8 @@ def check_perfect(l: int) -> PerfectReport:
     rep = PerfectReport(level=l)
 
     rep.cond_self_connected = _self_connected(bl)
-    rep.cond_connected_square, rep.square_size = _square_connected(bl)
+    reached, rep.square_size = _square_connected(bl)
+    rep.cond_connected_square = reached == rep.square_size
 
     # the extremal weight is discovered, not assumed: the unique weight from
     # which no other weight is reachable by adding a classical simple root

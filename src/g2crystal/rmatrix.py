@@ -106,10 +106,6 @@ X = XY.monomial(1, 0)
 Y = XY.monomial(0, 1)
 
 
-def xy_q(k: int) -> XY:
-    return XY.const(_Q(k))
-
-
 # -- tensor vectors -------------------------------------------------------
 
 
@@ -384,10 +380,6 @@ def extract_multiple(u, target) -> XY | None:
     return out
 
 
-def _b21():
-    return qint(2, 1)
-
-
 def fusion_items() -> dict:
     """The fifteen itemized identities: (string, source, target, coefficient)."""
     b21, b22 = qint(2, 1), qint(2, 2)
@@ -395,7 +387,6 @@ def fusion_items() -> dict:
     x2 = X * X
     y2 = Y * Y
     xy = X * Y
-    q = xy_q
     items = {
         1: (STR_F, "u_La1_1", (1, 1), XY.monomial(-1, -1, b21 * _Q(-3))),
         2: (STR_F, "u_La1_2", (1, 1), XY.monomial(-1, -1, b21 * _Q(-3))),

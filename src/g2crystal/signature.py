@@ -6,6 +6,10 @@ a plus immediately followed by a minus, never the other convention -- until
 the word has shape minus^a plus^b.  The lowering operator acts at the factor
 of the leftmost surviving plus, the raising operator at the rightmost
 surviving minus.
+
+``unmatched`` is the one implementation of this bracketing rule; word
+reduction, the tensor-product operators and the string lengths of the G2 and
+A2 tableau crystals all call it.  ``reduce_brute`` is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -36,27 +40,39 @@ class UWord:
         return f"UWord({sym!r}, {self.positions})"
 
 
+def unmatched(ep_list) -> tuple[list[int], list[int]]:
+    """Factor indices of the surviving minuses and pluses, in tensor order.
+
+    ``ep_list`` holds one (eps, phi) pair per tensor factor, first factor
+    first; factor k reads as eps minuses followed by phi pluses.  Each minus
+    cancels the nearest surviving plus to its left, so a factor's minuses
+    take the last pluses off the stack in one slice.
+    """
+    minus = []
+    plus = []
+    for k, (e, f) in enumerate(ep_list):
+        if e:
+            if e < len(plus):
+                del plus[len(plus) - e:]
+            else:
+                minus += [k] * (e - len(plus))
+                plus.clear()
+        if f:
+            plus += [k] * f
+    return minus, plus
+
+
 def reduce_word(word: UWord) -> UWord:
-    """Reduce in a single left-to-right stack pass.
+    """Reduce through ``unmatched``, one factor per symbol; zeros drop out.
 
     Equivalent to deleting zeros and then repeatedly cancelling adjacent
     (plus, minus) pairs to the fixed point; the equivalence is a tested
     property, not an assumption.
     """
-    plus_stack = []  # positions of surviving pluses
-    minus_out = []  # positions of surviving minuses, left to right
-    for sym, pos in zip(word.symbols, word.positions):
-        if sym == ZERO:
-            continue
-        if sym == PLUS:
-            plus_stack.append(pos)
-        else:
-            if plus_stack:
-                plus_stack.pop()
-            else:
-                minus_out.append(pos)
-    symbols = (MINUS,) * len(minus_out) + (PLUS,) * len(plus_stack)
-    return UWord(symbols, tuple(minus_out) + tuple(plus_stack))
+    minus, plus = unmatched([(s == MINUS, s == PLUS) for s in word.symbols])
+    pos = word.positions
+    return UWord((MINUS,) * len(minus) + (PLUS,) * len(plus),
+                 [pos[k] for k in minus + plus])
 
 
 def reduce_brute(word: UWord) -> UWord:
@@ -90,20 +106,11 @@ def act_factor(op: str, ep_list) -> int | None:
     order (first factor leftmost).  'f' acts at the leftmost surviving plus,
     'e' at the rightmost surviving minus.
     """
-    plus_stack = []
-    last_minus = None
-    for k, (e, f) in enumerate(ep_list):
-        for _ in range(e):
-            if plus_stack:
-                plus_stack.pop()
-            else:
-                last_minus = k
-        if f:
-            plus_stack.extend([k] * f)
+    minus, plus = unmatched(ep_list)
     if op == "f":
-        return plus_stack[0] if plus_stack else None
+        return plus[0] if plus else None
     if op == "e":
-        return last_minus
+        return minus[-1] if minus else None
     raise ValueError(f"unknown operator {op!r}")
 
 

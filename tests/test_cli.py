@@ -131,3 +131,25 @@ def test_verify_reports_construction_fault(monkeypatch, fresh_caches, capsys):
     code, out = run_cli(["verify", "--level", "2"], capsys)
     assert code == 1
     assert out.splitlines()[-1].startswith("level 1: construction FAILED: ")
+
+
+def test_construction_fault_is_one_line_in_every_command(monkeypatch, fresh_caches, capsys):
+    monkeypatch.setitem(g2.F1_STEP, 4, 6)
+    for argv in (["phi", "--level", "2"], ["graph", "--level", "2"],
+                 ["enumerate", "--level", "2"], ["minimal", "--level", "2"],
+                 ["connectivity", "--level", "2"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 1, argv
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("construction FAILED: "), argv
+
+
+def test_tensor_square_level_bound_is_usage_error(fresh_caches, capsys):
+    from g2crystal import affine
+
+    for command in ("connectivity", "verify"):
+        assert main([command, "--level", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most 5" in captured.err
+    assert affine.bl_crystal.cache_info().currsize == 0

@@ -94,3 +94,50 @@ def test_report_json_shape():
 
 def test_level4_self_connected():
     assert perfect._self_connected(bl_crystal(4))
+
+
+def test_self_connected_detects_two_components():
+    from types import SimpleNamespace
+
+    split = SimpleNamespace(elements=[(), (1,)], _f={0: {}, 1: {}, 2: {}})
+    assert not perfect._self_connected(split)
+    split._f[0][()] = (1,)
+    assert perfect._self_connected(split)
+
+
+def test_square_rule_matches_act_factor():
+    # the two-factor closed form inlined in _square_connected's BFS, on every
+    # pair x (x) y of B^2, against the general bracketing rule
+    from g2crystal.signature import act_factor
+
+    bl = bl_crystal(2)
+    for i in (0, 1, 2):
+        eps, phi = bl._eps[i], bl._phi[i]
+        for x in bl.elements:
+            nx = bl.index[x]
+            for y in bl.elements:
+                ny = bl.index[y]
+                ep = [(eps[nx], phi[nx]), (eps[ny], phi[ny])]
+                for op, step, left_wins in (("f", bl.f, phi[nx] > eps[ny]),
+                                            ("e", bl.e, phi[nx] >= eps[ny])):
+                    k = act_factor(op, ep)
+                    if left_wins:
+                        assert k == (0 if step(i, x) is not None else None)
+                    else:
+                        assert k == (1 if step(i, y) is not None else None)
+
+
+def test_square_bfs_reaches_one_component():
+    # the sl2 string B(2) in color 1, () its middle element: from () (x) ()
+    # the BFS must reach exactly the B(2) component of B(2) (x) B(2) =
+    # B(4) + B(2) + B(0); either comparison turned the other way reaches 7
+    from types import SimpleNamespace
+
+    top, mid, low = (1,), (), (2,)
+    f = {1: {top: mid, mid: low}}
+    e = {1: {mid: top, low: mid}}
+    sl2 = SimpleNamespace(
+        elements=[top, mid, low], index={top: 0, mid: 1, low: 2},
+        _eps=([0] * 3, [0, 1, 2], [0] * 3), _phi=([0] * 3, [2, 1, 0], [0] * 3),
+        f=lambda i, w: f.get(i, {}).get(w), e=lambda i, w: e.get(i, {}).get(w))
+    assert perfect._square_connected(sl2) == (3, 9)

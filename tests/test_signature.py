@@ -2,7 +2,7 @@ import random
 
 from g2crystal.signature import (
     MINUS, PLUS, UWord, ZERO, act_factor, eps_phi, reduce_brute, reduce_word,
-    tensor_apply,
+    tensor_apply, unmatched,
 )
 
 
@@ -140,3 +140,46 @@ def test_tensor_apply_contract_violation():
 
     with pytest.raises(ValueError):
         tensor_apply("f", [1], uword, bad_step)
+
+
+def _brute(ep_list):
+    """reduce_brute on the expanded word: factor k is eps minuses, then phi pluses."""
+    syms, poss = [], []
+    for k, (e, f) in enumerate(ep_list):
+        syms += [MINUS] * e + [PLUS] * f
+        poss += [k] * (e + f)
+    red = reduce_brute(UWord(syms, poss))
+    minus = [k for s, k in zip(red.symbols, red.positions) if s == MINUS]
+    plus = [k for s, k in zip(red.symbols, red.positions) if s == PLUS]
+    return minus, plus
+
+
+def test_unmatched_matches_bruteforce():
+    rng = random.Random(31)
+    for _ in range(5000):
+        ep = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(0, 8))]
+        minus, plus = _brute(ep)
+        assert unmatched(ep) == (minus, plus)
+        assert act_factor("f", ep) == (plus[0] if plus else None)
+        assert act_factor("e", ep) == (minus[-1] if minus else None)
+
+
+def test_g2_string_lengths_match_bruteforce():
+    from g2crystal import g2
+
+    for n in range(4):
+        for w in g2.enumerate_tableaux(n):
+            for i, ep in ((1, g2.EP1), (2, g2.EP2)):
+                minus, plus = _brute([ep[a] for a in reversed(w)])
+                assert (g2.eps(i, w), g2.phi(i, w)) == (len(minus), len(plus))
+
+
+def test_a2_string_lengths_match_bruteforce():
+    from g2crystal import a2
+
+    for m in range(3):
+        for n in range(3):
+            for t in a2.enumerate_tableaux(m, n):
+                for color, ep in (("a", a2._EP_A), ("b", a2._EP_B)):
+                    minus, plus = _brute([ep[x] for x in t.factors()])
+                    assert (a2.eps(color, t), a2.phi(color, t)) == (len(minus), len(plus))
