@@ -41,19 +41,6 @@ class AParam(NamedTuple):
                 "p": self.p, "q": self.q, "r": self.r}
 
 
-def _valid_block(l, i, k, j):
-    return 0 <= i <= l // 2 and i <= k <= l - i and i <= j <= l - i
-
-
-def _valid_param(l, b):
-    return (
-        _valid_block(l, b.i, b.k, b.j)
-        and 0 <= b.p <= b.j
-        and b.p <= b.q <= b.p + b.k
-        and 0 <= b.r <= b.j + b.q - 2 * b.p
-    )
-
-
 def ea_plus(l, i, k, j, p, q):
     """E_A on the r = 0 layer, by the case table with level induction.
 
@@ -122,6 +109,7 @@ class AffineModel:
             for q in range(p, p + k + 1)
             for r in range(j + q - 2 * p + 1)
         ]
+        self._members = frozenset(self.elements)
 
     # -- A2-crystal-backed operators ------------------------------------
 
@@ -158,14 +146,14 @@ class AffineModel:
         if base is None:
             return None
         out = AParam(*base, b.r)
-        if not _valid_param(self.l, out):
+        if out not in self._members:
             raise ConstructionFault(f"E_A left the crystal: {b} -> {out}")
         return out
 
     def CA(self, b: AParam) -> AParam:
         out = AParam(b.i, b.j, b.k, b.k - b.q + b.p, b.k + b.j - b.q,
                      b.j + b.q - 2 * b.p - b.r)
-        if not _valid_param(self.l, out):
+        if out not in self._members:
             raise ConstructionFault(f"involution left the crystal: {b} -> {out}")
         return out
 

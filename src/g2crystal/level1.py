@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import g2
 from .cartan import CARTAN_MATRIX, ROOT_NORMS
-from .qlaurent import QRat, qbracket, qfactorial
+from .qlaurent import QRat, put, qbracket, qfactorial, vadd, vscale, vsub
 
 BASIS = g2.LETTERS + (9,)
 
@@ -89,27 +89,6 @@ def vec(a: int):
     return {a: _ONE}
 
 
-def vadd(u, v):
-    out = dict(u)
-    for a, c in v.items():
-        c2 = out.get(a, QRat.zero()) + c
-        if c2.is_zero():
-            out.pop(a, None)
-        else:
-            out[a] = c2
-    return out
-
-
-def vscale(c: QRat, u):
-    if c.is_zero():
-        return {}
-    return {a: c * x for a, x in u.items()}
-
-
-def vsub(u, v):
-    return vadd(u, vscale(-_ONE, v))
-
-
 def v1_apply(gen, u):
     """Apply a generator to a module vector.
 
@@ -122,11 +101,7 @@ def v1_apply(gen, u):
         table = E_TABLE[i] if kind == "e" else F_TABLE[i]
         for a, c in u.items():
             for b, coef in table.get(a, ()):
-                c2 = out.get(b, QRat.zero()) + c * coef
-                if c2.is_zero():
-                    out.pop(b, None)
-                else:
-                    out[b] = c2
+                put(out, b, c * coef)
         return out
     if kind == "t":
         s = gen[2]
@@ -201,9 +176,7 @@ def verify_module_relations() -> dict:
                         term = v1_divided(kind, i, b - k, vec(a))
                         term = v1_apply((kind, j), term)
                         term = v1_divided(kind, i, k, term)
-                        if k % 2:
-                            term = vscale(-_ONE, term)
-                        acc = vadd(acc, term)
+                        acc = vsub(acc, term) if k % 2 else vadd(acc, term)
                     if acc:
                         bad.append((i, j, kind, a))
     report["serre"] = {"pass": not bad, "failures": bad}

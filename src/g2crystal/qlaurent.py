@@ -17,32 +17,46 @@ def _trim(d):
     return {e: c for e, c in d.items() if c}
 
 
-def _add(d1, d2):
-    out = dict(d1)
-    for e, c in d2.items():
-        c2 = out.get(e, 0) + c
-        if c2:
-            out[e] = c2
-        else:
-            out.pop(e, None)
+def put(out, key, c):
+    """Add c into out[key], dropping the key when the sum cancels.
+
+    The one sparse-combination rule: it needs only + and truthiness of the
+    coefficients, so it serves int, QRat and XY coefficients alike.
+    """
+    if key in out:
+        c = out[key] + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
+def vadd(u, v):
+    out = dict(u)
+    for k, c in v.items():
+        put(out, k, c)
     return out
+
+
+def vsub(u, v):
+    out = dict(u)
+    for k, c in v.items():
+        put(out, k, -c)
+    return out
+
+
+def vscale(c, u):
+    if not c:
+        return {}
+    return {k: c * x for k, x in u.items()}
 
 
 def _mul(d1, d2):
     out = {}
     for e1, c1 in d1.items():
         for e2, c2 in d2.items():
-            e = e1 + e2
-            c = out.get(e, 0) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
+            put(out, e1 + e2, c1 * c2)
     return out
-
-
-def _neg(d):
-    return {e: -c for e, c in d.items()}
 
 
 def _val(d):
@@ -53,11 +67,8 @@ def _deg(d):
     return max(d) if d else 0
 
 
-def _content(d):
-    g = 0
-    for c in d.values():
-        g = gcd(g, abs(c))
-    return g or 1
+def _content(cs):
+    return gcd(*cs) or 1
 
 
 def _to_list(d):
@@ -76,10 +87,7 @@ def _from_list(v, lst):
 
 
 def _list_prim(a):
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    g = g or 1
+    g = _content(a)
     return [c // g for c in a]
 
 
@@ -103,8 +111,8 @@ def _list_prem(a, b):
 
 
 def _list_gcd(a, b):
-    a = _list_prim([c for c in a])
-    b = _list_prim([c for c in b])
+    a = _list_prim(a)
+    b = _list_prim(b)
     while a and a[-1] == 0:
         a.pop()
     while b and b[-1] == 0:
@@ -120,23 +128,21 @@ def _list_gcd(a, b):
 
 
 def _list_divexact(a, b):
-    """Exact division of dense lists over Q, asserted to land in Z."""
-    a = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    lb = Fraction(b[-1])
+    """Exact division of dense integer lists by a primitive divisor b.
+
+    By Gauss's lemma an exact quotient by a primitive polynomial has integer
+    coefficients, so the division runs in integers; a nonzero remainder at
+    any step stays in the top of its window and fails the final check.
+    """
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
     for i in range(len(out) - 1, -1, -1):
-        c = a[i + len(b) - 1] / lb
-        out[i] = c
+        c = out[i] = a[i + len(b) - 1] // b[-1]
         for j, bc in enumerate(b):
             a[i + j] -= c * bc
     if any(a):
         raise ArithmeticError("inexact polynomial division")
-    res = []
-    for c in out:
-        if c.denominator != 1:
-            raise ArithmeticError("division left rational coefficients")
-        res.append(int(c))
-    return res
+    return out
 
 
 class QRat:
@@ -170,11 +176,6 @@ class QRat:
         if vd:
             num = {e - vd: c for e, c in num.items()}
             den = {e - vd: c for e, c in den.items()}
-        cn, cd = _content(num), _content(den)
-        g = gcd(cn, cd)
-        if g > 1:
-            num = {e: c // g for e, c in num.items()}
-            den = {e: c // g for e, c in den.items()}
         vn, ln = _to_list(num)
         _, ld = _to_list(den)
         if len(ld) > 1:
@@ -185,10 +186,11 @@ class QRat:
             num = _from_list(vn, ln)
             den = _from_list(0, ld)
         if den.get(_val(den), 0) < 0:
-            num = _neg(num)
-            den = _neg(den)
-        cn, cd = _content(num), _content(den)
-        g = gcd(cn, cd)
+            num = vscale(-1, num)
+            den = vscale(-1, den)
+        # dividing by a primitive polynomial and flipping signs keep the
+        # integer contents, so one content step at the end suffices
+        g = gcd(_content(num.values()), _content(den.values()))
         if g > 1:
             num = {e: c // g for e, c in num.items()}
             den = {e: c // g for e, c in den.items()}
@@ -233,14 +235,14 @@ class QRat:
             return other
         if not other.num:
             return self
-        return QRat(_add(_mul(self.num, other.den), _mul(other.num, self.den)),
+        return QRat(vadd(_mul(self.num, other.den), _mul(other.num, self.den)),
                     _mul(self.den, other.den))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return QRat(_neg(self.num), dict(self.den), _reduced=True)
+        return QRat(vscale(-1, self.num), dict(self.den), _reduced=True)
 
     def __sub__(self, other):
         if isinstance(other, int):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .level1 import (
     BASIS, E_TABLE, F_TABLE, NORMS, _WT12, nullspace, qint, weight_pairing,
 )
-from .qlaurent import QRat, qfactorial
+from .qlaurent import QRat, put, qfactorial, vadd, vscale, vsub
 
 _ONE = QRat.one()
 _Q = QRat.q_power
@@ -57,34 +57,23 @@ class XY:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c2 = out.get(k, QRat.zero()) + c
-            if c2.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = c2
-        return XY(out)
+        return XY(vadd(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + other.scale(-_ONE)
+        return XY(vsub(self.terms, other.terms))
+
+    def __neg__(self):
+        return self.scale(-_ONE)
 
     def __mul__(self, other):
         out = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                c = out.get(k, QRat.zero()) + c1 * c2
-                if c.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = c
+                put(out, (a1 + a2, b1 + b2), c1 * c2)
         return XY(out)
 
     def scale(self, c: QRat):
-        if c.is_zero():
-            return XY()
-        return XY({k: c * v for k, v in self.terms.items()})
+        return XY(vscale(c, self.terms))
 
     def shift(self, dx, dy):
         return XY({(a + dx, b + dy): c for (a, b), c in self.terms.items()})
@@ -113,33 +102,6 @@ def tvec(a, b, coeff=None):
     return {(a, b): coeff if coeff is not None else XY.const(_ONE)}
 
 
-def tadd(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        c2 = out.get(k)
-        c2 = c if c2 is None else c2 + c
-        if c2.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = c2
-    return out
-
-
-def tscale(c, u):
-    if isinstance(c, QRat):
-        c = XY.const(c)
-    out = {}
-    for k, v in u.items():
-        w = c * v
-        if not w.is_zero():
-            out[k] = w
-    return out
-
-
-def tsub(u, v):
-    return tadd(u, tscale(XY.const(-_ONE), v))
-
-
 def tensor_apply(gen, u, spectral: bool = True):
     """Apply a generator through the comultiplication, with spectral twist.
 
@@ -149,36 +111,27 @@ def tensor_apply(gen, u, spectral: bool = True):
     kind, i = gen[0], gen[1]
     twist = 1 if (spectral and i == 0) else 0
     out = {}
-
-    def put(key, coeff):
-        c2 = out.get(key)
-        c2 = coeff if c2 is None else c2 + coeff
-        if c2.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c2
-
     if kind == "f":
         for (a, b), c in u.items():
             for a2, coef in F_TABLE[i].get(a, ()):
-                put((a2, b), c * XY.monomial(-twist, 0, coef))
+                put(out, (a2, b), c * XY.monomial(-twist, 0, coef))
             tw = _Q(NORMS[i] * weight_pairing(i, a))
             for b2, coef in F_TABLE[i].get(b, ()):
-                put((a, b2), c * XY.monomial(0, -twist, tw * coef))
+                put(out, (a, b2), c * XY.monomial(0, -twist, tw * coef))
         return out
     if kind == "e":
         for (a, b), c in u.items():
             tw = _Q(-NORMS[i] * weight_pairing(i, b))
             for a2, coef in E_TABLE[i].get(a, ()):
-                put((a2, b), c * XY.monomial(twist, 0, coef * tw))
+                put(out, (a2, b), c * XY.monomial(twist, 0, coef * tw))
             for b2, coef in E_TABLE[i].get(b, ()):
-                put((a, b2), c * XY.monomial(0, twist, coef))
+                put(out, (a, b2), c * XY.monomial(0, twist, coef))
         return out
     if kind == "t":
         s = gen[2]
         for (a, b), c in u.items():
             w = weight_pairing(i, a) + weight_pairing(i, b)
-            put((a, b), c * XY.const(_Q(NORMS[i] * s * w)))
+            put(out, (a, b), c * XY.const(_Q(NORMS[i] * s * w)))
         return out
     raise ValueError(f"unknown generator {gen!r}")
 
@@ -186,8 +139,7 @@ def tensor_apply(gen, u, spectral: bool = True):
 def tensor_divided(kind, i, k, u, spectral=True):
     for _ in range(k):
         u = tensor_apply((kind, i), u, spectral)
-    fac = qfactorial(k, NORMS[i]).inv()
-    return tscale(fac, u)
+    return vscale(XY.const(qfactorial(k, NORMS[i]).inv()), u)
 
 
 def tensor_weight(u):
@@ -205,27 +157,27 @@ def _u_2la1():
 
 
 def _u_3la2():
-    return tadd(tvec(1, 2), tvec(2, 1, XY.const(-_Q(3))))
+    return vadd(tvec(1, 2), tvec(2, 1, XY.const(-_Q(3))))
 
 
 def _u_2la2():
     b22, b32 = qint(2, 2), qint(3, 2)
     out = tvec(1, 5)
-    out = tadd(out, tvec(2, 4, XY.const(-_Q(3))))
-    out = tadd(out, tvec(3, 3, XY.const(b22 / b32 * _Q(4))))
-    out = tadd(out, tvec(4, 2, XY.const(-_Q(7))))
-    out = tadd(out, tvec(5, 1, XY.const(_Q(10))))
+    out = vadd(out, tvec(2, 4, XY.const(-_Q(3))))
+    out = vadd(out, tvec(3, 3, XY.const(b22 / b32 * _Q(4))))
+    out = vadd(out, tvec(4, 2, XY.const(-_Q(7))))
+    out = vadd(out, tvec(5, 1, XY.const(_Q(10))))
     return out
 
 
 def _u_la1_3():
     b21, b32 = qint(2, 1), qint(3, 2)
     out = tvec(1, 8)
-    out = tadd(out, tvec(2, 6, XY.const(-b21 * _Q(6))))
-    out = tadd(out, tvec(3, 4, XY.const(b21 / b32 * _Q(5))))
-    out = tadd(out, tvec(4, 3, XY.const(-(b21 / b32) * _Q(6))))
-    out = tadd(out, tvec(6, 2, XY.const(b21 * _Q(9))))
-    out = tadd(out, tvec(8, 1, XY.const(-_Q(12))))
+    out = vadd(out, tvec(2, 6, XY.const(-b21 * _Q(6))))
+    out = vadd(out, tvec(3, 4, XY.const(b21 / b32 * _Q(5))))
+    out = vadd(out, tvec(4, 3, XY.const(-(b21 / b32) * _Q(6))))
+    out = vadd(out, tvec(6, 2, XY.const(b21 * _Q(9))))
+    out = vadd(out, tvec(8, 1, XY.const(-_Q(12))))
     return out
 
 
@@ -322,7 +274,7 @@ def verify_singular() -> dict:
     # the transcribed partial vector agrees with the solved one off the garbled terms
     u02, coeff = solve_u02()
     known = _u_0_2_known()
-    diff = tsub(u02, known)
+    diff = vsub(u02, known)
     ok = all(k in ((7, 8), (8, 7)) for k in diff)
     report["u02_partial_match"] = ok
     report["u02_coefficient"] = str(coeff)

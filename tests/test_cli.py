@@ -98,12 +98,14 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_output_digests(capsys):
-    # pins the exported bijection and crystal graph byte for byte
+    # pins the exported bijection, crystal graph and q-suite byte for byte
     for argv, digest in (
             (["phi", "--level", "4"],
              "1eb4812636cd5d82919a1ad2ecf8da34bca15c7f89dc1ed7b51160864e23c68d"),
             (["graph", "--level", "4", "--format", "text"],
-             "197d4cb8672abc142a21df8bcac51df8f382fd188afcec66420b674a1ba68c31")):
+             "197d4cb8672abc142a21df8bcac51df8f382fd188afcec66420b674a1ba68c31"),
+            (["qcheck", "--dump"],
+             "1ae983da70599bef3b2ec0ff0456aa6c3bad2e60f21ab30503bd8fc2b3171ec1")):
         code, out = run_cli(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
-from g2crystal.qlaurent import QRat, qbracket, qfactorial
+import pytest
+
+from g2crystal.qlaurent import (
+    QRat, _list_divexact, put, qbracket, qfactorial, vadd, vsub,
+)
+from g2crystal.rmatrix import XY, tensor_apply, tvec
 
 q = QRat.q_power
 
@@ -27,6 +32,31 @@ def test_reduction_canonical():
     # denominators are normalized to valuation zero, positive constant term
     x = QRat({0: 1}, {-2: -3})
     assert x.den[0] > 0 and min(x.den) == 0
+
+
+def test_reduction_shared_factors():
+    # a negative leading divisor still divides exactly in integers
+    assert _list_divexact([-1, 0, 1], [1, -1]) == [-1, -1]
+    with pytest.raises(ArithmeticError):
+        _list_divexact([1, 0, 1], [1, 1])
+    # shared integer content 2 and shared factor 1 + q both cancel
+    x = QRat({0: 6, 1: 6}, {0: 4, 2: -4})
+    assert x.num == {0: 3} and x.den == {0: 2, 1: -2}
+
+
+def test_sparse_rule_on_every_ring():
+    # the same cancel-and-drop rule for int, QRat and XY coefficients
+    for c, d in ((3, 4), (q(1), q(2) + 1), (XY.monomial(1, 0, q(1)), XY.const(q(2)))):
+        out = {"a": c}
+        put(out, "a", -c)
+        put(out, "b", d)
+        assert out == {"b": d}
+        assert vadd({"a": c, "b": d}, {"a": -c}) == {"b": d}
+        assert vadd({"a": c}, {"a": d}) == {"a": c + d}
+    u = {1: q(1), -2: qbracket(2, 3)}
+    assert vsub(u, u) == {}
+    t = tensor_apply(("f", 1), tvec(1, 1))
+    assert len(t) == 2 and vsub(t, t) == {}
 
 
 def test_zero_and_inverses():
