@@ -12,7 +12,8 @@ bottom, matching the reading used for G2 words.
 
 String coordinates: every element is uniquely f_b^r f_a^q f_b^p applied to
 the highest-weight tableau with 0 <= p <= n, p <= q <= p + m,
-0 <= r <= n + q - 2p.
+0 <= r <= n + q - 2p.  The coordinate tables are generated forward from
+the highest-weight tableau once per shape.
 """
 
 from __future__ import annotations
@@ -173,44 +174,47 @@ def dim(m: int, n: int) -> int:
     return (m + 1) * (n + 1) * (m + n + 2) // 2
 
 
-def _string_coords_walk(t: A2Tableau) -> tuple[int, int, int]:
-    r = eps("b", t)
-    t2 = apply_power("e", "b", t, r)
-    q = eps("a", t2)
-    t3 = apply_power("e", "a", t2, q)
-    p = eps("b", t3)
-    if apply_power("e", "b", t3, p) != highest(t.m, t.n):
-        raise RuntimeError(f"string coordinates failed to reach highest weight: {t!r}")
-    return (p, q, r)
+def _f_string(color, t, length):
+    """[t, f t, ..., f^length t] along one color; None past the string's end."""
+    out = [t]
+    for _ in range(length):
+        out.append(None if out[-1] is None else apply("f", color, out[-1]))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _coord_tables(m: int, n: int):
-    """(coords -> tableau, tableau -> coords) for one shape."""
+    """(coords -> tableau, tableau -> coords) for one shape.
+
+    Generated forward, f_b^r f_a^q f_b^p (highest) for every (p, q, r) of the
+    coordinate box.  Unless the box maps one to one onto the enumerated
+    tableaux (no undefined step, no image twice, none left out) this is a
+    fault.  The tables hold the enumerated tableau objects.
+    """
+    members = {t: t for t in enumerate_tableaux(m, n)}
     to_tab = {}
-    to_coords = {}
-    for t in enumerate_tableaux(m, n):
-        c = _string_coords_walk(t)
-        if c in to_tab:
-            raise RuntimeError(f"string coordinates collide at shape {(m, n)}: {c}")
-        to_tab[c] = t
-        to_coords[t] = c
+    for p, tp in enumerate(_f_string("b", highest(m, n), n)):
+        fa = _f_string("a", tp, p + m)
+        for q in range(p, p + m + 1):
+            for r, t in enumerate(_f_string("b", fa[q], n + q - 2 * p)):
+                to_tab[(p, q, r)] = members.get(t)
+    to_coords = {t: c for c, t in to_tab.items()}
+    if None in to_coords or not len(to_tab) == len(to_coords) == len(members):
+        raise RuntimeError(f"the {len(to_tab)} string coordinates of shape {(m, n)} reach "
+                           f"{len(to_coords.keys() - {None})} of {len(members)} tableaux")
     return to_tab, to_coords
 
 
 @lru_cache(maxsize=None)
 def alpha_coord_maps(m: int, n: int):
-    """Color-a operators as maps on coordinate triples: (f_map, e_map)."""
+    """The color-a lowering operator as a map on coordinate triples."""
     to_tab, to_coords = _coord_tables(m, n)
     f_map = {}
-    e_map = {}
     for c, t in to_tab.items():
         img = apply("f", "a", t)
         if img is not None:
-            c2 = to_coords[img]
-            f_map[c] = c2
-            e_map[c2] = c
-    return f_map, e_map
+            f_map[c] = to_coords[img]
+    return f_map
 
 
 def string_coords(t: A2Tableau) -> tuple[int, int, int]:

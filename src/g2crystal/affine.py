@@ -8,10 +8,12 @@ the block's highest-weight element, 0 <= p <= j, p <= q <= p+k,
 
 E_A is defined case by case on the r = 0 layer and extended to the rest by
 commuting past f_0; F_A is the conjugate C_A E_A C_A under the involution,
-and the mutual-inverse property is verified rather than assumed.  The
-bijection Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is
-the unique classical crystal isomorphism, built by a breadth-first walk from
-the {1,2}-highest elements; any conflict or gap raises a construction fault.
+and the mutual-inverse property is verified rather than assumed.  The model
+tabulates f_1, e_1, E_A and F_A once, B^l its operators and string lengths
+once per color, each image checked against the element set.  The bijection
+Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is the unique
+classical crystal isomorphism, built by a breadth-first walk from the
+{1,2}-highest elements; any conflict or gap raises a construction fault.
 The explicit tableau anchor formulas are kept as an independent check.
 """
 
@@ -109,17 +111,31 @@ class AffineModel:
             for q in range(p, p + k + 1)
             for r in range(j + q - 2 * p + 1)
         ]
-        self._members = frozenset(self.elements)
-
-    # -- A2-crystal-backed operators ------------------------------------
+        # {b: b}, so that table values are the element objects themselves
+        self._members = {b: b for b in self.elements}
+        self._f1, self._e1, self._ea, self._fa = {}, {}, {}, {}
+        for b in self.elements:
+            c = a2.alpha_coord_maps(b.k, b.j).get((b.p, b.q, b.r))
+            if c is not None:
+                t = self._members[AParam(b.i, b.k, b.j, *c)]
+                self._f1[b] = t
+                self._e1[t] = b
+            base = ea_plus(l, b.i, b.k, b.j, b.p, b.q)
+            if base is not None:
+                out = AParam(*base, b.r)
+                if out not in self._members:
+                    raise ConstructionFault(f"E_A left the crystal: {b} -> {out}")
+                self._ea[b] = self._members[out]
+        for b in self.elements:
+            up = self._ea.get(self.CA(b))
+            if up is not None:
+                self._fa[b] = self.CA(up)
 
     def f1(self, b: AParam) -> AParam | None:
-        c = a2.alpha_coord_maps(b.k, b.j)[0].get((b.p, b.q, b.r))
-        return None if c is None else AParam(b.i, b.k, b.j, *c)
+        return self._f1.get(b)
 
     def e1(self, b: AParam) -> AParam | None:
-        c = a2.alpha_coord_maps(b.k, b.j)[1].get((b.p, b.q, b.r))
-        return None if c is None else AParam(b.i, b.k, b.j, *c)
+        return self._e1.get(b)
 
     def f0(self, b: AParam) -> AParam | None:
         if b.r >= b.j + b.q - 2 * b.p:
@@ -142,40 +158,24 @@ class AffineModel:
 
     def EA(self, b: AParam) -> AParam | None:
         """The raising counterpart of the extra color; commutes with f_0."""
-        base = ea_plus(self.l, b.i, b.k, b.j, b.p, b.q)
-        if base is None:
-            return None
-        out = AParam(*base, b.r)
-        if out not in self._members:
-            raise ConstructionFault(f"E_A left the crystal: {b} -> {out}")
-        return out
+        return self._ea.get(b)
 
     def CA(self, b: AParam) -> AParam:
         out = AParam(b.i, b.j, b.k, b.k - b.q + b.p, b.k + b.j - b.q,
                      b.j + b.q - 2 * b.p - b.r)
         if out not in self._members:
             raise ConstructionFault(f"involution left the crystal: {b} -> {out}")
-        return out
+        return self._members[out]
 
     def FA(self, b: AParam) -> AParam | None:
-        img = self.EA(self.CA(b))
-        return None if img is None else self.CA(img)
+        """C_A E_A C_A, tabulated."""
+        return self._fa.get(b)
 
     def ea_depth(self, b: AParam) -> int:
-        n = 0
-        while True:
-            b = self.EA(b)
-            if b is None:
-                return n
-            n += 1
+        return _depth(self._ea, b)
 
     def fa_depth(self, b: AParam) -> int:
-        n = 0
-        while True:
-            b = self.FA(b)
-            if b is None:
-                return n
-            n += 1
+        return _depth(self._fa, b)
 
     def is_terminal(self, b: AParam) -> bool:
         return self.FA(b) is None
@@ -205,6 +205,15 @@ class AffineModel:
         if b.r == 0 and self.is_terminal(b):
             return "BR"
         return None
+
+
+def _depth(table, b) -> int:
+    """Steps along a tabulated operator until it is undefined."""
+    n = 0
+    while b in table:
+        b = table[b]
+        n += 1
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +391,7 @@ def build_phi(l: int) -> PhiTable:
     if len(forward) != len(mod.elements):
         missing = [b for b in mod.elements if b not in forward][:5]
         raise ConstructionFault(f"gap: unassigned parameters remain, e.g. {missing}")
-    if len(backward) != gl_count(l):
+    if backward.keys() != set(gl_elements(l)):
         raise ConstructionFault("assignment is not onto the word set")
     return PhiTable(l, forward, backward)
 
@@ -409,23 +418,23 @@ class BlCrystal:
         # (eps_i, phi_i) per color, indexed like elements
         self._eps = ([], [], [])
         self._phi = ([], [], [])
+        fwd = self.phi.forward
         for w in self.elements:
-            for i in (1, 2):
-                e, p = g2.string_lengths(i, w)
+            # color 0 transports the model's f_0/e_0 through Phi
+            b = self.phi.backward[w]
+            f0, e0 = self.model.f0(b), self.model.e0(b)
+            rows = ((b.r, self.model.phi0(b), None if f0 is None else fwd[f0],
+                     None if e0 is None else fwd[e0]),
+                    g2.strings(1, w), g2.strings(2, w))
+            for i, (e, p, fw, ew) in enumerate(rows):
                 self._eps[i].append(e)
                 self._phi[i].append(p)
-                img = g2.apply("f", i, w)
-                if img is not None:
-                    self._f[i][w] = img
-                    self._e[i][img] = w
-            b = self.phi.backward[w]
-            self._eps[0].append(b.r)
-            self._phi[0].append(self.model.phi0(b))
-            b2 = self.model.f0(b)
-            if b2 is not None:
-                img = self.phi.forward[b2]
-                self._f[0][w] = img
-                self._e[0][img] = w
+                for table, img in ((self._f[i], fw), (self._e[i], ew)):
+                    if img is not None:
+                        n = self.index.get(img)
+                        if n is None:
+                            raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
+                        table[w] = self.elements[n]
 
     def f(self, i, w):
         return self._f[i].get(w)
@@ -538,44 +547,26 @@ def verify_construction(l: int) -> dict:
     # (D1) the affine operator commutes with the extra finite color
     bad = []
     for w in bl.elements:
-        for first, second in ((0, 2), (2, 0)):
-            a = bl.f(first, w)
-            a = None if a is None else bl.f(second, a)
-            c = bl.f(second, w)
-            c = None if c is None else bl.f(first, c)
+        for op in (bl.f, bl.e):
+            a = op(0, w)
+            a = None if a is None else op(2, a)
+            c = op(2, w)
+            c = None if c is None else op(0, c)
             if a != c:
-                bad.append((w, "f"))
-            a = bl.e(first, w)
-            a = None if a is None else bl.e(second, a)
-            c = bl.e(second, w)
-            c = None if c is None else bl.e(first, c)
-            if a != c:
-                bad.append((w, "e"))
+                bad.append((w, op.__name__))
     record("zero_two_commutation", bad)
 
-    # (E1) color-1 compatibility on every element
-    bad = []
+    # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
+    # transported through Phi agree with the B^l tables
+    bad = {1: [], 2: []}
     for b in mod.elements:
         w = table.forward[b]
-        t = mod.f1(b)
-        if (table.forward.get(t) if t is not None else None) != g2.apply("f", 1, w):
-            bad.append((b, "f1"))
-        t = mod.e1(b)
-        if (table.forward.get(t) if t is not None else None) != g2.apply("e", 1, w):
-            bad.append((b, "e1"))
-    record("color1_compatibility", bad)
-
-    # (E2) extra-color compatibility
-    bad = []
-    for b in mod.elements:
-        w = table.forward[b]
-        t = mod.FA(b)
-        if (table.forward.get(t) if t is not None else None) != g2.apply("f", 2, w):
-            bad.append((b, "FA"))
-        t = mod.EA(b)
-        if (table.forward.get(t) if t is not None else None) != g2.apply("e", 2, w):
-            bad.append((b, "EA"))
-    record("color2_compatibility", bad)
+        for i, name, t, img in ((1, "f1", mod.f1(b), bl.f(1, w)), (1, "e1", mod.e1(b), bl.e(1, w)),
+                                (2, "FA", mod.FA(b), bl.f(2, w)), (2, "EA", mod.EA(b), bl.e(2, w))):
+            if (None if t is None else table.forward[t]) != img:
+                bad[i].append((b, name))
+    record("color1_compatibility", bad[1])
+    record("color2_compatibility", bad[2])
 
     # (E3)/(E4) weight matching
     bad = []

@@ -48,34 +48,21 @@ def cmd_enumerate(args, out) -> int:
 
 def cmd_graph(args, out) -> int:
     bl = bl_crystal(args.level)
+    edges = [(i, w, img) for i in (0, 1, 2) for w in bl.elements
+             if (img := bl.f(i, w)) is not None]
     if args.format == "dot":
         lines = [f"digraph B{args.level} {{"]
-        for w in bl.elements:
-            lines.append(f'  "{_word_id(w)}";')
-        for i in (0, 1, 2):
-            for w in bl.elements:
-                img = bl.f(i, w)
-                if img is not None:
-                    lines.append(f'  "{_word_id(w)}" -> "{_word_id(img)}" [label={i}];')
+        lines += [f'  "{_word_id(w)}";' for w in bl.elements]
+        lines += [f'  "{_word_id(w)}" -> "{_word_id(img)}" [label={i}];' for i, w, img in edges]
         lines.append("}")
         _emit("\n".join(lines), out)
-        return 0
-    if args.format == "text":
-        for i in (0, 1, 2):
-            for w in bl.elements:
-                img = bl.f(i, w)
-                if img is not None:
-                    _emit(f"{_word_id(w)} -{i}-> {_word_id(img)}", out)
-        return 0
-    edges = []
-    for i in (0, 1, 2):
-        for w in bl.elements:
-            img = bl.f(i, w)
-            if img is not None:
-                edges.append({"color": i, "from": g2.word_to_json(w),
-                              "to": g2.word_to_json(img)})
-    _emit(json.dumps({"vertices": [g2.word_to_json(w) for w in bl.elements],
-                      "edges": edges}), out)
+    elif args.format == "text":
+        for i, w, img in edges:
+            _emit(f"{_word_id(w)} -{i}-> {_word_id(img)}", out)
+    else:
+        _emit(json.dumps({"vertices": [g2.word_to_json(w) for w in bl.elements],
+                          "edges": [{"color": i, "from": g2.word_to_json(w),
+                                     "to": g2.word_to_json(img)} for i, w, img in edges]}), out)
     return 0
 
 

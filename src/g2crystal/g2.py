@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import ClassicalWeight, from_classical_pair
-from .signature import act_factor, unmatched
+from .signature import unmatched
 
 LETTERS = (1, 2, 3, 4, 5, 6, 7, 8, -6, -5, -4, -3, -2, -1)
 ORDER_INDEX = {a: i for i, a in enumerate(LETTERS)}
@@ -131,41 +131,40 @@ def weight(word) -> ClassicalWeight:
     return from_classical_pair(m1, m2)
 
 
-def string_lengths(i: int, word) -> tuple[int, int]:
-    """(eps_i, phi_i) of a word: the unmatched minus and plus counts."""
-    ep = EP1 if i == 1 else EP2
-    minus, plus = unmatched([ep[a] for a in reversed(word)])
-    return len(minus), len(plus)
+def strings(i: int, word):
+    """(eps_i, phi_i, f_i word, e_i word) of a word from one bracketing fold.
+
+    f_i steps the letter of the leftmost unmatched plus, e_i that of the
+    rightmost unmatched minus (None at a string end), and the image is
+    re-sorted.  Validity is not re-checked: tables that store images compare
+    them with the enumerated word set once.
+    """
+    facs = list(reversed(word))
+    minus, plus = unmatched([(EP1 if i == 1 else EP2)[a] for a in facs])
+    return (len(minus), len(plus),
+            _substitute(facs, plus[0], F1_STEP if i == 1 else F2_STEP) if plus else None,
+            _substitute(facs, minus[-1], E1_STEP if i == 1 else E2_STEP) if minus else None)
+
+
+def _substitute(facs, k, step) -> tuple[int, ...]:
+    out = list(facs)
+    out[k] = step[out[k]]
+    return sort_word(out)
 
 
 def eps(i: int, word) -> int:
-    return string_lengths(i, word)[0]
+    return strings(i, word)[0]
 
 
 def phi(i: int, word) -> int:
-    return string_lengths(i, word)[1]
+    return strings(i, word)[1]
 
 
 def apply(op: str, i: int, word) -> tuple[int, ...] | None:
-    """Kashiwara operator for color i in {1, 2}; words stay sorted.
-
-    The letter substitution can disturb the linearization, never the tableau
-    conditions; the result is re-sorted and validity is asserted.
-    """
-    ep = EP1 if i == 1 else EP2
-    facs = list(reversed(word))
-    k = act_factor(op, [ep[a] for a in facs])
-    if k is None:
-        return None
-    if op == "f":
-        step = F1_STEP if i == 1 else F2_STEP
-    else:
-        step = E1_STEP if i == 1 else E2_STEP
-    facs[k] = step[facs[k]]
-    out = sort_word(reversed(facs))
-    if not is_valid_word(out):
-        raise RuntimeError(f"operator {op}_{i} broke tableau validity: {word} -> {out}")
-    return out
+    """Kashiwara operator f_i or e_i for color i in {1, 2}, read off ``strings``."""
+    if op not in ("f", "e"):
+        raise ValueError(f"unknown operator {op!r}")
+    return strings(i, word)[2 if op == "f" else 3]
 
 
 def apply_power(op, i, word, k):
@@ -265,7 +264,4 @@ def strip(kind: str, k: int) -> tuple[int, ...]:
 
 def involution(word) -> tuple[int, ...]:
     """Reverse the word and bar-conjugate every letter."""
-    out = tuple(bar(a) for a in reversed(word))
-    if not is_valid_word(out):
-        raise RuntimeError(f"involution broke validity: {word} -> {out}")
-    return out
+    return tuple(bar(a) for a in reversed(word))

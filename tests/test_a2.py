@@ -66,6 +66,27 @@ def test_string_coords_roundtrip_and_ranges():
             assert len(seen) == a2.dim(m, n)
 
 
+def _string_coords_walk(t):
+    """(p, q, r) by the raising walk, and the element the walk ends at."""
+    r = a2.eps("b", t)
+    t2 = a2.apply_power("e", "b", t, r)
+    q = a2.eps("a", t2)
+    t3 = a2.apply_power("e", "a", t2, q)
+    p = a2.eps("b", t3)
+    return (p, q, r), a2.apply_power("e", "b", t3, p)
+
+
+def test_string_coords_are_the_raising_walk():
+    # the forward-generated coordinates are canonical: r = eps_b(t),
+    # q = eps_a(e_b^r t), p = eps_b(e_a^q e_b^r t), ending at highest
+    for m in range(5):
+        for n in range(5):
+            for t in a2.enumerate_tableaux(m, n):
+                coords, end = _string_coords_walk(t)
+                assert a2.string_coords(t) == coords
+                assert end == a2.highest(m, n)
+
+
 def test_highest_roundtrip():
     assert a2.string_coords(a2.highest(3, 2)) == (0, 0, 0)
 

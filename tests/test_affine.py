@@ -458,3 +458,34 @@ def test_injected_letter_step_is_a_construction_fault(monkeypatch, fresh_caches)
     monkeypatch.setitem(g2.F1_STEP, 4, 6)
     with pytest.raises(affine.ConstructionFault):
         affine.phi_table(2)
+
+
+def test_injected_non_tableau_image_is_a_construction_fault(monkeypatch, fresh_caches):
+    # f_1 sends (1, 3) to (3, 3), which is not a tableau
+    monkeypatch.setitem(g2.F1_STEP, 1, 3)
+    with pytest.raises(affine.ConstructionFault):
+        affine.phi_table(2)
+
+
+def test_non_tableau_image_in_bl_tables_is_a_construction_fault(monkeypatch, fresh_caches):
+    affine.phi_table(2)
+    monkeypatch.setitem(g2.F1_STEP, 1, 3)
+    with pytest.raises(affine.ConstructionFault, match="is not a tableau"):
+        affine.bl_crystal(2)
+
+
+def test_zero_two_commutation_lists_each_failure_once(fresh_caches):
+    bl = affine.bl_crystal(2)
+    fmap = bl._f[0]
+    # send f_0 w to (), where f_2 is undefined, so f_2 f_0 w becomes None
+    w = next(w for w in bl.elements if w in fmap and bl.f(2, fmap[w]) is not None)
+    fmap[w] = ()
+
+    def f(i, x):
+        return None if x is None else bl.f(i, x)
+
+    expected = [(x, "f") for x in bl.elements if f(2, f(0, x)) != f(0, f(2, x))]
+    entry = affine.verify_construction(2)["zero_two_commutation"]
+    assert 0 < len(expected) <= 10
+    assert entry["failures"] == len(expected)
+    assert entry["counterexamples"] == expected

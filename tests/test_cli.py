@@ -104,6 +104,10 @@ def test_output_digests(capsys):
              "1eb4812636cd5d82919a1ad2ecf8da34bca15c7f89dc1ed7b51160864e23c68d"),
             (["graph", "--level", "4", "--format", "text"],
              "197d4cb8672abc142a21df8bcac51df8f382fd188afcec66420b674a1ba68c31"),
+            (["graph", "--level", "3"],
+             "193faf0f25f9c4698532f573890c462db3d7d032ee4ff9859aedc80182b38d46"),
+            (["graph", "--level", "2", "--format", "dot"],
+             "a99c4a7ca9b1b18c3be84c36fbced5a18d887fc9ea62a166bb9a55c9ef8a3daa"),
             (["qcheck", "--dump"],
              "1ae983da70599bef3b2ec0ff0456aa6c3bad2e60f21ab30503bd8fc2b3171ec1")):
         code, out = run_cli(argv, capsys)
@@ -144,6 +148,15 @@ def test_construction_fault_is_one_line_in_every_command(monkeypatch, fresh_cach
         assert code == 1, argv
         lines = out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("construction FAILED: "), argv
+
+
+def test_non_tableau_image_is_one_failed_line(monkeypatch, fresh_caches, capsys):
+    # f_1 sends (1, 3) to (3, 3), which is not a tableau
+    monkeypatch.setitem(g2.F1_STEP, 1, 3)
+    code, out = run_cli(["phi", "--level", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("construction FAILED: ")
 
 
 def test_tensor_square_level_bound_is_usage_error(fresh_caches, capsys):
