@@ -6,9 +6,10 @@ columns followed by m single boxes.  The letter graph is
     1 --a--> 2 --b--> 3
 
 so color a acts on the 1/2 letters and color b on the 2/3 letters.  The
-affine model instantiates (a, b) = (1, 0); the finite-type preparation uses
-(a, b) = (1, 2).  Tensor factors are read right to left, columns top to
-bottom, matching the reading used for G2 words.
+affine model's blocks are these crystals for (a, b) = (1, 0); the model acts
+on their string coordinates in closed form, and the tableau walk here is its
+test oracle.  Tensor factors are read right to left, columns top to bottom,
+matching the reading used for G2 words.
 
 String coordinates: every element is uniquely f_b^r f_a^q f_b^p applied to
 the highest-weight tableau with 0 <= p <= n, p <= q <= p + m,
@@ -203,18 +204,6 @@ def _coord_tables(m: int, n: int):
         raise RuntimeError(f"the {len(to_tab)} string coordinates of shape {(m, n)} reach "
                            f"{len(to_coords.keys() - {None})} of {len(members)} tableaux")
     return to_tab, to_coords
-
-
-@lru_cache(maxsize=None)
-def alpha_coord_maps(m: int, n: int):
-    """The color-a lowering operator as a map on coordinate triples."""
-    to_tab, to_coords = _coord_tables(m, n)
-    f_map = {}
-    for c, t in to_tab.items():
-        img = apply("f", "a", t)
-        if img is not None:
-            f_map[c] = to_coords[img]
-    return f_map
 
 
 def string_coords(t: A2Tableau) -> tuple[int, int, int]:

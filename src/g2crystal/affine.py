@@ -6,15 +6,17 @@ by string coordinates (p, q, r): the element f_0^r f_1^q f_0^p applied to
 the block's highest-weight element, 0 <= p <= j, p <= q <= p+k,
 0 <= r <= j+q-2p.
 
-E_A is defined case by case on the r = 0 layer and extended to the rest by
-commuting past f_0; F_A is the conjugate C_A E_A C_A under the involution,
-and the mutual-inverse property is verified rather than assumed.  The model
-tabulates f_1, e_1, E_A and F_A once, B^l its operators and string lengths
-once per color, each image checked against the element set.  The bijection
+f_1 raises the outer coordinate of the (1,0,1) string, read off (p, q, r) in
+closed form.  E_A is defined case by case on the r = 0 layer and extended to
+the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
+involution, and the mutual-inverse property is verified rather than assumed.
+The model tabulates f_1, e_1, E_A and F_A once, B^l colors 1 and 2 from one
+fold per word, each image checked against the element set.  The bijection
 Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is the unique
-classical crystal isomorphism, built by a breadth-first walk from the
-{1,2}-highest elements; any conflict or gap raises a construction fault.
-The explicit tableau anchor formulas are kept as an independent check.
+classical crystal isomorphism, walked breadth-first along those tables from
+the {1,2}-highest elements; any conflict or gap raises a construction fault.
+B^l's color 0 is f_0 transported through Phi.  The explicit tableau anchor
+formulas are kept as an independent check.
 """
 
 from __future__ import annotations
@@ -91,6 +93,15 @@ def ea_plus(l, i, k, j, p, q):
     return (i - 1, k + 1, j - 1, p, q + 1)
 
 
+def transition(r, q, p):
+    """(r', q', p') with f_b^r f_a^q f_b^p = f_a^r' f_b^q' f_a^p' on an A2 highest element.
+
+    Its own inverse (Littelmann, Transform. Groups 3 (1998); Berenstein-Zelevinsky,
+    Invent. Math. 143 (2001)).
+    """
+    return max(p, q - r), r + p, min(r, q - p)
+
+
 class AffineModel:
     """The model crystal A at a fixed level, with its operators."""
 
@@ -115,17 +126,15 @@ class AffineModel:
         self._members = {b: b for b in self.elements}
         self._f1, self._e1, self._ea, self._fa = {}, {}, {}, {}
         for b in self.elements:
-            c = a2.alpha_coord_maps(b.k, b.j).get((b.p, b.q, b.r))
-            if c is not None:
-                t = self._members[AParam(b.i, b.k, b.j, *c)]
+            R, Q, P = transition(b.r, b.q, b.p)
+            if R < b.k + Q - 2 * P:
+                r, q, p = transition(R + 1, Q, P)
+                t = self._member("f_1", b, b._replace(p=p, q=q, r=r))
                 self._f1[b] = t
                 self._e1[t] = b
             base = ea_plus(l, b.i, b.k, b.j, b.p, b.q)
             if base is not None:
-                out = AParam(*base, b.r)
-                if out not in self._members:
-                    raise ConstructionFault(f"E_A left the crystal: {b} -> {out}")
-                self._ea[b] = self._members[out]
+                self._ea[b] = self._member("E_A", b, AParam(*base, b.r))
         for b in self.elements:
             up = self._ea.get(self.CA(b))
             if up is not None:
@@ -161,10 +170,13 @@ class AffineModel:
         return self._ea.get(b)
 
     def CA(self, b: AParam) -> AParam:
-        out = AParam(b.i, b.j, b.k, b.k - b.q + b.p, b.k + b.j - b.q,
-                     b.j + b.q - 2 * b.p - b.r)
+        return self._member("involution", b, AParam(
+            b.i, b.j, b.k, b.k - b.q + b.p, b.k + b.j - b.q, b.j + b.q - 2 * b.p - b.r))
+
+    def _member(self, name, b, out):
+        """The element ``out``, the image of ``b`` under ``name``; a fault if absent."""
         if out not in self._members:
-            raise ConstructionFault(f"involution left the crystal: {b} -> {out}")
+            raise ConstructionFault(f"{name} left the crystal: {b} -> {out}")
         return self._members[out]
 
     def FA(self, b: AParam) -> AParam | None:
@@ -342,17 +354,18 @@ class PhiTable:
         return len(self.forward)
 
 
-def build_phi(l: int) -> PhiTable:
+def build_phi(bl: BlCrystal) -> PhiTable:
     """Construct the bijection from the model crystal onto the tableau sum.
 
     Each B(n*Lambda_1), n <= l, occurs once in the target, so Phi is the
     unique classical crystal isomorphism.  The model's {1,2}-highest elements
     (e_1 = E_A = None) must be one per n, of weight n*Lambda_1; each is sent
-    to [1^n] and the table follows f_1 <-> f_1 and F_A <-> f_2 breadth-first.
-    An edge defined on one side only, a conflicting or non-injective
-    assignment, or an element left unreached is a construction fault.
+    to [1^n] and the table follows f_1 <-> f_1 and F_A <-> f_2 of ``bl``'s
+    finite-color tables breadth-first.  An edge defined on one side only, a
+    conflicting or non-injective assignment, or an element left unreached is
+    a construction fault.
     """
-    mod = model(l)
+    l, mod = bl.l, bl.model
     forward: dict[AParam, tuple[int, ...]] = {}
     backward: dict[tuple[int, ...], AParam] = {}
 
@@ -381,8 +394,7 @@ def build_phi(l: int) -> PhiTable:
         nxt = []
         for b in frontier:
             w = forward[b]
-            for t, img in ((mod.f1(b), g2.apply("f", 1, w)),
-                           (mod.FA(b), g2.apply("f", 2, w))):
+            for t, img in ((mod.f1(b), bl.f(1, w)), (mod.FA(b), bl.f(2, w))):
                 if (t is None) != (img is None):
                     raise ConstructionFault(f"lowering edge at {b} ~ {w} exists on one side only")
                 if t is not None and assign(t, img):
@@ -391,14 +403,14 @@ def build_phi(l: int) -> PhiTable:
     if len(forward) != len(mod.elements):
         missing = [b for b in mod.elements if b not in forward][:5]
         raise ConstructionFault(f"gap: unassigned parameters remain, e.g. {missing}")
-    if backward.keys() != set(gl_elements(l)):
+    # every image is an element of bl and assign is injective
+    if len(backward) != len(bl.elements):
         raise ConstructionFault("assignment is not onto the word set")
     return PhiTable(l, forward, backward)
 
 
-@lru_cache(maxsize=None)
 def phi_table(l: int) -> PhiTable:
-    return build_phi(l)
+    return bl_crystal(l).phi
 
 
 # -- the level-l affine crystal ----------------------------------------
@@ -409,7 +421,6 @@ class BlCrystal:
 
     def __init__(self, l: int):
         self.l = l
-        self.phi = phi_table(l)
         self.model = model(l)
         self.elements = gl_elements(l)
         self.index = {w: n for n, w in enumerate(self.elements)}
@@ -418,23 +429,28 @@ class BlCrystal:
         # (eps_i, phi_i) per color, indexed like elements
         self._eps = ([], [], [])
         self._phi = ([], [], [])
+        for i in (1, 2):
+            for w in self.elements:
+                self._row(i, w, *g2.strings(i, w))
+        self.phi = build_phi(self)
         fwd = self.phi.forward
         for w in self.elements:
             # color 0 transports the model's f_0/e_0 through Phi
             b = self.phi.backward[w]
             f0, e0 = self.model.f0(b), self.model.e0(b)
-            rows = ((b.r, self.model.phi0(b), None if f0 is None else fwd[f0],
-                     None if e0 is None else fwd[e0]),
-                    g2.strings(1, w), g2.strings(2, w))
-            for i, (e, p, fw, ew) in enumerate(rows):
-                self._eps[i].append(e)
-                self._phi[i].append(p)
-                for table, img in ((self._f[i], fw), (self._e[i], ew)):
-                    if img is not None:
-                        n = self.index.get(img)
-                        if n is None:
-                            raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
-                        table[w] = self.elements[n]
+            self._row(0, w, b.r, self.model.phi0(b), None if f0 is None else fwd[f0],
+                      None if e0 is None else fwd[e0])
+
+    def _row(self, i, w, eps, phi, fw, ew):
+        """Tabulate color i at w; an image that is not an element is a fault."""
+        self._eps[i].append(eps)
+        self._phi[i].append(phi)
+        for table, img in ((self._f[i], fw), (self._e[i], ew)):
+            if img is not None:
+                n = self.index.get(img)
+                if n is None:
+                    raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
+                table[w] = self.elements[n]
 
     def f(self, i, w):
         return self._f[i].get(w)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .level1 import (
     BASIS, E_TABLE, F_TABLE, NORMS, _WT12, nullspace, qint, weight_pairing,
 )
-from .qlaurent import QRat, put, qfactorial, vadd, vscale, vsub
+from .qlaurent import QRat, _mul, put, qfactorial, vadd, vscale, vsub
 
 _ONE = QRat.one()
 _Q = QRat.q_power
@@ -413,22 +413,9 @@ def fusion_vectors(family: str) -> list[XY]:
 # -- the transcribed coefficient polynomials of the intertwiner ----------
 
 
-def _zpoly(coeffs) -> list[QRat]:
-    """Coefficient list [c_0, c_1, ...] in z."""
-    return [c if isinstance(c, QRat) else QRat(c) for c in coeffs]
-
-
-def _zmul(a, b):
-    out = [QRat.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _zlin(c0, c1):
-    """c0 + c1*z."""
-    return _zpoly([c0, c1])
+def _z(*coeffs) -> dict[int, QRat]:
+    """c_0 + c_1*z + ... as a sparse {power: coefficient} dict."""
+    return {k: c for k, c in enumerate(coeffs) if c}
 
 
 @lru_cache(maxsize=None)
@@ -436,59 +423,55 @@ def a_polynomials() -> dict:
     """The transcribed scalar polynomials in z = x/y, one per component."""
     q = _Q
     one = _ONE
-    f12 = _zlin(one, -q(12))  # (1 - q^12 z)
-    f10 = _zlin(one, -q(10))
-    f8 = _zlin(one, -q(8))
-    f6 = _zlin(one, -q(6))
-    g10 = _zlin(-q(10), one)  # (z - q^10)
-    g6 = _zlin(-q(6), one)
+    f12 = _z(one, -q(12))  # (1 - q^12 z)
+    f10 = _z(one, -q(10))
+    f8 = _z(one, -q(8))
+    f6 = _z(one, -q(6))
+    g10 = _z(-q(10), one)  # (z - q^10)
+    g6 = _z(-q(6), one)
 
     a = {}
-    a["2La1"] = _zmul(_zmul(f12, f10), _zmul(f8, f6))
-    a["3La2"] = _zmul(_zmul(f12, f10), _zmul(f8, g6))
-    a["2La2"] = _zmul(_zmul(f12, g10), _zmul(f8, g6))
+    a["2La1"] = _mul(_mul(f12, f10), _mul(f8, f6))
+    a["3La2"] = _mul(_mul(f12, f10), _mul(f8, g6))
+    a["2La2"] = _mul(_mul(f12, g10), _mul(f8, g6))
 
     c61 = q(6) - one          # (q^6 - 1)
     c21 = q(2) + one          # (q^2 + 1)
     c121 = q(12) - one
     c41 = q(4) + one
 
-    a["L11"] = _zmul(f12, _zmul(_zpoly([QRat.zero(), c61 * c21]),
-                                _zlin(-(q(4) - q(2) + one),
-                                      -(q(16) - q(14) + q(12) - q(10) - q(6)))))
-    a["L12"] = _zmul(f12, _zmul(_zpoly([q(6)]), _zmul(_zlin(one, -one),
-                     _zpoly([one, q(12) - q(6) - q(4) - q(2), q(12)]))))
-    a["L13"] = _zmul(f12, _zmul(_zpoly([QRat.zero(), q(3) * c61]), _zlin(-one, one)))
-    a["L21"] = _zmul(f12, _zmul(_zpoly([q(6)]), _zmul(_zlin(one, -one),
-                     _zpoly([one, -(q(10) + q(8) + q(6) - one), q(12)]))))
-    a["L22"] = _zmul(f12, _zmul(_zpoly([QRat.zero(), c61 * c21]),
-                                _zlin(q(10) + q(6) - q(4) + q(2) - one,
-                                      -q(16) + q(14) - q(12))))
-    a["L23"] = _zmul(f12, _zmul(_zpoly([QRat.zero(), q(3) * c61]), _zlin(-one, one)))
-    a["L31"] = _zmul(f12, _zmul(_zpoly([QRat.zero(), q(9) * c121 * c41 * c21]),
-                                _zmul(_zlin(one, -one), g6)))
-    a["L32"] = _zmul(f12, _zmul(_zpoly([q(3) * c121 * c41 * c21]),
-                                _zmul(_zlin(one, -one), _zlin(q(6), -one))))
-    a["L33"] = _zmul(f12, _zmul(g6, _zpoly([q(12),
-                     q(18) - q(12) - q(10) - q(8) - q(6) + one, q(6)])))
+    a["L11"] = _mul(f12, _mul({1: c61 * c21},
+                              _z(-(q(4) - q(2) + one),
+                                 -(q(16) - q(14) + q(12) - q(10) - q(6)))))
+    a["L12"] = _mul(f12, _mul({0: q(6)}, _mul(_z(one, -one),
+                    _z(one, q(12) - q(6) - q(4) - q(2), q(12)))))
+    a["L13"] = _mul(f12, _mul({1: q(3) * c61}, _z(-one, one)))
+    a["L21"] = _mul(f12, _mul({0: q(6)}, _mul(_z(one, -one),
+                    _z(one, -(q(10) + q(8) + q(6) - one), q(12)))))
+    a["L22"] = _mul(f12, _mul({1: c61 * c21},
+                              _z(q(10) + q(6) - q(4) + q(2) - one, -q(16) + q(14) - q(12))))
+    a["L23"] = _mul(f12, _mul({1: q(3) * c61}, _z(-one, one)))
+    a["L31"] = _mul(f12, _mul({1: q(9) * c121 * c41 * c21}, _mul(_z(one, -one), g6)))
+    a["L32"] = _mul(f12, _mul({0: q(3) * c121 * c41 * c21},
+                              _mul(_z(one, -one), _z(q(6), -one))))
+    a["L33"] = _mul(f12, _mul(g6, _z(q(12), q(18) - q(12) - q(10) - q(8) - q(6) + one, q(6))))
 
     big = q(36) - q(30) + q(22) + q(20) + 2 * q(18) + q(16) + q(14) - q(6) + one
-    a["Z11"] = _zpoly([q(6), -q(6) * c41 * c21, big, -q(24) * c41 * c21, q(30)])
-    a["Z12"] = _zmul(_zpoly([QRat.zero(), -q(3) * c121 * (q(6) + one)]),
-                     _zmul(_zlin(one, -one), _zlin(one, one)))
-    a["Z21"] = _zmul(_zmul(_zpoly([-q(3) * c61 / (q(4) - q(2) + one)]),
-                           _zmul(_zlin(one, -one), _zlin(one, one))),
-                     _zpoly([q(22) + q(18),
-                             q(40) - q(38) + q(36) - q(34) - q(30) - q(26)
-                             - q(20) - q(14) - q(10) - q(6) + q(4) - q(2) + one,
-                             q(22) + q(18)]))
-    a["Z22"] = _zpoly([q(30), -q(24) * c41 * c21, big, -q(6) * c41 * c21, q(6)])
+    a["Z11"] = _z(q(6), -q(6) * c41 * c21, big, -q(24) * c41 * c21, q(30))
+    a["Z12"] = _mul({1: -q(3) * c121 * (q(6) + one)}, _mul(_z(one, -one), _z(one, one)))
+    a["Z21"] = _mul(_mul({0: -q(3) * c61 / (q(4) - q(2) + one)},
+                         _mul(_z(one, -one), _z(one, one))),
+                    _z(q(22) + q(18),
+                       q(40) - q(38) + q(36) - q(34) - q(30) - q(26)
+                       - q(20) - q(14) - q(10) - q(6) + q(4) - q(2) + one,
+                       q(22) + q(18)))
+    a["Z22"] = _z(q(30), -q(24) * c41 * c21, big, -q(6) * c41 * c21, q(6))
     return a
 
 
 def _zeval(poly, z: QRat) -> QRat:
     out = QRat.zero()
-    for k, c in enumerate(poly):
+    for k, c in poly.items():
         out = out + c * z ** k
     return out
 
@@ -496,7 +479,7 @@ def _zeval(poly, z: QRat) -> QRat:
 def _z_to_xy(poly, clear: int) -> XY:
     """poly(x/y) * y^clear as a Laurent polynomial in x, y."""
     out = XY()
-    for k, c in enumerate(poly):
+    for k, c in poly.items():
         out = out + XY.monomial(k, clear - k, c)
     return out
 
@@ -512,7 +495,7 @@ def rmatrix_checks() -> dict:
     report = {"pass": True}
 
     def matrix_relation(name, vecs, rows, top="2La1"):
-        clear = max(len(a[top]), *(len(a[r]) for row in rows for r in row)) + 1
+        clear = max(max(a[top]), *(max(a[r]) for row in rows for r in row)) + 2
         atop = _z_to_xy(a[top], clear)
         bad = []
         for i, vi in enumerate(vecs):

@@ -7,7 +7,7 @@ from g2crystal import affine
 def fresh_caches():
     """Empty the per-level caches around a test that poisons a construction."""
     def clear():
-        for cached in (affine.model, affine.phi_table, affine.bl_crystal):
+        for cached in (affine.model, affine.bl_crystal):
             cached.cache_clear()
 
     clear()

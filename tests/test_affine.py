@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from g2crystal import a2, affine, g2
 from g2crystal.affine import AParam
+from g2crystal.cli import main
 
 
 def test_model_counts():
@@ -404,6 +407,34 @@ def test_level1_crystal_table_exact():
                         (7,): (-5,), (-6,): (-4,), (-4,): (-3,), (-3,): (-2,)}
 
 
+def test_closed_form_f1_matches_the_tableau_walk():
+    # the A2 tableau crystal is the oracle for the model's color-1 action;
+    # the blocks (0, m, n) of model(7) cover every shape m, n <= 7
+    mod = affine.model(7)
+    for m in range(8):
+        for n in range(8):
+            to_tab, to_coords = a2._coord_tables(m, n)
+            for c, t in to_tab.items():
+                b = AParam(0, m, n, *c)
+                for op, got in (("f", mod.f1(b)), ("e", mod.e1(b))):
+                    img = a2.apply(op, "a", t)
+                    want = None if img is None else AParam(0, m, n, *to_coords[img])
+                    assert got == want, (op, b)
+
+
+def test_bl_tables_fold_each_word_once_per_color(monkeypatch, fresh_caches):
+    # B^3 has 365 words; Phi reads the color-1/2 tables instead of walking words
+    calls = Counter()
+    for mod, name in ((g2, "strings"), (g2, "apply"), (a2, "apply")):
+        def wrapper(*args, fn=getattr(mod, name), key=f"{mod.__name__}.{name}"):
+            calls[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(mod, name, wrapper)
+    affine.bl_crystal(3)
+    assert calls == {"g2crystal.g2.strings": 2 * 365}
+
+
 def test_construction_fault_on_bad_param():
     mod = affine.model(2)
     with pytest.raises(affine.ConstructionFault):
@@ -454,6 +485,18 @@ def test_injected_anchor_formula_fails_only_its_rule(monkeypatch, fresh_caches):
                if isinstance(v, dict) and name != "anchor_formulas")
 
 
+def test_injected_transition_is_a_construction_fault(monkeypatch, fresh_caches, capsys):
+    # the last coordinate of the closed-form transition off by one
+    def transition(r, q, p):
+        return max(p, q - r), r + p, min(r, q - p + 1)
+
+    monkeypatch.setattr(affine, "transition", transition)
+    with pytest.raises(affine.ConstructionFault):
+        affine.phi_table(2)
+    assert main(["verify", "--level", "2"]) == 1
+    assert capsys.readouterr().out.count("construction FAILED: ") == 1
+
+
 def test_injected_letter_step_is_a_construction_fault(monkeypatch, fresh_caches):
     monkeypatch.setitem(g2.F1_STEP, 4, 6)
     with pytest.raises(affine.ConstructionFault):
@@ -468,7 +511,6 @@ def test_injected_non_tableau_image_is_a_construction_fault(monkeypatch, fresh_c
 
 
 def test_non_tableau_image_in_bl_tables_is_a_construction_fault(monkeypatch, fresh_caches):
-    affine.phi_table(2)
     monkeypatch.setitem(g2.F1_STEP, 1, 3)
     with pytest.raises(affine.ConstructionFault, match="is not a tableau"):
         affine.bl_crystal(2)

@@ -109,7 +109,19 @@ def test_output_digests(capsys):
             (["graph", "--level", "2", "--format", "dot"],
              "a99c4a7ca9b1b18c3be84c36fbced5a18d887fc9ea62a166bb9a55c9ef8a3daa"),
             (["qcheck", "--dump"],
-             "1ae983da70599bef3b2ec0ff0456aa6c3bad2e60f21ab30503bd8fc2b3171ec1")):
+             "1ae983da70599bef3b2ec0ff0456aa6c3bad2e60f21ab30503bd8fc2b3171ec1"),
+            (["verify", "--level", "3"],
+             "1cb5cf4993a3ddbe5226fb463bdfe8f7a1ff0365c7f353272c7a9d905bc016cd"),
+            (["enumerate", "--level", "4"],
+             "b3ea2e8b6ce26902d4df150b299236631cada8b271a11d31fbf9f595ec846fed"),
+            (["minimal", "--level", "5"],
+             "eb49394b63b4faa46229f70961347e120154600d05b296b64f6730d7748d4a2d"),
+            (["connectivity", "--level", "3"],
+             "407d37bfd1da426c31996556f455ddc0bd0d63b39b1be0470838af42aff62857"),
+            (["dims", "--max-level", "6"],
+             "3e37e94f8776da663604c70025c801adeab1878e101f0de3f5eb8b7eac39808b"),
+            (["qcheck"],
+             "73da595e9b174e9bf064b97626ca6059a006abe20188affd88d47e4785ef9a1a")):
         code, out = run_cli(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
