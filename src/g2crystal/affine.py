@@ -482,9 +482,11 @@ def bl_crystal(l: int) -> BlCrystal:
 # -- exhaustive verification --------------------------------------------
 
 
-def _components(elements, edge_maps):
-    """Connected components under the given {element: element} edge maps."""
-    idx = {w: n for n, w in enumerate(elements)}
+def _components(elements, idx, edge_maps):
+    """Connected components under the given {element: element} edge maps.
+
+    ``idx`` maps each element to its position in ``elements``.
+    """
     parent = list(range(len(elements)))
 
     def find(x):
@@ -611,7 +613,7 @@ def verify_construction(l: int) -> dict:
                                  "counterexamples": bad_rules}
 
     # restriction to the finite colors {1,2}: one component per n <= l
-    comps = _components(bl.elements, [bl._f[1], bl._f[2]])
+    comps = _components(bl.elements, bl.index, [bl._f[1], bl._f[2]])
     sizes = sorted(len(c) for c in comps)
     expected = sorted(g2.dim(n) for n in range(l + 1))
     ok = sizes == expected
@@ -625,7 +627,7 @@ def verify_construction(l: int) -> dict:
 
     # restriction to the colors {1,0}: components match the model blocks,
     # by size and by the weight of the unique source of each component
-    comps = _components(bl.elements, [bl._f[1], bl._f[0]])
+    comps = _components(bl.elements, bl.index, [bl._f[1], bl._f[0]])
     got = []
     ok = True
     for comp in comps:

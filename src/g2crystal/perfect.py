@@ -6,6 +6,12 @@ the level bound on the raising distances, and the bijections from minimal
 elements onto dominant weights of the level.  The module-theoretic
 condition (existence of a module with crystal pseudo-base) is assumed from
 the fusion construction and is not represented here.
+
+The square B^l (x) B^l is proved connected over its classical {1,2}-
+components (``_square_components``): one highest element names each, and
+color-0 edges from its highest and lowest elements join them.  The flat
+BFS over all |B^l|^2 states (``_square_connected``) is kept as the
+reference for tests.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .affine import _components, bl_crystal
+from .affine import ConstructionFault, _components, bl_crystal
 from .cartan import ClassicalWeight, dominant_weights, level, simple_root
 
 
@@ -26,6 +32,8 @@ class PerfectReport:
     cond_eps_phi_bijective: bool = False
     cond_self_connected: bool = False
     square_size: int = 0
+    square_components: int = 0
+    square_roots: int = 0
     top_weight: ClassicalWeight | None = None
     minimal: list = field(default_factory=list)
 
@@ -47,6 +55,8 @@ class PerfectReport:
             "eps_phi_bijective": self.cond_eps_phi_bijective,
             "self_connected": self.cond_self_connected,
             "square_size": self.square_size,
+            "square_components": self.square_components,
+            "square_roots": self.square_roots,
             "top_weight": self.top_weight.to_json() if self.top_weight else None,
             "minimal_count": len(self.minimal),
         }
@@ -66,56 +76,128 @@ def minimal_elements(l: int) -> list[tuple[int, ...]]:
 
 
 def _self_connected(bl) -> bool:
-    return len(_components(bl.elements, [bl._f[i] for i in (0, 1, 2)])) <= 1
+    return len(_components(bl.elements, bl.index, [bl._f[i] for i in (0, 1, 2)])) <= 1
+
+
+def _index_tables(bl):
+    """(f, e, eps, phi) per color, indexed like ``bl.elements``.
+
+    ``f[i][x]``/``e[i][x]`` are the indices of the images of element x, -1
+    where the operator is undefined.
+    """
+    idx = bl.index
+    f = [[idx.get(bl._f[i].get(w), -1) for w in bl.elements] for i in (0, 1, 2)]
+    e = [[idx.get(bl._e[i].get(w), -1) for w in bl.elements] for i in (0, 1, 2)]
+    return f, e, bl._eps, bl._phi
+
+
+def _pair_step(tables, op, i, x, y):
+    """f_i ('f') or e_i ('e') of x (x) y as an index pair, or None.
+
+    The bracketing rule in its two-factor closed form: f_i acts on x when
+    phi_i(x) > eps_i(y), e_i when phi_i(x) >= eps_i(y), and on y otherwise.
+    """
+    f, e, eps, phi = tables
+    img = (f if op == "f" else e)[i]
+    d = phi[i][x] - eps[i][y]
+    if d > 0 or (d == 0 and op == "e"):
+        t = img[x]
+        return None if t < 0 else (t, y)
+    t = img[y]
+    return None if t < 0 else (x, t)
+
+
+def _greedy(tables, op, pair):
+    """Apply op of color 1 or 2 to pair until neither is defined.
+
+    In a crystal each step moves one factor strictly in weight, so the walk
+    ends within 2|B| steps; one that does not is a fault of the tables.
+    """
+    limit = 2 * len(tables[0][0])
+    for _ in range(limit):
+        for i in (1, 2):
+            nxt = _pair_step(tables, op, i, *pair)
+            if nxt is not None:
+                pair = nxt
+                break
+        else:
+            return pair
+    raise ConstructionFault(f"{op}_1/{op}_2 walk from {pair} does not end in {limit} steps")
+
+
+def _weyl_dim(a: int, b: int) -> int:
+    """Dimension of the G2 module of highest weight a*Lambda_2 + b*Lambda_1."""
+    return ((a + 1) * (b + 1) * (a + b + 2) * (a + 2 * b + 3) * (a + 3 * b + 4)
+            * (2 * a + 3 * b + 5)) // 120
+
+
+def _square_components(bl) -> tuple[int, int, int]:
+    """(K, roots, size) of B^l (x) B^l over its K {1,2}-components.
+
+    x (x) y is {1,2}-highest iff eps_i(x) = 0 and eps_i(y) <= phi_i(x) for
+    i = 1, 2; on B^l that makes x = (1,)*m.  B^l restricted to {1,2} is a sum
+    of normal crystals (``restriction_12`` and Phi check this), so is its
+    square: each component has one highest element, greedy e_1/e_2 raising
+    reaches it, and its size is the Weyl dimension of its weight.  ``size``
+    sums those dimensions.  Color-0 edges from the highest and the lowest
+    element of every component, raised to their components, join components;
+    ``roots`` is the number of classes left.  A probe whose raising ends
+    outside the K counts as a root of its own, so it can only fail the
+    check.  Every probe is a real edge, so roots == 1 and size == |B^l|^2
+    prove the square connected; the converse is not claimed.
+    """
+    tables = _index_tables(bl)
+    _, _, eps, phi = tables
+    n = len(bl.elements)
+    tops = [x for x in range(n) if eps[1][x] == 0 and eps[2][x] == 0]
+    highest = [(x, y) for x in tops for y in range(n)
+               if eps[1][y] <= phi[1][x] and eps[2][y] <= phi[2][x]]
+    comp = {h: c for c, h in enumerate(highest)}
+    joins = [{}, {}, {}, {}]  # one {highest: highest} map per (end, op) probe
+    size = escaped = 0
+    for h in highest:
+        x, y = h
+        size += _weyl_dim(phi[2][x] - eps[2][x] + phi[2][y] - eps[2][y],
+                          phi[1][x] - eps[1][x] + phi[1][y] - eps[1][y])
+        ends = (h, _greedy(tables, "f", h))
+        for k, (end, op) in enumerate((end, op) for end in ends for op in "fe"):
+            img = _pair_step(tables, op, 0, *end)
+            if img is None:
+                continue
+            top = _greedy(tables, "e", img)
+            if top in comp:
+                joins[k][h] = top
+            else:
+                escaped += 1
+    roots = len(_components(highest, comp, joins)) + escaped
+    return len(highest), roots, size
 
 
 def _square_connected(bl) -> tuple[int, int]:
     """(states reached from () (x) (), all states) of the tensor square x (x) y.
 
-    The bracketing rule is inlined in its two-factor closed form, since a
-    call per state is too slow here: f_i acts on x when phi_i(x) > eps_i(y),
-    e_i when phi_i(x) >= eps_i(y), and on y otherwise.
+    The flat BFS over all |B^l|^2 states: the reference for
+    ``_square_components``, for tests only.
     """
+    tables = _index_tables(bl)
     n = len(bl.elements)
-    idx = bl.index
-    eps = bl._eps
-    phi = bl._phi
-    fmap = [[idx.get(bl.f(i, w)) if bl.f(i, w) is not None else None for w in bl.elements]
-            for i in (0, 1, 2)]
-    emap = [[idx.get(bl.e(i, w)) if bl.e(i, w) is not None else None for w in bl.elements]
-            for i in (0, 1, 2)]
-
-    start = idx[()] * n + idx[()]
+    start = bl.index[()]
     seen = bytearray(n * n)
-    seen[start] = 1
-    frontier = deque([start])
+    seen[start * n + start] = 1
+    frontier = deque([(start, start)])
     count = 1
     while frontier:
-        code = frontier.popleft()
-        x, y = divmod(code, n)
+        pair = frontier.popleft()
         for i in (0, 1, 2):
-            # lowering: left factor wins when phi(x) > eps(y)
-            if phi[i][x] > eps[i][y]:
-                fx = fmap[i][x]
-                nxt = None if fx is None else fx * n + y
-            else:
-                fy = fmap[i][y]
-                nxt = None if fy is None else x * n + fy
-            if nxt is not None and not seen[nxt]:
-                seen[nxt] = 1
-                count += 1
-                frontier.append(nxt)
-            # raising: left factor wins when phi(x) >= eps(y)
-            if phi[i][x] >= eps[i][y]:
-                ex = emap[i][x]
-                nxt = None if ex is None else ex * n + y
-            else:
-                ey = emap[i][y]
-                nxt = None if ey is None else x * n + ey
-            if nxt is not None and not seen[nxt]:
-                seen[nxt] = 1
-                count += 1
-                frontier.append(nxt)
+            for op in ("f", "e"):
+                nxt = _pair_step(tables, op, i, *pair)
+                if nxt is None:
+                    continue
+                code = nxt[0] * n + nxt[1]
+                if not seen[code]:
+                    seen[code] = 1
+                    count += 1
+                    frontier.append(nxt)
     return count, n * n
 
 
@@ -124,8 +206,9 @@ def check_perfect(l: int) -> PerfectReport:
     rep = PerfectReport(level=l)
 
     rep.cond_self_connected = _self_connected(bl)
-    reached, rep.square_size = _square_connected(bl)
-    rep.cond_connected_square = reached == rep.square_size
+    rep.square_components, rep.square_roots, rep.square_size = _square_components(bl)
+    rep.cond_connected_square = (rep.square_roots == 1
+                                 and rep.square_size == len(bl.elements) ** 2)
 
     # the extremal weight is discovered, not assumed: the unique weight from
     # which no other weight is reachable by adding a classical simple root

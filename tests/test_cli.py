@@ -121,7 +121,11 @@ def test_output_digests(capsys):
             (["dims", "--max-level", "6"],
              "3e37e94f8776da663604c70025c801adeab1878e101f0de3f5eb8b7eac39808b"),
             (["qcheck"],
-             "73da595e9b174e9bf064b97626ca6059a006abe20188affd88d47e4785ef9a1a")):
+             "73da595e9b174e9bf064b97626ca6059a006abe20188affd88d47e4785ef9a1a"),
+            (["verify", "--level", "5"],
+             "42e6062a39f9facd7c742bab59e7fead502628bbf7a6ecf94f46c84ef7ce58e9"),
+            (["connectivity", "--level", "5"],
+             "ff76466f3c4daedbb91c897d214fe2f3b9278b312793fdb0c946fa37ea85d1b9")):
         code, out = run_cli(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
@@ -174,9 +178,13 @@ def test_non_tableau_image_is_one_failed_line(monkeypatch, fresh_caches, capsys)
 def test_tensor_square_level_bound_is_usage_error(fresh_caches, capsys):
     from g2crystal import affine
 
-    for command in ("connectivity", "verify"):
-        assert main([command, "--level", "6"]) == 2
+    for argv in (["connectivity", "--level", "9"], ["verify", "--level", "9"],
+                 ["enumerate", "--level", "9"], ["graph", "--level", "9"],
+                 ["phi", "--level", "9"], ["minimal", "--level", "9"],
+                 ["dims", "--max-level", "9"]):
+        assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "at most 5" in captured.err
+        assert "at most 8" in captured.err, argv
     assert affine.bl_crystal.cache_info().currsize == 0
+    assert affine.model.cache_info().currsize == 0

@@ -1,5 +1,7 @@
+import pytest
+
 from g2crystal import perfect
-from g2crystal.affine import bl_crystal
+from g2crystal.affine import bl_crystal, gl_count
 from g2crystal.cartan import ClassicalWeight, dominant_weights, level
 
 
@@ -99,24 +101,27 @@ def test_level4_self_connected():
 def test_self_connected_detects_two_components():
     from types import SimpleNamespace
 
-    split = SimpleNamespace(elements=[(), (1,)], _f={0: {}, 1: {}, 2: {}})
+    split = SimpleNamespace(elements=[(), (1,)], index={(): 0, (1,): 1},
+                            _f={0: {}, 1: {}, 2: {}})
     assert not perfect._self_connected(split)
     split._f[0][()] = (1,)
     assert perfect._self_connected(split)
 
 
 def test_square_rule_matches_act_factor():
-    # the two-factor closed form inlined in _square_connected's BFS, on every
-    # pair x (x) y of B^2, against the general bracketing rule
+    # the two-factor closed form of _pair_step, and _pair_step itself, on
+    # every pair x (x) y of B^2, against the general bracketing rule
     from g2crystal.signature import act_factor
 
     bl = bl_crystal(2)
+    tables = perfect._index_tables(bl)
+    idx = bl.index
     for i in (0, 1, 2):
         eps, phi = bl._eps[i], bl._phi[i]
         for x in bl.elements:
-            nx = bl.index[x]
+            nx = idx[x]
             for y in bl.elements:
-                ny = bl.index[y]
+                ny = idx[y]
                 ep = [(eps[nx], phi[nx]), (eps[ny], phi[ny])]
                 for op, step, left_wins in (("f", bl.f, phi[nx] > eps[ny]),
                                             ("e", bl.e, phi[nx] >= eps[ny])):
@@ -125,19 +130,82 @@ def test_square_rule_matches_act_factor():
                         assert k == (0 if step(i, x) is not None else None)
                     else:
                         assert k == (1 if step(i, y) is not None else None)
+                    expect = (None if k is None else
+                              (idx[step(i, x)], ny) if k == 0 else (nx, idx[step(i, y)]))
+                    assert perfect._pair_step(tables, op, i, nx, ny) == expect
 
 
-def test_square_bfs_reaches_one_component():
-    # the sl2 string B(2) in color 1, () its middle element: from () (x) ()
-    # the BFS must reach exactly the B(2) component of B(2) (x) B(2) =
-    # B(4) + B(2) + B(0); either comparison turned the other way reaches 7
+def _sl2():
+    # the sl2 string B(2) in color 1, () its middle element
     from types import SimpleNamespace
 
     top, mid, low = (1,), (), (2,)
-    f = {1: {top: mid, mid: low}}
-    e = {1: {mid: top, low: mid}}
-    sl2 = SimpleNamespace(
+    return SimpleNamespace(
         elements=[top, mid, low], index={top: 0, mid: 1, low: 2},
         _eps=([0] * 3, [0, 1, 2], [0] * 3), _phi=([0] * 3, [2, 1, 0], [0] * 3),
-        f=lambda i, w: f.get(i, {}).get(w), e=lambda i, w: e.get(i, {}).get(w))
-    assert perfect._square_connected(sl2) == (3, 9)
+        _f={0: {}, 1: {top: mid, mid: low}, 2: {}}, _e={0: {}, 1: {mid: top, low: mid}, 2: {}})
+
+
+def test_square_bfs_reaches_one_component():
+    # from () (x) () the BFS must reach exactly the B(2) component of
+    # B(2) (x) B(2) = B(4) + B(2) + B(0); either comparison turned the other
+    # way reaches 7
+    assert perfect._square_connected(_sl2()) == (3, 9)
+
+
+def test_square_proof_keeps_the_components_of_a_disconnected_square():
+    # B(2) (x) B(2) has three highest elements and no color-0 edge joins them
+    components, roots, _ = perfect._square_components(_sl2())
+    assert components == 3 and roots == 3
+
+
+def test_square_proof_counts_an_escaped_probe_as_a_root():
+    # f_0 sends (1,) (x) (1,) to (2,) (x) (1,); with e_1 dropped at (2,) the
+    # raising stops there, outside the three highest elements
+    sl2 = _sl2()
+    top, low = (1,), (2,)
+    sl2._f[0][top], sl2._e[0][low] = low, top
+    sl2._eps[0][:] = [0, 0, 1]
+    sl2._phi[0][:] = [1, 0, 0]
+    del sl2._e[1][low]
+    components, roots, _ = perfect._square_components(sl2)
+    assert components == 3 and roots > 3
+
+
+def test_greedy_walk_on_a_cycle_is_a_construction_fault():
+    from g2crystal.affine import ConstructionFault
+
+    sl2 = _sl2()
+    sl2._f[1][(2,)] = (1,)
+    sl2._phi[1][2] = 1
+    tables = perfect._index_tables(sl2)
+    with pytest.raises(ConstructionFault, match="does not end"):
+        perfect._greedy(tables, "f", (0, 0))
+
+
+def test_square_proof_matches_the_flat_bfs():
+    for l in (1, 2, 3, 4):
+        bl = bl_crystal(l)
+        reached, states = perfect._square_connected(bl)
+        _, roots, size = perfect._square_components(bl)
+        assert reached == states, l
+        assert roots == 1 and size == reached, l
+
+
+def test_square_without_color_0_is_not_connected(monkeypatch, fresh_caches):
+    bl = bl_crystal(2)
+    monkeypatch.setitem(bl._f, 0, {})
+    monkeypatch.setitem(bl._e, 0, {})
+    components, roots, size = perfect._square_components(bl)
+    assert components == 38 and roots > 1 and size == 92 ** 2
+    rep = perfect.check_perfect(2)
+    assert not rep.cond_connected_square and rep.square_roots == roots
+    assert not rep.all_pass()
+
+
+def test_check_perfect_levels_4_to_7():
+    for l in (4, 5, 6, 7):
+        rep = perfect.check_perfect(l)
+        assert rep.all_pass(), rep.to_json()
+        assert rep.square_size == gl_count(l) ** 2
+        assert rep.square_roots == 1
