@@ -13,10 +13,9 @@ first tensor factor).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .cartan import ClassicalWeight, from_classical_pair
+from .cartan import ClassicalWeight, from_classical_pair, weyl_dim
 from .signature import unmatched
 
 LETTERS = (1, 2, 3, 4, 5, 6, 7, 8, -6, -5, -4, -3, -2, -1)
@@ -176,13 +175,8 @@ def apply_power(op, i, word, k):
 
 
 def dim(n: int) -> int:
-    """Weyl-dimension product for B(n*Lambda_1), exact and asserted integral."""
-    val = Fraction(1)
-    for num, den in ((1, 1), (1, 2), (2, 3), (3, 4), (3, 5)):
-        val *= Fraction(num * n + den, den)
-    if val.denominator != 1:
-        raise ArithmeticError(f"dimension formula not integral at n={n}")
-    return int(val)
+    """Weyl dimension of B(n*Lambda_1)."""
+    return weyl_dim(0, n)
 
 
 @lru_cache(maxsize=None)

@@ -292,21 +292,23 @@ def vec_pair(u, v) -> QRat:
 
 
 def verify_prepolarization() -> dict:
-    """Both pairing moves and symmetry of the form, on all basis pairs."""
+    """Both pairing moves and symmetry of the form, on all basis pairs.
+
+    (e_i a, b) = (a, q_i^-1 t_i^-1 f_i b) and (f_i a, b) = (a, q_i^-1 t_i e_i b);
+    each side's image is built once per label.
+    """
     bad = []
     for i in range(3):
+        qi = QRat.q_power(-NORMS[i])
+        moves = [(kind, {a: v1_apply((kind, i), vec(a)) for a in BASIS},
+                  {b: vscale(qi, v1_apply(("t", i, s), v1_apply((dual, i), vec(b))))
+                   for b in BASIS})
+                 for kind, dual, s in (("e", "f", -1), ("f", "e", 1))]
         for a in BASIS:
             for b in BASIS:
-                lhs = vec_pair(v1_apply(("e", i), vec(a)), vec(b))
-                rhs = vec_pair(vec(a), vscale(QRat.q_power(-NORMS[i]),
-                                              v1_apply(("t", i, -1), v1_apply(("f", i), vec(b)))))
-                if lhs != rhs:
-                    bad.append(("e", i, a, b))
-                lhs = vec_pair(v1_apply(("f", i), vec(a)), vec(b))
-                rhs = vec_pair(vec(a), vscale(QRat.q_power(-NORMS[i]),
-                                              v1_apply(("t", i, 1), v1_apply(("e", i), vec(b)))))
-                if lhs != rhs:
-                    bad.append(("f", i, a, b))
+                for kind, left, right in moves:
+                    if vec_pair(left[a], vec(b)) != vec_pair(vec(a), right[b]):
+                        bad.append((kind, i, a, b))
     return {"pass": not bad, "failures": bad[:10]}
 
 

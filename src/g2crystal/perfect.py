@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .affine import ConstructionFault, _components, bl_crystal
-from .cartan import ClassicalWeight, dominant_weights, level, simple_root
+from .cartan import ClassicalWeight, dominant_weights, level, simple_root, weyl_dim
 
 
 @dataclass
@@ -125,12 +125,6 @@ def _greedy(tables, op, pair):
     raise ConstructionFault(f"{op}_1/{op}_2 walk from {pair} does not end in {limit} steps")
 
 
-def _weyl_dim(a: int, b: int) -> int:
-    """Dimension of the G2 module of highest weight a*Lambda_2 + b*Lambda_1."""
-    return ((a + 1) * (b + 1) * (a + b + 2) * (a + 2 * b + 3) * (a + 3 * b + 4)
-            * (2 * a + 3 * b + 5)) // 120
-
-
 def _square_components(bl) -> tuple[int, int, int]:
     """(K, roots, size) of B^l (x) B^l over its K {1,2}-components.
 
@@ -157,7 +151,7 @@ def _square_components(bl) -> tuple[int, int, int]:
     size = escaped = 0
     for h in highest:
         x, y = h
-        size += _weyl_dim(phi[2][x] - eps[2][x] + phi[2][y] - eps[2][y],
+        size += weyl_dim(phi[2][x] - eps[2][x] + phi[2][y] - eps[2][y],
                           phi[1][x] - eps[1][x] + phi[1][y] - eps[1][y])
         ends = (h, _greedy(tables, "f", h))
         for k, (end, op) in enumerate((end, op) for end in ends for op in "fe"):

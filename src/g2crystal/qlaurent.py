@@ -5,6 +5,11 @@ polynomials stored as {exponent: coefficient} dictionaries.  The canonical
 form has a denominator with valuation zero, positive constant term, unit
 integer content, and no common polynomial factor with the numerator, so
 equality is structural.  No floating point anywhere.
+
+``QRat(num, den)`` normalises what callers pass: ints, zero coefficients and
+a zero denominator (``ZeroDivisionError``).  Arithmetic builds zero-free
+dicts through ``put`` and hands them to ``_reduce`` without a copy or a
+trim.  Values never mutate their dicts, so they may share them.
 """
 
 from __future__ import annotations
@@ -59,24 +64,10 @@ def _mul(d1, d2):
     return out
 
 
-def _val(d):
-    return min(d) if d else 0
-
-
-def _deg(d):
-    return max(d) if d else 0
-
-
-def _content(cs):
-    return gcd(*cs) or 1
-
-
 def _to_list(d):
-    """Shift to valuation zero and return (valuation, dense coefficient list)."""
-    if not d:
-        return 0, []
-    v = _val(d)
-    out = [0] * (_deg(d) - v + 1)
+    """(valuation, dense coefficient list) of a nonempty dict."""
+    v = min(d)
+    out = [0] * (max(d) - v + 1)
     for e, c in d.items():
         out[e - v] = c
     return v, out
@@ -87,21 +78,15 @@ def _from_list(v, lst):
 
 
 def _list_prim(a):
-    g = _content(a)
+    g = gcd(*a) or 1
     return [c // g for c in a]
 
 
 def _list_prem(a, b):
-    """Pseudo-remainder of dense integer polynomial lists."""
-    a = list(a)
+    """Pseudo-remainder of dense integer lists with nonzero leading terms."""
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
+    while len(a) > db:
+        la, shift = a[-1], len(a) - 1 - db
         a = [c * lb for c in a]
         for i, bc in enumerate(b):
             a[shift + i] -= la * bc
@@ -111,19 +96,10 @@ def _list_prem(a, b):
 
 
 def _list_gcd(a, b):
-    a = _list_prim(a)
-    b = _list_prim(b)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a:
-        return b or [1]
-    if not b:
-        return a
+    """Primitive gcd of dense integer lists with nonzero leading terms."""
+    a, b = _list_prim(a), _list_prim(b)
     while b:
-        r = _list_prem(a, b)
-        a, b = b, _list_prim(r)
+        a, b = b, _list_prim(_list_prem(a, b))
     return a
 
 
@@ -150,51 +126,51 @@ class QRat:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __new__(cls, num, den=None):
         if isinstance(num, int):
-            num = {0: num} if num else {}
+            num = {0: num}
         if den is None:
             den = {0: 1}
         elif isinstance(den, int):
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
             den = {0: den}
-        num = _trim(dict(num))
-        den = _trim(dict(den))
+        num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if _reduced:
-            self.num, self.den = num, den
-            return
-        self.num, self.den = self._reduce(num, den)
+        return cls._reduce(num, den)
 
-    @staticmethod
-    def _reduce(num, den):
+    @classmethod
+    def _canonical(cls, num, den):
+        """Wrap parts already in canonical form, taken as they are."""
+        self = object.__new__(cls)
+        self.num, self.den = num, den
+        return self
+
+    @classmethod
+    def _reduce(cls, num, den):
+        """The value num/den of zero-free dicts, den nonempty; no copy."""
         if not num:
-            return {}, {0: 1}
-        vd = _val(den)
+            return _ZERO
+        vd = min(den)
         if vd:
             num = {e - vd: c for e, c in num.items()}
             den = {e - vd: c for e, c in den.items()}
-        vn, ln = _to_list(num)
-        _, ld = _to_list(den)
-        if len(ld) > 1:
+        if len(den) > 1:
+            vn, ln = _to_list(num)
+            _, ld = _to_list(den)
             gpoly = _list_gcd(ln, ld)
             if len(gpoly) > 1:
-                ln = _list_divexact(ln, gpoly)
-                ld = _list_divexact(ld, gpoly)
-            num = _from_list(vn, ln)
-            den = _from_list(0, ld)
-        if den.get(_val(den), 0) < 0:
+                num = _from_list(vn, _list_divexact(ln, gpoly))
+                den = _from_list(0, _list_divexact(ld, gpoly))
+        if den[0] < 0:
             num = vscale(-1, num)
             den = vscale(-1, den)
         # dividing by a primitive polynomial and flipping signs keep the
         # integer contents, so one content step at the end suffices
-        g = gcd(_content(num.values()), _content(den.values()))
+        g = gcd(*den.values(), *num.values())
         if g > 1:
             num = {e: c // g for e, c in num.items()}
             den = {e: c // g for e, c in den.items()}
-        return num, den
+        return cls._canonical(num, den)
 
     # -- constructors --------------------------------------------------
 
@@ -208,7 +184,7 @@ class QRat:
 
     @staticmethod
     def q_power(k: int):
-        return QRat({k: 1}, None, _reduced=True)
+        return QRat._canonical({k: 1}, {0: 1})
 
     # -- predicates ------------------------------------------------------
 
@@ -235,14 +211,14 @@ class QRat:
             return other
         if not other.num:
             return self
-        return QRat(vadd(_mul(self.num, other.den), _mul(other.num, self.den)),
-                    _mul(self.den, other.den))
+        return QRat._reduce(vadd(_mul(self.num, other.den), _mul(other.num, self.den)),
+                            _mul(self.den, other.den))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return QRat(vscale(-1, self.num), dict(self.den), _reduced=True)
+        return QRat._canonical(vscale(-1, self.num), self.den)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -257,7 +233,7 @@ class QRat:
             other = QRat(other)
         if not self.num or not other.num:
             return _ZERO
-        return QRat(_mul(self.num, other.num), _mul(self.den, other.den))
+        return QRat._reduce(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -265,7 +241,7 @@ class QRat:
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("inverting zero")
-        return QRat(dict(self.den), dict(self.num))
+        return QRat._reduce(self.den, self.num)
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -293,7 +269,7 @@ class QRat:
         """Valuation at q = 0; the denominator has valuation zero."""
         if not self.num:
             raise ValueError("zero has no valuation")
-        return _val(self.num)
+        return min(self.num)
 
     def value_at_zero(self) -> Fraction:
         """Limit at q = 0 for values regular there."""
@@ -304,9 +280,12 @@ class QRat:
         return Fraction(self.num.get(0, 0), self.den.get(0))
 
     def subs_power(self, k: int) -> "QRat":
-        """Substitute q -> q^k."""
-        return QRat({e * k: c for e, c in self.num.items()},
-                    {e * k: c for e, c in self.den.items()})
+        """Substitute q -> q^k; colliding exponents add, so k = 0 gives q = 1."""
+        num, den = {}, {}
+        for out, d in ((num, self.num), (den, self.den)):
+            for e, c in d.items():
+                put(out, e * k, c)
+        return QRat(num, den)
 
     def __repr__(self):
         return f"QRat({self})"
@@ -338,8 +317,8 @@ def _poly_str(d):
     return s[1:] if s.startswith("+") else s
 
 
-_ZERO = QRat({}, None, _reduced=True)
-_ONE = QRat({0: 1}, None, _reduced=True)
+_ZERO = QRat._canonical({}, {0: 1})
+_ONE = QRat._canonical({0: 1}, {0: 1})
 
 
 def qbracket(m: int, norm: int) -> QRat:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .cartan import weyl_dim
 from .level1 import (
     BASIS, E_TABLE, F_TABLE, NORMS, _WT12, nullspace, qint, weight_pairing,
 )
@@ -26,26 +27,25 @@ _Q = QRat.q_power
 
 
 class XY:
-    """Laurent polynomial in x, y with exact q-rational coefficients."""
+    """Laurent polynomial in x, y with exact q-rational coefficients.
+
+    ``terms`` is a zero-free dict, taken as it is; ``monomial`` drops a zero.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
+        self.terms = terms or {}
 
     @staticmethod
     def monomial(dx, dy, coeff=_ONE):
-        return XY({(dx, dy): coeff})
+        return XY({(dx, dy): coeff} if coeff else {})
 
     @staticmethod
     def const(c):
         if isinstance(c, int):
             c = QRat(c)
-        return XY({(0, 0): c})
+        return XY.monomial(0, 0, c)
 
     def is_zero(self):
         return not self.terms
@@ -102,14 +102,14 @@ def tvec(a, b, coeff=None):
     return {(a, b): coeff if coeff is not None else XY.const(_ONE)}
 
 
-def tensor_apply(gen, u, spectral: bool = True):
+def tensor_apply(gen, u):
     """Apply a generator through the comultiplication, with spectral twist.
 
     For the affine color the first factor carries x and the second y; the
-    finite colors are untwisted.  Pass ``spectral=False`` to drop the twist.
+    finite colors are untwisted.
     """
     kind, i = gen[0], gen[1]
-    twist = 1 if (spectral and i == 0) else 0
+    twist = 1 if i == 0 else 0
     out = {}
     if kind == "f":
         for (a, b), c in u.items():
@@ -136,9 +136,9 @@ def tensor_apply(gen, u, spectral: bool = True):
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def tensor_divided(kind, i, k, u, spectral=True):
+def tensor_divided(kind, i, k, u):
     for _ in range(k):
-        u = tensor_apply((kind, i), u, spectral)
+        u = tensor_apply((kind, i), u)
     return vscale(XY.const(qfactorial(k, NORMS[i]).inv()), u)
 
 
@@ -213,7 +213,7 @@ def solve_u02():
     for i in (1, 2):
         images = {}
         for p in pairs:
-            img = tensor_apply(("e", i), tvec(*p), spectral=False)
+            img = tensor_apply(("e", i), tvec(*p))
             for k, c in img.items():
                 images.setdefault(k, {})[p] = c.terms.get((0, 0), QRat.zero())
         for k, row in images.items():
@@ -259,18 +259,20 @@ EXPECTED_SINGULAR_WEIGHTS = {
 
 def verify_singular() -> dict:
     """Each named vector is killed by both finite raising operators and has
-    the stated weight; the weight multiset matches the decomposition."""
+    the stated weight; the computed weights are the expected multiset, and
+    their Weyl dimensions add up to the dimension of the tensor square."""
     report = {"vectors": {}, "pass": True}
-    vecs = singular_vectors()
-    for name, u in vecs.items():
-        killed = all(not tensor_apply(("e", i), u, spectral=False) for i in (1, 2))
+    wts = []
+    for name, u in singular_vectors().items():
+        killed = all(not tensor_apply(("e", i), u) for i in (1, 2))
         wt = tensor_weight(u)
         ok = killed and wt == EXPECTED_SINGULAR_WEIGHTS[name]
         report["vectors"][name] = {"pass": ok, "weight": wt, "killed": killed}
         report["pass"] &= ok
-    mult = sorted(EXPECTED_SINGULAR_WEIGHTS.values())
-    report["decomposition"] = mult == sorted([(2, 0), (0, 3), (0, 2),
-                                              (1, 0), (1, 0), (1, 0), (0, 0), (0, 0)])
+        wts.append(wt)
+    report["decomposition"] = (
+        None not in wts and sorted(wts) == sorted(EXPECTED_SINGULAR_WEIGHTS.values())
+        and sum(weyl_dim(m2, m1) for m1, m2 in wts) == len(BASIS) ** 2)
     # the transcribed partial vector agrees with the solved one off the garbled terms
     u02, coeff = solve_u02()
     known = _u_0_2_known()
@@ -373,6 +375,14 @@ def fusion_items() -> dict:
     return {"singular": sing, "items": items}
 
 
+@lru_cache(maxsize=None)
+def fusion_values() -> dict:
+    """{item: coefficient of its target}, each operator string applied once."""
+    data = fusion_items()
+    return {n: extract_multiple(_string(ops, data["singular"][src]), target)
+            for n, (ops, src, target, _) in data["items"].items()}
+
+
 def verify_fusion_identities() -> dict:
     """Each itemized identity as an exact equality in the spectral variables.
 
@@ -380,12 +390,10 @@ def verify_fusion_identities() -> dict:
     (named by the highest vector of the component); they are
     verified exactly there.
     """
-    data = fusion_items()
-    sing = data["singular"]
+    values = fusion_values()
     report = {"items": {}, "pass": True}
-    for n, (ops, src, target, expected) in data["items"].items():
-        img = _string(ops, sing[src])
-        got = XY() if not img else extract_multiple(img, target)
+    for n, (_, _, _, expected) in fusion_items()["items"].items():
+        got = values[n]
         ok = got == expected
         report["items"][n] = {"pass": ok}
         if not ok:
@@ -397,17 +405,10 @@ def verify_fusion_identities() -> dict:
 
 def fusion_vectors(family: str) -> list[XY]:
     """Computed coefficient vectors v_i(x, y) for one item family."""
-    data = fusion_items()
-    sing = data["singular"]
-    items = data["items"]
     groups = {"F": (1, 2, 3), "E": (4, 5, 6), "f0": (7, 8, 9),
               "f02": (10, 11), "long": (12, 13)}
-    out = []
-    for n in groups[family]:
-        ops, src, target, _ = items[n]
-        img = _string(ops, sing[src])
-        out.append(extract_multiple(img, target) if img else XY())
-    return out
+    values = fusion_values()
+    return [values[n] for n in groups[family]]
 
 
 # -- the transcribed coefficient polynomials of the intertwiner ----------

@@ -65,6 +65,15 @@ def test_prepolarization():
     assert rep["pass"], rep["failures"]
 
 
+def test_prepolarization_builds_each_image_once(monkeypatch):
+    calls = []
+    apply = L.v1_apply
+    monkeypatch.setattr(L, "v1_apply", lambda gen, u: calls.append(gen) or apply(gen, u))
+    L.polarization_gram.cache_clear()
+    assert L.verify_prepolarization()["pass"]
+    assert len(calls) == 270  # 3 colors x 15 labels x (2 left + 4 right)
+
+
 def test_polarization_normalization_and_symmetry():
     g = L.polarization_gram()
     assert L.gram(1, 1) == 1

@@ -122,3 +122,24 @@ def test_power_and_subs():
     assert qbracket(2, 1).subs_power(3) == qbracket(2, 3)
     assert qbracket(2, 3).is_laurent()
     assert not (QRat(1) / (q(1) + 1)).is_laurent()
+
+
+def test_subs_power_zero_adds_colliding_exponents():
+    assert (q(2) + q(1)).subs_power(0) == 2
+    assert qbracket(3, 1).subs_power(0) == 3
+    assert ((q(2) + 1) / (q(1) + 2)).subs_power(0) == QRat(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        (QRat(1) / (q(1) - 1)).subs_power(0)
+
+
+def test_arithmetic_skips_the_input_normalisation(monkeypatch):
+    import g2crystal.qlaurent as Q
+
+    a, b = q(2) + 1, (q(1) - 1) / (q(3) + 2)
+    calls = []
+    trim = Q._trim
+    monkeypatch.setattr(Q, "_trim", lambda d: calls.append(d) or trim(d))
+    assert (a + b) - b == a and (a * b) / b == a and -(-a) == a
+    assert calls == []
+    x = QRat({0: 1, 1: 0})
+    assert x.num == {0: 1} and x.den == {0: 1} and len(calls) == 2

@@ -45,7 +45,15 @@ def test_singular_weights():
     assert R.tensor_weight(vecs["u_3La2"]) == (0, 3)
     assert R.tensor_weight(vecs["u_2La2"]) == (0, 2)
     for i in (1, 2):
-        assert not R.tensor_apply(("e", i), vecs["u_3La2"], spectral=False)
+        assert not R.tensor_apply(("e", i), vecs["u_3La2"])
+
+
+def test_decomposition_catches_a_vector_of_another_weight(monkeypatch):
+    vecs = R.singular_vectors()
+    vecs["u_La1_3"] = R.tvec(1, 2)  # weight (0, 3) in place of (1, 0)
+    monkeypatch.setattr(R, "singular_vectors", lambda: vecs)
+    rep = R.verify_singular()
+    assert not rep["decomposition"] and not rep["pass"]
 
 
 def test_fusion_identities_all():
@@ -67,6 +75,16 @@ def test_fusion_item_14_spot():
     expected = ((R.X - R.Y.scale(q(6))) * (R.X + R.Y)
                 * R.XY.monomial(-2, -2, q(-3)))
     assert img == {(1, 1): expected}
+
+
+def test_fusion_strings_are_applied_once(monkeypatch):
+    calls = []
+    string = R._string
+    monkeypatch.setattr(R, "_string", lambda ops, u: calls.append(ops) or string(ops, u))
+    R.fusion_values.cache_clear()
+    assert R.verify_fusion_identities()["pass"]
+    assert R.rmatrix_checks()["pass"]
+    assert len(calls) == 15
 
 
 def test_resolutions_documented():
