@@ -510,60 +510,58 @@ def _components(elements, idx, edge_maps):
 
 
 def verify_construction(l: int) -> dict:
-    """Check every construction axiom exhaustively; failures are data."""
+    """Check every construction axiom exhaustively; failures are data.
+
+    One pass over the model reads each element's E_A, F_A, f_0, Phi image
+    and weight once for C1-C3, E_A injectivity and E1-E5; D1 runs over
+    B^l's words.
+    """
     mod = model(l)
     table = phi_table(l)
     bl = bl_crystal(l)
-    report: dict[str, dict] = {}
-
-    def record(name, bad):
-        report[name] = {"pass": not bad, "counterexamples": bad[:10], "failures": len(bad)}
-
-    # (C1) mutual inverse
-    bad = []
-    for b in mod.elements:
-        up = mod.EA(b)
-        if up is not None and mod.FA(up) != b:
-            bad.append((b, up))
-        dn = mod.FA(b)
-        if dn is not None and mod.EA(dn) != b:
-            bad.append((b, dn))
-    record("pair_mutual_inverse", bad)
-
-    # (C2) commutation with f_0, including definedness, plus phi_0 preservation
-    bad = []
-    for b in mod.elements:
-        t = mod.f0(b)
-        lhs = None if t is None else mod.EA(t)
-        up = mod.EA(b)
-        rhs = None if (t is None or up is None) else mod.f0(up)
-        if (lhs is None) != (rhs is None) or lhs != rhs:
-            bad.append(b)
-        if up is not None and mod.phi0(up) != mod.phi0(b):
-            bad.append(b)
-    record("affine_color_commutation", bad)
-
-    # (C3) string-length difference equals the weight functional
-    bad = []
-    for b in mod.elements:
-        w1, w0 = mod.weight(b)
-        if mod.fa_depth(b) - mod.ea_depth(b) != -2 * w1 - w0:
-            bad.append(b)
-    record("string_depth_weight", bad)
-
-    # E_A injectivity where nonzero
+    bad: dict[str, list] = {name: [] for name in (
+        "pair_mutual_inverse", "affine_color_commutation", "string_depth_weight",
+        "EA_injective", "zero_two_commutation", "color1_compatibility",
+        "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
     images: dict[AParam, AParam] = {}
-    bad = []
     for b in mod.elements:
-        up = mod.EA(b)
+        up, dn, t, w = mod.EA(b), mod.FA(b), mod.f0(b), table.forward[b]
+        w1, w0 = mod.weight(b)
+        # (C1) mutual inverse
+        if up is not None and mod.FA(up) != b:
+            bad["pair_mutual_inverse"].append((b, up))
+        if dn is not None and mod.EA(dn) != b:
+            bad["pair_mutual_inverse"].append((b, dn))
+        # (C2) commutation with f_0, including definedness, plus phi_0 preservation
+        if t is not None and mod.EA(t) != (None if up is None else mod.f0(up)):
+            bad["affine_color_commutation"].append(b)
+        if up is not None and mod.phi0(up) != mod.phi0(b):
+            bad["affine_color_commutation"].append(b)
+        # (C3) string-length difference equals the weight functional
+        if mod.fa_depth(b) - mod.ea_depth(b) != -2 * w1 - w0:
+            bad["string_depth_weight"].append(b)
+        # E_A injectivity where nonzero
         if up is not None:
             if up in images:
-                bad.append((images[up], b, up))
+                bad["EA_injective"].append((images[up], b, up))
             images[up] = b
-    record("EA_injective", bad)
+        # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
+        # transported through Phi agree with the B^l tables
+        for i, name, x, img in ((1, "f1", mod.f1(b), bl.f(1, w)), (1, "e1", mod.e1(b), bl.e(1, w)),
+                                (2, "FA", dn, bl.f(2, w)), (2, "EA", up, bl.e(2, w))):
+            if (None if x is None else table.forward[x]) != img:
+                bad[f"color{i}_compatibility"].append((b, name))
+        # (E3)/(E4) weight matching
+        wt = g2.weight(w)
+        if wt.m1 != w1 or wt.m2 != -2 * w1 - w0:
+            bad["weight_compatibility"].append(b)
+        # (E5) vanishing of the affine operators matches the model
+        if (bl.f(0, w) is None) != (t is None):
+            bad["vanishing_compatibility"].append((b, "f0"))
+        if (bl.e(0, w) is None) != (mod.e0(b) is None):
+            bad["vanishing_compatibility"].append((b, "e0"))
 
     # (D1) the affine operator commutes with the extra finite color
-    bad = []
     for w in bl.elements:
         for op in (bl.f, bl.e):
             a = op(0, w)
@@ -571,39 +569,9 @@ def verify_construction(l: int) -> dict:
             c = op(2, w)
             c = None if c is None else op(0, c)
             if a != c:
-                bad.append((w, op.__name__))
-    record("zero_two_commutation", bad)
-
-    # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
-    # transported through Phi agree with the B^l tables
-    bad = {1: [], 2: []}
-    for b in mod.elements:
-        w = table.forward[b]
-        for i, name, t, img in ((1, "f1", mod.f1(b), bl.f(1, w)), (1, "e1", mod.e1(b), bl.e(1, w)),
-                                (2, "FA", mod.FA(b), bl.f(2, w)), (2, "EA", mod.EA(b), bl.e(2, w))):
-            if (None if t is None else table.forward[t]) != img:
-                bad[i].append((b, name))
-    record("color1_compatibility", bad[1])
-    record("color2_compatibility", bad[2])
-
-    # (E3)/(E4) weight matching
-    bad = []
-    for b in mod.elements:
-        w1, w0 = mod.weight(b)
-        wt = g2.weight(table.forward[b])
-        if wt.m1 != w1 or wt.m2 != -2 * w1 - w0:
-            bad.append(b)
-    record("weight_compatibility", bad)
-
-    # (E5) vanishing of the affine operators matches the model
-    bad = []
-    for b in mod.elements:
-        w = table.forward[b]
-        if (bl.f(0, w) is None) != (mod.f0(b) is None):
-            bad.append((b, "f0"))
-        if (bl.e(0, w) is None) != (mod.e0(b) is None):
-            bad.append((b, "e0"))
-    record("vanishing_compatibility", bad)
+                bad["zero_two_commutation"].append((w, op.__name__))
+    report: dict[str, dict] = {name: {"pass": not lst, "counterexamples": lst[:10],
+                                      "failures": len(lst)} for name, lst in bad.items()}
 
     # the paper's explicit anchor formulas, as an oracle independent of the BFS
     counts = verify_anchors(l, table.forward)

@@ -19,12 +19,6 @@ CARTAN_MATRIX = (
 # (alpha_i, alpha_i) for i in {0, 1, 2}: alpha_0, alpha_1 long, alpha_2 short.
 ROOT_NORMS = (3, 3, 1)
 
-def cartan_entry(i: int, j: int) -> int:
-    """Return <h_i, alpha_j>."""
-    if i not in (0, 1, 2) or j not in (0, 1, 2):
-        raise IndexError(f"Cartan index out of range: ({i}, {j})")
-    return CARTAN_MATRIX[i][j]
-
 
 @dataclass(frozen=True, order=True)
 class ClassicalWeight:

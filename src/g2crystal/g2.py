@@ -50,25 +50,12 @@ def bar(a: int) -> int:
     return _BAR[a]
 
 
-def fundamental() -> dict[int, dict[int, int]]:
-    """The 14-vertex crystal graph as {color: {letter: letter}} lowering maps."""
-    return {1: dict(F1_STEP), 2: dict(F2_STEP)}
-
-
 def letter_to_json(a: int) -> str:
     if a == 7:
         return "01"
     if a == 8:
         return "02"
     return str(a)
-
-
-def letter_from_json(s: str) -> int:
-    if s == "01":
-        return 7
-    if s == "02":
-        return 8
-    return int(s)
 
 
 def word_to_json(word) -> list[str]:
@@ -244,16 +231,6 @@ def wbarstrip(k: int) -> tuple[int, ...]:
     if r == 1:
         return (-6,) * h + (-3,) + (-2,) * (2 * h)
     return (-6,) * h + (-4,) + (-2,) * (2 * h + 1)
-
-
-def strip(kind: str, k: int) -> tuple[int, ...]:
-    if kind == "C":
-        return cstrip(k)
-    if kind == "W":
-        return wstrip(k)
-    if kind == "Wbar":
-        return wbarstrip(k)
-    raise ValueError(f"unknown strip kind {kind!r}")
 
 
 def involution(word) -> tuple[int, ...]:

@@ -340,19 +340,21 @@ def _string_basis(i: int):
     return chains
 
 
-def _in_string_coords(i, u):
-    """Coefficients of u in the string basis for color i.
+@lru_cache(maxsize=None)
+def _label_coords(i: int) -> dict:
+    """{label: its coefficients in _string_basis(i)}, from one kernel.
 
-    They are the kernel vector of [chains | -u] whose last entry is one; no
-    kernel vector has a nonzero last entry when u lies outside the span.
+    [chains | -identity] has one kernel vector per label, nonzero in that
+    label's column, exactly when the chains form a basis.
     """
     chains = _string_basis(i)
-    rows = [[ch.get(a, QRat.zero()) for _, ch in chains] + [-u.get(a, QRat.zero())]
-            for a in BASIS]
-    for v in nullspace(rows, len(chains) + 1):
-        if not v[-1].is_zero():
-            return v[:-1]
-    raise ArithmeticError("vector outside the string-basis span")
+    n = len(chains)
+    rows = [[ch.get(a, QRat.zero()) for _, ch in chains]
+            + [-_ONE if b == a else QRat.zero() for b in BASIS] for a in BASIS]
+    kernel = nullspace(rows, n + len(BASIS))
+    if len(kernel) != len(BASIS) or any(v[n + m].is_zero() for m, v in enumerate(kernel)):
+        raise ArithmeticError(f"the color-{i} string chains are not a basis")
+    return {a: v[:n] for a, v in zip(BASIS, kernel)}
 
 
 def kashiwara(kind: str, i: int, u):
@@ -362,15 +364,13 @@ def kashiwara(kind: str, i: int, u):
     stepping past an end of the string contributes zero.
     """
     chains = _string_basis(i)
-    coords = _in_string_coords(i, u)
+    coords = _label_coords(i)
+    step = 1 if kind == "f" else -1
     out = {}
-    for n, (c, (k, _)) in enumerate(zip(coords, chains)):
-        if c.is_zero():
-            continue
-        k2 = k + 1 if kind == "f" else k - 1
-        idx2 = n - k + k2
-        if k2 >= 0 and 0 <= idx2 < len(chains) and chains[idx2][0] == k2:
-            out = vadd(out, vscale(c, chains[idx2][1]))
+    for a, ua in u.items():
+        for n, (c, (k, _)) in enumerate(zip(coords[a], chains)):
+            if not c.is_zero() and 0 <= n + step < len(chains) and chains[n + step][0] == k + step:
+                out = vadd(out, vscale(ua * c, chains[n + step][1]))
     return out
 
 

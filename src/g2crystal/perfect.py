@@ -16,7 +16,7 @@ reference for tests.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .affine import ConstructionFault, _components, bl_crystal
@@ -62,17 +62,15 @@ class PerfectReport:
         }
 
 
-def eps_phi_total(l: int, word) -> tuple[ClassicalWeight, ClassicalWeight]:
-    """Componentwise raising and lowering distances as classical weights."""
-    bl = bl_crystal(l)
-    w = tuple(word)
-    return bl.eps_weight(w), bl.phi_weight(w)
+def _eps_phi(bl):
+    """Yield (word, eps, phi) for each element, the weights read off B^l's tables."""
+    for w, e0, e1, e2, p0, p1, p2 in zip(bl.elements, *bl._eps, *bl._phi):
+        yield w, ClassicalWeight(e0, e1, e2), ClassicalWeight(p0, p1, p2)
 
 
 def minimal_elements(l: int) -> list[tuple[int, ...]]:
     """Elements whose raising-distance weight has level exactly l."""
-    bl = bl_crystal(l)
-    return [w for w in bl.elements if level(bl.eps_weight(w)) == l]
+    return [w for w, e, _ in _eps_phi(bl_crystal(l)) if level(e) == l]
 
 
 def _self_connected(bl) -> bool:
@@ -204,25 +202,28 @@ def check_perfect(l: int) -> PerfectReport:
     rep.cond_connected_square = (rep.square_roots == 1
                                  and rep.square_size == len(bl.elements) ** 2)
 
+    # one pass over B^l's tables: the weights phi - eps, the level bound and
+    # the minimal elements
+    weights: Counter[ClassicalWeight] = Counter()
+    rep.cond_level_bound = True
+    for w, e, p in _eps_phi(bl):
+        weights[p - e] += 1
+        lev = level(e)
+        rep.cond_level_bound &= lev >= l
+        if lev == l:
+            rep.minimal.append((w, e, p))
+
     # the extremal weight is discovered, not assumed: the unique weight from
     # which no other weight is reachable by adding a classical simple root
     # of a nonzero color
-    weights = {}
-    for w in bl.elements:
-        weights.setdefault(bl.weight(w), []).append(w)
     shifts = [simple_root(1), simple_root(2)]
     tops = [wt for wt in weights if all(wt + s not in weights for s in shifts)]
-    cone_ok = False
     if len(tops) == 1:
-        lam0 = tops[0]
-        rep.top_weight = lam0
-        cone_ok = len(weights[lam0]) == 1 and _cone_check(weights, lam0)
-    rep.cond_unique_top_weight = len(tops) == 1 and cone_ok
+        rep.top_weight = lam0 = tops[0]
+        rep.cond_unique_top_weight = (weights[lam0] == 1
+                                      and all(_in_cone(lam0 - wt) for wt in weights))
 
-    # level bound and minimal-element bijections
-    rep.cond_level_bound = all(level(bl.eps_weight(w)) >= l for w in bl.elements)
-    minimal = minimal_elements(l)
-    rep.minimal = [(w, bl.eps_weight(w), bl.phi_weight(w)) for w in minimal]
+    # the minimal elements map bijectively onto the dominant weights
     dom = dominant_weights(l)
     eps_img = {e for (_, e, _) in rep.minimal}
     phi_img = {p for (_, _, p) in rep.minimal}
@@ -236,19 +237,11 @@ def check_perfect(l: int) -> PerfectReport:
     return rep
 
 
-def _cone_check(weights, lam0) -> bool:
-    """wt(B) lies in lam0 minus the nonnegative span of the nonzero colors."""
-    a1, a2 = simple_root(1), simple_root(2)
-    for wt in weights:
-        d = lam0 - wt
-        # solve d = x*cl(alpha_1) + y*cl(alpha_2) with x, y >= 0
-        det = a1.m1 * a2.m2 - a2.m1 * a1.m2
-        x = (d.m1 * a2.m2 - a2.m1 * d.m2)
-        y = (a1.m1 * d.m2 - d.m1 * a1.m2)
-        if det < 0:
-            x, y, det = -x, -y, -det
-        if x % det or y % det or x < 0 or y < 0:
-            return False
-        if d.m0 != (x // det) * a1.m0 + (y // det) * a2.m0:
-            return False
-    return True
+def _in_cone(d: ClassicalWeight) -> bool:
+    """d = x*cl(alpha_1) + y*cl(alpha_2) for some integers x, y >= 0.
+
+    cl(alpha_1) = (-1, 2, -3) and cl(alpha_2) = (0, -1, 2) have determinant
+    1 in (m1, m2), so x = 2*m1 + m2 and y = 3*m1 + 2*m2, and m0 must be -x.
+    """
+    x, y = 2 * d.m1 + d.m2, 3 * d.m1 + 2 * d.m2
+    return x >= 0 and y >= 0 and d.m0 == -x

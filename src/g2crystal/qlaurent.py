@@ -262,9 +262,6 @@ class QRat:
 
     # -- structure -------------------------------------------------------
 
-    def is_laurent(self):
-        return self.den == {0: 1}
-
     def order_at_zero(self) -> int:
         """Valuation at q = 0; the denominator has valuation zero."""
         if not self.num:

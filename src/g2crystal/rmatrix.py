@@ -127,12 +127,6 @@ def tensor_apply(gen, u):
             for b2, coef in E_TABLE[i].get(b, ()):
                 put(out, (a, b2), c * XY.monomial(0, twist, coef))
         return out
-    if kind == "t":
-        s = gen[2]
-        for (a, b), c in u.items():
-            w = weight_pairing(i, a) + weight_pairing(i, b)
-            put(out, (a, b), c * XY.const(_Q(NORMS[i] * s * w)))
-        return out
     raise ValueError(f"unknown generator {gen!r}")
 
 

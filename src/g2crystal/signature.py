@@ -92,13 +92,6 @@ def reduce_brute(word: UWord) -> UWord:
             return UWord(syms, poss)
 
 
-def eps_phi(word: UWord) -> tuple[int, int]:
-    """(number of minuses, number of pluses) after reduction."""
-    red = reduce_word(word)
-    eps = sum(1 for s in red.symbols if s == MINUS)
-    return eps, len(red.symbols) - eps
-
-
 def act_factor(op: str, ep_list) -> int | None:
     """Index of the factor an operator acts on, or None.
 

@@ -531,3 +531,15 @@ def test_zero_two_commutation_lists_each_failure_once(fresh_caches):
     assert 0 < len(expected) <= 10
     assert entry["failures"] == len(expected)
     assert entry["counterexamples"] == expected
+
+
+def test_verify_construction_reads_each_model_weight_once(monkeypatch):
+    # B^3: one weight per model element (365) and one per {1,0}-component
+    # source, one per block (20)
+    calls = []
+    weight = affine.AffineModel.weight
+    monkeypatch.setattr(affine.AffineModel, "weight", lambda self, b: calls.append(b) or weight(self, b))
+    affine.bl_crystal(3)
+    calls.clear()
+    assert affine.verify_construction(3)["all_pass"]
+    assert len(calls) == 365 + len(affine.model(3).blocks) == 385

@@ -1,23 +1,19 @@
 from g2crystal.cartan import (
-    CARTAN_MATRIX, ClassicalWeight, cartan_entry, dominant_weights,
+    CARTAN_MATRIX, ClassicalWeight, dominant_weights,
     from_classical_pair, level, simple_root,
 )
-
-import pytest
 
 
 def test_matrix_rows():
     assert CARTAN_MATRIX == ((2, -1, 0), (-1, 2, -1), (0, -3, 2))
-    assert cartan_entry(1, 1) == 2
-    assert cartan_entry(2, 1) == -3
-    assert cartan_entry(0, 2) == 0
-    with pytest.raises(IndexError):
-        cartan_entry(3, 0)
+    assert CARTAN_MATRIX[1][1] == 2
+    assert CARTAN_MATRIX[2][1] == -3
+    assert CARTAN_MATRIX[0][2] == 0
 
 
 def test_alpha0_alpha2_orthogonal():
     # the (0,2) and (2,0) entries vanish together with the symmetrized form
-    assert cartan_entry(0, 2) == 0 and cartan_entry(2, 0) == 0
+    assert CARTAN_MATRIX[0][2] == 0 and CARTAN_MATRIX[2][0] == 0
 
 
 def test_level_values():

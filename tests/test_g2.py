@@ -5,9 +5,8 @@ from g2crystal.cartan import from_classical_pair
 
 
 def test_fundamental_graph():
-    graph = g2.fundamental()
-    assert graph[1] == {1: 2, 4: 5, 6: 8, 8: -6, -5: -4, -2: -1}
-    assert graph[2] == {2: 3, 3: 4, 4: 6, 5: 7, 7: -5, -6: -4, -4: -3, -3: -2}
+    assert g2.F1_STEP == {1: 2, 4: 5, 6: 8, 8: -6, -5: -4, -2: -1}
+    assert g2.F2_STEP == {2: 3, 3: 4, 4: 6, 5: 7, 7: -5, -6: -4, -4: -3, -3: -2}
     assert g2.apply("f", 1, (1,)) == (2,)
     assert g2.apply("f", 2, (3,)) == (4,)
     assert len(g2.LETTERS) == 14
@@ -82,12 +81,12 @@ def test_unique_source():
 
 
 def test_strips_closed_forms():
-    assert g2.strip("C", 2) == (6, -6)
-    assert g2.strip("W", 3) == (2, 2, 6)
-    assert g2.strip("C", 0) == ()
-    assert g2.strip("C", 3) == (6, 8, -6)
-    assert g2.strip("Wbar", 4) == (-6, -3, -2, -2)
-    assert g2.strip("Wbar", 5) == (-6, -4, -2, -2, -2)
+    assert g2.cstrip(2) == (6, -6)
+    assert g2.wstrip(3) == (2, 2, 6)
+    assert g2.cstrip(0) == ()
+    assert g2.cstrip(3) == (6, 8, -6)
+    assert g2.wbarstrip(4) == (-6, -3, -2, -2)
+    assert g2.wbarstrip(5) == (-6, -4, -2, -2, -2)
     for k in range(13):
         assert g2.apply_power("f", 1, (6,) * k, k) == g2.cstrip(k)
         assert g2.apply_power("f", 2, (2,) * k, k) == g2.wstrip(k)
@@ -166,4 +165,3 @@ def test_weights_match_classical_lift():
 
 def test_json_letters():
     assert g2.word_to_json((1, 7, 8, -6)) == ["1", "01", "02", "-6"]
-    assert [g2.letter_from_json(s) for s in ("01", "02", "-1", "5")] == [7, 8, -1, 5]

@@ -1,3 +1,5 @@
+import pytest
+
 from g2crystal import level1 as L
 from g2crystal.qlaurent import QRat
 
@@ -126,3 +128,36 @@ def test_kashiwara_spot_values():
     img = L.kashiwara("f", 0, L.vec(9))
     # leading term is the next letter of the level-1 affine table
     assert img[1].value_at_zero() == 1
+
+
+def test_string_coordinates_are_solved_once_per_color(monkeypatch):
+    # 39 kernels find the primitives of the three colors' weight classes and
+    # one kernel per color gives every label's string coordinates
+    calls = []
+    nullspace = L.nullspace
+    monkeypatch.setattr(L, "nullspace", lambda rows, n: calls.append(n) or nullspace(rows, n))
+    L._string_basis.cache_clear()
+    L._label_coords.cache_clear()
+    assert L.crystal_compat_report()["pass"]
+    assert len(calls) == 42
+    # the operator is linear in its argument
+    u = {1: QRat.one(), 6: q(2), 9: q(-1)}
+    parts = [L.vscale(c, L.kashiwara("f", 1, L.vec(a))) for a, c in u.items()]
+    assert L.kashiwara("f", 1, u) == L.vadd(L.vadd(parts[0], parts[1]), parts[2])
+
+
+def test_dependent_string_chains_are_an_arithmetic_error(monkeypatch):
+    basis = L._string_basis
+
+    def repeated(i):
+        chains = list(basis(i))
+        chains[1] = chains[0]
+        return chains
+
+    monkeypatch.setattr(L, "_string_basis", repeated)
+    L._label_coords.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not a basis"):
+            L._label_coords(1)
+    finally:
+        L._label_coords.cache_clear()

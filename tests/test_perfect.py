@@ -13,9 +13,9 @@ EXPECTED_MINIMAL = {
 
 
 def test_empty_word_distances_level1():
-    eps, phi = perfect.eps_phi_total(1, ())
-    assert eps == ClassicalWeight(1, 0, 0)
-    assert phi == ClassicalWeight(1, 0, 0)
+    bl = bl_crystal(1)
+    assert bl.eps_weight(()) == ClassicalWeight(1, 0, 0)
+    assert bl.phi_weight(()) == ClassicalWeight(1, 0, 0)
 
 
 def test_highest_word_eps1():
@@ -209,3 +209,40 @@ def test_check_perfect_levels_4_to_7():
         assert rep.all_pass(), rep.to_json()
         assert rep.square_size == gl_count(l) ** 2
         assert rep.square_roots == 1
+
+
+def test_check_perfect_reads_weights_off_the_tables(monkeypatch):
+    from g2crystal import g2
+
+    calls = []
+    weight = g2.weight
+    monkeypatch.setattr(g2, "weight", lambda w: calls.append(w) or weight(w))
+    bl_crystal(3)
+    assert perfect.check_perfect(3).all_pass()
+    assert calls == []
+
+
+def test_top_weight_reads_phi_minus_eps(fresh_caches):
+    bl = bl_crystal(2)
+    bl._phi[2][bl.index[(1, 1)]] += 1
+    assert not perfect.check_perfect(2).cond_unique_top_weight
+
+
+def test_level_bound_reads_the_eps_table(fresh_caches):
+    bl = bl_crystal(2)
+    bl._eps[0][bl.index[()]] = 0
+    assert not perfect.check_perfect(2).cond_level_bound
+
+
+def test_cone_closed_form_matches_the_cone():
+    # x, y < 150 covers every |m_i| <= 20, where x <= 60 and y <= 100
+    from g2crystal.cartan import simple_root
+
+    a1, a2 = simple_root(1), simple_root(2)
+    cone = {ClassicalWeight(x * a1.m0 + y * a2.m0, x * a1.m1 + y * a2.m1, x * a1.m2 + y * a2.m2)
+            for x in range(150) for y in range(150)}
+    for m0 in range(-20, 21):
+        for m1 in range(-20, 21):
+            for m2 in range(-20, 21):
+                d = ClassicalWeight(m0, m1, m2)
+                assert perfect._in_cone(d) == (d in cone), d
