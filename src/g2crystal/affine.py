@@ -220,12 +220,14 @@ class AffineModel:
 
 
 def _depth(table, b) -> int:
-    """Steps along a tabulated operator until it is undefined."""
-    n = 0
-    while b in table:
+    """Steps along a tabulated operator until it is undefined; a walk on a
+    cycle stops after len(table) steps and reads len(table) + 1, a depth no
+    string has."""
+    for n in range(len(table) + 1):
+        if b not in table:
+            return n
         b = table[b]
-        n += 1
-    return n
+    return len(table) + 1
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +236,9 @@ def model(l: int) -> AffineModel:
 
 
 def gl_elements(l: int) -> list[tuple[int, ...]]:
-    """All of the target set: words of length at most l, sorted."""
-    out = []
-    for n in range(l + 1):
-        out.extend(g2.enumerate_tableaux(n))
-    out.sort(key=lambda w: (len(w), tuple(g2.ORDER_INDEX[a] for a in w)))
-    return out
+    """All of the target set: words of length at most l, by length and then
+    in letter order, the order ``enumerate_tableaux`` yields each length in."""
+    return [w for n in range(l + 1) for w in g2.enumerate_tableaux(n)]
 
 
 def gl_count(l: int) -> int:

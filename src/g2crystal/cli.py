@@ -163,8 +163,8 @@ def cmd_qcheck(args, out) -> int:
     return 0 if ok else 1
 
 
-# the largest level any command builds: verify --level 8 takes about 4 s and
-# 60 MB on a 2-core host (|B^8| = 24585); B^10 alone takes 7.6 s and 130 MB
+# the largest level any command builds: verify --level 8 takes 5.5-7 s and
+# 57 MB on a shared 2-core host (|B^8| = 24585); B^10 alone takes 6 s and 80 MB
 MAX_LEVEL = 8
 
 

@@ -9,9 +9,8 @@ the fusion construction and is not represented here.
 
 The square B^l (x) B^l is proved connected over its classical {1,2}-
 components (``_square_components``): one highest element names each, and
-color-0 edges from its highest and lowest elements join them.  The flat
-BFS over all |B^l|^2 states (``_square_connected``) is kept as the
-reference for tests.
+one e_0 probe from it, raised, joins it to another.  The flat BFS over all
+|B^l|^2 states (``_square_connected``) is the reference for tests.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ def _pair_step(tables, op, i, x, y):
     return None if t < 0 else (x, t)
 
 
-def _greedy(tables, op, pair):
-    """Apply op of color 1 or 2 to pair until neither is defined.
+def _greedy(tables, pair):
+    """Raise pair by e_1 or e_2 until neither is defined.
 
     In a crystal each step moves one factor strictly in weight, so the walk
     ends within 2|B| steps; one that does not is a fault of the tables.
@@ -114,13 +113,13 @@ def _greedy(tables, op, pair):
     limit = 2 * len(tables[0][0])
     for _ in range(limit):
         for i in (1, 2):
-            nxt = _pair_step(tables, op, i, *pair)
+            nxt = _pair_step(tables, "e", i, *pair)
             if nxt is not None:
                 pair = nxt
                 break
         else:
             return pair
-    raise ConstructionFault(f"{op}_1/{op}_2 walk from {pair} does not end in {limit} steps")
+    raise ConstructionFault(f"e_1/e_2 walk from {pair} does not end in {limit} steps")
 
 
 def _square_components(bl) -> tuple[int, int, int]:
@@ -131,12 +130,12 @@ def _square_components(bl) -> tuple[int, int, int]:
     of normal crystals (``restriction_12`` and Phi check this), so is its
     square: each component has one highest element, greedy e_1/e_2 raising
     reaches it, and its size is the Weyl dimension of its weight.  ``size``
-    sums those dimensions.  Color-0 edges from the highest and the lowest
-    element of every component, raised to their components, join components;
-    ``roots`` is the number of classes left.  A probe whose raising ends
-    outside the K counts as a root of its own, so it can only fail the
-    check.  Every probe is a real edge, so roots == 1 and size == |B^l|^2
-    prove the square connected; the converse is not claimed.
+    sums those dimensions.  One e_0 probe from each highest element, raised
+    to a highest element, joins components; ``roots`` is the number of
+    classes left, and a probe whose raising ends outside the K counts as a
+    root of its own.  Every probe and raising step is a real edge, so
+    roots == 1 and size == |B^l|^2 prove the square connected; too few
+    probes could only read FAIL, never a false pass.
     """
     tables = _index_tables(bl)
     _, _, eps, phi = tables
@@ -145,23 +144,21 @@ def _square_components(bl) -> tuple[int, int, int]:
     highest = [(x, y) for x in tops for y in range(n)
                if eps[1][y] <= phi[1][x] and eps[2][y] <= phi[2][x]]
     comp = {h: c for c, h in enumerate(highest)}
-    joins = [{}, {}, {}, {}]  # one {highest: highest} map per (end, op) probe
+    joins = {}  # highest -> the highest element its e_0 probe raises to
     size = escaped = 0
     for h in highest:
         x, y = h
         size += weyl_dim(phi[2][x] - eps[2][x] + phi[2][y] - eps[2][y],
                           phi[1][x] - eps[1][x] + phi[1][y] - eps[1][y])
-        ends = (h, _greedy(tables, "f", h))
-        for k, (end, op) in enumerate((end, op) for end in ends for op in "fe"):
-            img = _pair_step(tables, op, 0, *end)
-            if img is None:
-                continue
-            top = _greedy(tables, "e", img)
-            if top in comp:
-                joins[k][h] = top
-            else:
-                escaped += 1
-    roots = len(_components(highest, comp, joins)) + escaped
+        img = _pair_step(tables, "e", 0, *h)
+        if img is None:
+            continue
+        top = _greedy(tables, img)
+        if top in comp:
+            joins[h] = top
+        else:
+            escaped += 1
+    roots = len(_components(highest, comp, [joins])) + escaped
     return len(highest), roots, size
 
 

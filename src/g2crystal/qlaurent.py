@@ -276,14 +276,6 @@ class QRat:
             raise ValueError("pole at q = 0")
         return Fraction(self.num.get(0, 0), self.den.get(0))
 
-    def subs_power(self, k: int) -> "QRat":
-        """Substitute q -> q^k; colliding exponents add, so k = 0 gives q = 1."""
-        num, den = {}, {}
-        for out, d in ((num, self.num), (den, self.den)):
-            for e, c in d.items():
-                put(out, e * k, c)
-        return QRat(num, den)
-
     def __repr__(self):
         return f"QRat({self})"
 

@@ -123,6 +123,19 @@ def test_depth_weight_spot():
     assert -2 * w1 - w0 == -5
 
 
+def test_depth_on_an_operator_cycle_is_a_failure(fresh_caches):
+    # E_A sends up back to b: the depth walk stops after len(_ea) steps, and
+    # C3 reports the cycle as data
+    mod = affine.model(2)
+    b = next(b for b in mod.elements if mod.EA(b) is not None)
+    mod._ea[mod.EA(b)] = b
+    assert mod.ea_depth(b) == len(mod._ea) + 1
+    report = affine.verify_construction(2)
+    assert report["string_depth_weight"]["failures"] == 4
+    assert report["pair_mutual_inverse"]["failures"] == 2
+    assert not report["all_pass"]
+
+
 def test_raising_step_weight_gain():
     # each raising step increases -2*wt_1 - wt_0 by exactly two
     for l in (2, 3):
@@ -325,6 +338,12 @@ def test_phi_bijective():
         assert len(table.backward) == len(set(table.forward.values()))
         words = set(affine.gl_elements(l))
         assert set(table.forward.values()) == words
+
+
+def test_gl_elements_come_by_length_then_letter_order():
+    for l in range(7):
+        words = affine.gl_elements(l)
+        assert words == sorted(words, key=lambda w: (len(w), [g2.ORDER_INDEX[a] for a in w]))
 
 
 def test_uelement_closed_forms():

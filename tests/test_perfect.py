@@ -160,27 +160,44 @@ def test_square_proof_keeps_the_components_of_a_disconnected_square():
 
 
 def test_square_proof_counts_an_escaped_probe_as_a_root():
-    # f_0 sends (1,) (x) (1,) to (2,) (x) (1,); with e_1 dropped at (2,) the
-    # raising stops there, outside the three highest elements
+    # e_0 sends (1,) to (2,): the three highest elements' probes raise to
+    # (1,) (x) (2,) and (1,) (x) (1,), which joins all three; with e_1
+    # dropped at (2,) two probes stop outside them, at (2,) (x) (1,) and
+    # (2,) (x) (2,), and count as roots of their own
     sl2 = _sl2()
     top, low = (1,), (2,)
-    sl2._f[0][top], sl2._e[0][low] = low, top
-    sl2._eps[0][:] = [0, 0, 1]
-    sl2._phi[0][:] = [1, 0, 0]
+    sl2._e[0][top], sl2._f[0][low] = low, top
+    sl2._eps[0][:] = [1, 0, 0]
+    sl2._phi[0][:] = [0, 0, 1]
+    assert perfect._square_components(sl2)[:2] == (3, 1)
     del sl2._e[1][low]
-    components, roots, _ = perfect._square_components(sl2)
-    assert components == 3 and roots > 3
+    assert perfect._square_components(sl2)[:2] == (3, 4)
 
 
 def test_greedy_walk_on_a_cycle_is_a_construction_fault():
     from g2crystal.affine import ConstructionFault
 
     sl2 = _sl2()
-    sl2._f[1][(2,)] = (1,)
-    sl2._phi[1][2] = 1
+    sl2._e[1][(1,)] = (2,)
+    sl2._eps[1][0] = 1
     tables = perfect._index_tables(sl2)
     with pytest.raises(ConstructionFault, match="does not end"):
-        perfect._greedy(tables, "f", (0, 0))
+        perfect._greedy(tables, (0, 0))
+
+
+def test_square_proof_makes_one_probe_per_component(monkeypatch):
+    # one e_0 probe and one raising walk per component: K = 373 at l = 4
+    calls = {"greedy": 0, "step": 0}
+    greedy, step = perfect._greedy, perfect._pair_step
+
+    def count(name, fn):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+    monkeypatch.setattr(perfect, "_greedy", count("greedy", greedy))
+    monkeypatch.setattr(perfect, "_pair_step", count("step", step))
+    components, roots, _ = perfect._square_components(bl_crystal(4))
+    assert (components, roots) == (373, 1)
+    assert calls["greedy"] <= components and calls["step"] <= 5 * components
 
 
 def test_square_proof_matches_the_flat_bfs():

@@ -119,17 +119,8 @@ def test_power_and_subs():
     assert x ** 3 == x * x * x
     assert x ** 0 == 1
     assert (q(2)) ** -2 == q(-4)
-    assert qbracket(2, 1).subs_power(3) == qbracket(2, 3)
     assert qbracket(2, 3).den == {0: 1}
     assert (QRat(1) / (q(1) + 1)).den != {0: 1}
-
-
-def test_subs_power_zero_adds_colliding_exponents():
-    assert (q(2) + q(1)).subs_power(0) == 2
-    assert qbracket(3, 1).subs_power(0) == 3
-    assert ((q(2) + 1) / (q(1) + 2)).subs_power(0) == QRat(2, 3)
-    with pytest.raises(ZeroDivisionError):
-        (QRat(1) / (q(1) - 1)).subs_power(0)
 
 
 def test_arithmetic_skips_the_input_normalisation(monkeypatch):
