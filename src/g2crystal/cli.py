@@ -130,6 +130,15 @@ def cmd_connectivity(args, out) -> int:
 
 
 def cmd_qcheck(args, out) -> int:
+    """The q-suite; an ArithmeticError ends it like a construction fault."""
+    try:
+        return _qcheck(args, out)
+    except ArithmeticError as exc:
+        _emit(f"construction FAILED: {exc}", out)
+        return 1
+
+
+def _qcheck(args, out) -> int:
     from . import level1, rmatrix
 
     ok = True

@@ -197,6 +197,8 @@ class QRat:
     def __eq__(self, other):
         if isinstance(other, int):
             other = QRat(other)
+        elif not isinstance(other, QRat):
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):

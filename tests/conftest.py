@@ -1,6 +1,6 @@
 import pytest
 
-from g2crystal import affine
+from g2crystal import affine, rmatrix
 
 
 @pytest.fixture
@@ -13,3 +13,11 @@ def fresh_caches():
     clear()
     yield
     clear()
+
+
+@pytest.fixture
+def fresh_fusion_values():
+    """Empty the cached fusion values around a test that poisons the q-suite."""
+    rmatrix.fusion_values.cache_clear()
+    yield
+    rmatrix.fusion_values.cache_clear()

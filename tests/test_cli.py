@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from g2crystal import g2
+from g2crystal import g2, rmatrix
 from g2crystal.cli import main
 
 
@@ -188,3 +188,31 @@ def test_tensor_square_level_bound_is_usage_error(fresh_caches, capsys):
         assert "at most 8" in captured.err, argv
     assert affine.bl_crystal.cache_info().currsize == 0
     assert affine.model.cache_info().currsize == 0
+
+
+def test_stray_fusion_image_is_a_failed_item(monkeypatch, fresh_fusion_values, capsys):
+    # item 1 lands on (1, 1) alone, so its image strays from a (2, 1) target
+    items = rmatrix.fusion_items()
+    ops, src, _, expected = items["items"][1]
+    items["items"][1] = (ops, src, (2, 1), expected)
+    monkeypatch.setattr(rmatrix, "fusion_items", lambda: items)
+    assert rmatrix.verify_fusion_identities()["items"][1]["pass"] is False
+    code, out = run_cli(["qcheck"], capsys)
+    assert code == 1
+    assert "fusion identity 1: FAIL" in out.splitlines()
+    assert "rmatrix relation_F_family: FAIL" in out.splitlines()
+
+
+def test_qsuite_arithmetic_error_is_one_failed_line(monkeypatch, fresh_fusion_values, capsys):
+    # a stray (1, 1) term makes the 3La2 vector weight inhomogeneous
+    u_3la2 = rmatrix._u_3la2
+    monkeypatch.setattr(rmatrix, "_u_3la2",
+                        lambda: rmatrix.vadd(u_3la2(), rmatrix.tvec(1, 1)))
+    code, out = run_cli(["qcheck"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "construction FAILED: tensor vector is not weight homogeneous"
+    assert lines[:-1] == ["module relation weight_rows: pass",
+                          "module relation ef_commutator: pass",
+                          "module relation serre: pass",
+                          "prepolarization: pass", "crystal compatibility: pass"]

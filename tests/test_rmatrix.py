@@ -1,6 +1,6 @@
 from g2crystal import rmatrix as R
 from g2crystal.level1 import qint
-from g2crystal.qlaurent import QRat, _mul
+from g2crystal.qlaurent import QRat
 
 q = QRat.q_power
 ONE = QRat.one()
@@ -108,8 +108,24 @@ def test_top_scalar_nonvanishing_at_fusion_points():
 
 
 def test_proportionality_relation_in_z():
-    # (z - q^6) a_top = a_(3La2) (1 - q^6 z) as plain z-polynomials
+    # (z - q^6) a_top = a_(3La2) (1 - q^6 z) as polynomials in z = x/y
     a = R.a_polynomials()
-    lhs = _mul({0: -q(6), 1: ONE}, a["2La1"])
-    rhs = _mul({0: ONE, 1: -q(6)}, a["3La2"])
-    assert lhs == rhs
+    assert R._z(-q(6), ONE) * a["2La1"] == R._z(ONE, -q(6)) * a["3La2"]
+
+
+def test_a_polynomials_are_polynomials_in_z():
+    for name, poly in R.a_polynomials().items():
+        assert isinstance(poly, R.XY) and poly, name
+        assert all(dx == -dy >= 0 for dx, dy in poly.terms), name
+
+
+def test_perturbed_polynomial_fails_the_relations(monkeypatch):
+    # a copy: the cached dict stays as it is
+    a = dict(R.a_polynomials())
+    a["L12"] = a["L12"] + R.XY.const(q(2))
+    monkeypatch.setattr(R, "a_polynomials", lambda: a)
+    rep = R.rmatrix_checks()
+    failed = {k for k, v in rep.items() if isinstance(v, dict) and not v["pass"]}
+    assert failed == {"relation_F_family", "relation_E_family",
+                      "relation_f0_family", "a_L1j_eq_L2j"}
+    assert not rep["pass"]
