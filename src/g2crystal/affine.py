@@ -21,7 +21,7 @@ formulas are kept as an independent check.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import a2, g2
@@ -126,15 +126,16 @@ class AffineModel:
         self._members = {b: b for b in self.elements}
         self._f1, self._e1, self._ea, self._fa = {}, {}, {}, {}
         for b in self.elements:
-            R, Q, P = transition(b.r, b.q, b.p)
-            if R < b.k + Q - 2 * P:
-                r, q, p = transition(R + 1, Q, P)
-                t = self._member("f_1", b, b._replace(p=p, q=q, r=r))
+            i, k, j, p, q, r = b
+            R, Q, P = transition(r, q, p)
+            if R < k + Q - 2 * P:
+                r2, q2, p2 = transition(R + 1, Q, P)
+                t = self._member("f_1", b, AParam(i, k, j, p2, q2, r2))
                 self._f1[b] = t
                 self._e1[t] = b
-            base = ea_plus(l, b.i, b.k, b.j, b.p, b.q)
+            base = ea_plus(l, i, k, j, p, q)
             if base is not None:
-                self._ea[b] = self._member("E_A", b, AParam(*base, b.r))
+                self._ea[b] = self._member("E_A", b, AParam(*base, r))
         for b in self.elements:
             up = self._ea.get(self.CA(b))
             if up is not None:
@@ -147,14 +148,16 @@ class AffineModel:
         return self._e1.get(b)
 
     def f0(self, b: AParam) -> AParam | None:
-        if b.r >= b.j + b.q - 2 * b.p:
+        i, k, j, p, q, r = b
+        if r >= j + q - 2 * p:
             return None
-        return b._replace(r=b.r + 1)
+        return AParam(i, k, j, p, q, r + 1)
 
     def e0(self, b: AParam) -> AParam | None:
-        if b.r == 0:
+        i, k, j, p, q, r = b
+        if r == 0:
             return None
-        return b._replace(r=b.r - 1)
+        return AParam(i, k, j, p, q, r - 1)
 
     def phi0(self, b: AParam) -> int:
         return b.j + b.q - 2 * b.p - b.r
@@ -170,8 +173,8 @@ class AffineModel:
         return self._ea.get(b)
 
     def CA(self, b: AParam) -> AParam:
-        return self._member("involution", b, AParam(
-            b.i, b.j, b.k, b.k - b.q + b.p, b.k + b.j - b.q, b.j + b.q - 2 * b.p - b.r))
+        i, k, j, p, q, r = b
+        return self._member("involution", b, AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r))
 
     def _member(self, name, b, out):
         """The element ``out``, the image of ``b`` under ``name``; a fault if absent."""
@@ -228,6 +231,26 @@ def _depth(table, b) -> int:
             return n
         b = table[b]
     return len(table) + 1
+
+
+def _depths(elements, table) -> list[int]:
+    """``_depth`` of every element along ``table``, in element order, with
+    each element walked once: a walk stops at the first element whose depth
+    is known.  A walk that runs into a cycle reads len(table) + 1 for every
+    element on it, as ``_depth`` does."""
+    cycle = len(table) + 1
+    depth = {}
+    for b in elements:
+        path = []
+        while b is not None and b not in depth:
+            depth[b] = cycle  # met again on this walk only on a cycle
+            path.append(b)
+            b = table.get(b)
+        d = -1 if b is None else depth[b]
+        for x in reversed(path):
+            d = min(d + 1, cycle)
+            depth[x] = d
+    return list(map(depth.__getitem__, elements))
 
 
 @lru_cache(maxsize=None)
@@ -429,27 +452,32 @@ class BlCrystal:
         self._eps = ([], [], [])
         self._phi = ([], [], [])
         for i in (1, 2):
-            for w in self.elements:
-                self._row(i, w, *g2.strings(i, w))
+            self._rows(i, map(partial(g2.strings, i), self.elements))
         self.phi = build_phi(self)
-        fwd = self.phi.forward
-        for w in self.elements:
-            # color 0 transports the model's f_0/e_0 through Phi
-            b = self.phi.backward[w]
-            f0, e0 = self.model.f0(b), self.model.e0(b)
-            self._row(0, w, b.r, self.model.phi0(b), None if f0 is None else fwd[f0],
-                      None if e0 is None else fwd[e0])
+        fwd, mod = self.phi.forward, self.model
 
-    def _row(self, i, w, eps, phi, fw, ew):
-        """Tabulate color i at w; an image that is not an element is a fault."""
-        self._eps[i].append(eps)
-        self._phi[i].append(phi)
-        for table, img in ((self._f[i], fw), (self._e[i], ew)):
-            if img is not None:
-                n = self.index.get(img)
-                if n is None:
-                    raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
-                table[w] = self.elements[n]
+        def zero(b):
+            # color 0 transports the model's f_0/e_0 through Phi
+            f0, e0 = mod.f0(b), mod.e0(b)
+            return (b.r, mod.phi0(b), None if f0 is None else fwd[f0],
+                    None if e0 is None else fwd[e0])
+
+        self._rows(0, map(zero, map(self.phi.backward.__getitem__, self.elements)))
+
+    def _rows(self, i, rows):
+        """Tabulate color i from one (eps, phi, f image, e image) row per
+        element, in element order; an image that is not an element is a fault."""
+        eps, phi, f, e = self._eps[i], self._phi[i], self._f[i], self._e[i]
+        index, elements = self.index, self.elements
+        for w, (ep, ph, fw, ew) in zip(elements, rows):
+            eps.append(ep)
+            phi.append(ph)
+            for table, img in ((f, fw), (e, ew)):
+                if img is not None:
+                    n = index.get(img)
+                    if n is None:
+                        raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
+                    table[w] = elements[n]
 
     def f(self, i, w):
         return self._f[i].get(w)
@@ -494,14 +522,11 @@ def _components(elements, idx, edge_maps):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for mp in edge_maps:
         for a, b in mp.items():
-            union(idx[a], idx[b])
+            ra, rb = find(idx[a]), find(idx[b])
+            if ra != rb:
+                parent[ra] = rb
     comps: dict[int, list] = {}
     for w in elements:
         comps.setdefault(find(idx[w]), []).append(w)
@@ -512,8 +537,9 @@ def verify_construction(l: int) -> dict:
     """Check every construction axiom exhaustively; failures are data.
 
     One pass over the model reads each element's E_A, F_A, f_0, Phi image
-    and weight once for C1-C3, E_A injectivity and E1-E5; D1 runs over
-    B^l's words.
+    and weight once for C1-C3, E_A injectivity and E1-E5, and C3 reads the
+    E_A and F_A string depths of every element from one table each; D1 runs
+    over B^l's words.
     """
     mod = model(l)
     table = phi_table(l)
@@ -522,22 +548,29 @@ def verify_construction(l: int) -> dict:
         "pair_mutual_inverse", "affine_color_commutation", "string_depth_weight",
         "EA_injective", "zero_two_commutation", "color1_compatibility",
         "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
+    ea, fa, f1, e1 = mod._ea.get, mod._fa.get, mod._f1.get, mod._e1.get
+    f0, e0, phi0, weight = mod.f0, mod.e0, mod.phi0, mod.weight
+    fwd = table.forward
+    bf0, bf1, bf2 = (bl._f[i].get for i in (0, 1, 2))
+    be0, be1, be2 = (bl._e[i].get for i in (0, 1, 2))
+    ea_depth = _depths(mod.elements, mod._ea)
+    fa_depth = _depths(mod.elements, mod._fa)
     images: dict[AParam, AParam] = {}
-    for b in mod.elements:
-        up, dn, t, w = mod.EA(b), mod.FA(b), mod.f0(b), table.forward[b]
-        w1, w0 = mod.weight(b)
+    for n, b in enumerate(mod.elements):
+        up, dn, t, w = ea(b), fa(b), f0(b), fwd[b]
+        w1, w0 = weight(b)
         # (C1) mutual inverse
-        if up is not None and mod.FA(up) != b:
+        if up is not None and fa(up) != b:
             bad["pair_mutual_inverse"].append((b, up))
-        if dn is not None and mod.EA(dn) != b:
+        if dn is not None and ea(dn) != b:
             bad["pair_mutual_inverse"].append((b, dn))
         # (C2) commutation with f_0, including definedness, plus phi_0 preservation
-        if t is not None and mod.EA(t) != (None if up is None else mod.f0(up)):
+        if t is not None and ea(t) != (None if up is None else f0(up)):
             bad["affine_color_commutation"].append(b)
-        if up is not None and mod.phi0(up) != mod.phi0(b):
+        if up is not None and phi0(up) != phi0(b):
             bad["affine_color_commutation"].append(b)
         # (C3) string-length difference equals the weight functional
-        if mod.fa_depth(b) - mod.ea_depth(b) != -2 * w1 - w0:
+        if fa_depth[n] - ea_depth[n] != -2 * w1 - w0:
             bad["string_depth_weight"].append(b)
         # E_A injectivity where nonzero
         if up is not None:
@@ -546,29 +579,32 @@ def verify_construction(l: int) -> dict:
             images[up] = b
         # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
         # transported through Phi agree with the B^l tables
-        for i, name, x, img in ((1, "f1", mod.f1(b), bl.f(1, w)), (1, "e1", mod.e1(b), bl.e(1, w)),
-                                (2, "FA", dn, bl.f(2, w)), (2, "EA", up, bl.e(2, w))):
-            if (None if x is None else table.forward[x]) != img:
+        for i, name, x, img in ((1, "f1", f1(b), bf1(w)), (1, "e1", e1(b), be1(w)),
+                                (2, "FA", dn, bf2(w)), (2, "EA", up, be2(w))):
+            if (None if x is None else fwd[x]) != img:
                 bad[f"color{i}_compatibility"].append((b, name))
         # (E3)/(E4) weight matching
         wt = g2.weight(w)
         if wt.m1 != w1 or wt.m2 != -2 * w1 - w0:
             bad["weight_compatibility"].append(b)
         # (E5) vanishing of the affine operators matches the model
-        if (bl.f(0, w) is None) != (t is None):
+        if (bf0(w) is None) != (t is None):
             bad["vanishing_compatibility"].append((b, "f0"))
-        if (bl.e(0, w) is None) != (mod.e0(b) is None):
+        if (be0(w) is None) != (e0(b) is None):
             bad["vanishing_compatibility"].append((b, "e0"))
+    # the per-element tables are not needed by the component passes below
+    del ea_depth, fa_depth, images
 
     # (D1) the affine operator commutes with the extra finite color
+    ops = (("f", bf0, bf2), ("e", be0, be2))
     for w in bl.elements:
-        for op in (bl.f, bl.e):
-            a = op(0, w)
-            a = None if a is None else op(2, a)
-            c = op(2, w)
-            c = None if c is None else op(0, c)
+        for name, zero, two in ops:
+            a = zero(w)
+            a = None if a is None else two(a)
+            c = two(w)
+            c = None if c is None else zero(c)
             if a != c:
-                bad["zero_two_commutation"].append((w, op.__name__))
+                bad["zero_two_commutation"].append((w, name))
     report: dict[str, dict] = {name: {"pass": not lst, "counterexamples": lst[:10],
                                       "failures": len(lst)} for name, lst in bad.items()}
 
@@ -584,10 +620,9 @@ def verify_construction(l: int) -> dict:
     sizes = sorted(len(c) for c in comps)
     expected = sorted(g2.dim(n) for n in range(l + 1))
     ok = sizes == expected
-    sources = []
-    for comp in comps:
-        srcs = [w for w in comp if bl.eps(1, w) == 0 and bl.eps(2, w) == 0]
-        sources.append(srcs)
+    eps0, eps1, eps2 = bl._eps
+    top = {w for w, a, c in zip(bl.elements, eps1, eps2) if a == c == 0}
+    sources = [[w for w in comp if w in top] for comp in comps]
     ok = ok and all(len(s) == 1 and s[0] == (1,) * len(s[0]) for s in sources)
     report["restriction_12"] = {"pass": ok, "sizes": sizes, "failures": 0 if ok else 1,
                                 "counterexamples": []}
@@ -595,12 +630,12 @@ def verify_construction(l: int) -> dict:
     # restriction to the colors {1,0}: components match the model blocks,
     # by size and by the weight of the unique source of each component
     comps = _components(bl.elements, bl.index, [bl._f[1], bl._f[0]])
+    top = {w for w, a, c in zip(bl.elements, eps1, eps0)
+           if a == c == 0 and e1(table.backward[w]) is None}
     got = []
     ok = True
     for comp in comps:
-        srcs = [w for w in comp
-                if bl.eps(1, w) == 0 and bl.eps(0, w) == 0
-                and mod.e1(table.backward[w]) is None]
+        srcs = [w for w in comp if w in top]
         ok &= len(srcs) == 1
         if srcs:
             w1, w0 = mod.weight(table.backward[srcs[0]])

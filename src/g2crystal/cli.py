@@ -69,27 +69,33 @@ def cmd_graph(args, out) -> int:
 def cmd_verify(args, out) -> int:
     for l in range(1, args.level + 1):
         try:
-            rep = verify_construction(l)
+            failed = _verify_level(l, out)
         except ConstructionFault as exc:
-            _emit(f"level {l}: construction FAILED: {exc}", out)
-            return 1
-        for name in sorted(rep):
-            if name == "all_pass":
-                continue
-            entry = rep[name]
-            _emit(f"level {l} {name}: {'pass' if entry['pass'] else 'FAIL'}", out)
-        if not rep["all_pass"]:
-            _emit(f"level {l}: construction verification FAILED", out)
-            return 1
-        prep = perfect.check_perfect(l)
-        for key, val in prep.to_json().items():
-            if isinstance(val, bool):
-                _emit(f"level {l} perfect.{key}: {'pass' if val else 'FAIL'}", out)
-        if not prep.all_pass():
-            _emit(f"level {l}: perfectness verification FAILED", out)
+            failed = f"construction FAILED: {exc}"
+        if failed:
+            _emit(f"level {l}: {failed}", out)
             return 1
     _emit(f"levels 1..{args.level}: all checks pass", out)
     return 0
+
+
+def _verify_level(l, out) -> str | None:
+    """Emit one line per check of level l; the failure, or None if all pass."""
+    rep = verify_construction(l)
+    for name in sorted(rep):
+        if name == "all_pass":
+            continue
+        entry = rep[name]
+        _emit(f"level {l} {name}: {'pass' if entry['pass'] else 'FAIL'}", out)
+    if not rep["all_pass"]:
+        return "construction verification FAILED"
+    prep = perfect.check_perfect(l)
+    for key, val in prep.to_json().items():
+        if isinstance(val, bool):
+            _emit(f"level {l} perfect.{key}: {'pass' if val else 'FAIL'}", out)
+    if not prep.all_pass():
+        return "perfectness verification FAILED"
+    return None
 
 
 def cmd_minimal(args, out) -> int:
@@ -172,8 +178,9 @@ def _qcheck(args, out) -> int:
     return 0 if ok else 1
 
 
-# the largest level any command builds: verify --level 8 takes 5.5-7 s and
-# 57 MB on a shared 2-core host (|B^8| = 24585); B^10 alone takes 6 s and 80 MB
+# the largest level any command builds: cold, in one process, verify --level 8
+# takes about 4.0 s and 61 MB on a shared 2-core Xeon host with Python 3.11
+# (|B^8| = 24585); B^10 alone takes 4.1 s and 76 MB there
 MAX_LEVEL = 8
 
 

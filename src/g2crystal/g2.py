@@ -40,14 +40,12 @@ E2_STEP = {v: k for k, v in F2_STEP.items()}
 
 # <h_1, wt>, <h_2, wt> per letter; equals (phi - eps) colorwise.
 LETTER_WEIGHT = {a: (EP1[a][1] - EP1[a][0], EP2[a][1] - EP2[a][0]) for a in LETTERS}
+_WT1 = {a: wt[0] for a, wt in LETTER_WEIGHT.items()}
+_WT2 = {a: wt[1] for a, wt in LETTER_WEIGHT.items()}
 
 _BAR = {**{a: -a for a in (1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6)}, 7: 7, 8: 8}
 
 _INCOMPARABLE = ({5, 6}, {7, 8}, {-5, -6})
-
-
-def bar(a: int) -> int:
-    return _BAR[a]
 
 
 def letter_to_json(a: int) -> str:
@@ -112,9 +110,8 @@ def _counts_ok(c) -> bool:
 
 
 def weight(word) -> ClassicalWeight:
-    m1 = sum(LETTER_WEIGHT[a][0] for a in word)
-    m2 = sum(LETTER_WEIGHT[a][1] for a in word)
-    return from_classical_pair(m1, m2)
+    return from_classical_pair(sum(map(_WT1.__getitem__, word)),
+                               sum(map(_WT2.__getitem__, word)))
 
 
 def strings(i: int, word):
@@ -125,11 +122,12 @@ def strings(i: int, word):
     re-sorted.  Validity is not re-checked: tables that store images compare
     them with the enumerated word set once.
     """
-    facs = list(reversed(word))
-    minus, plus = unmatched([(EP1 if i == 1 else EP2)[a] for a in facs])
+    facs = word[::-1]
+    ep, fstep, estep = (EP1, F1_STEP, E1_STEP) if i == 1 else (EP2, F2_STEP, E2_STEP)
+    minus, plus = unmatched(map(ep.__getitem__, facs))
     return (len(minus), len(plus),
-            _substitute(facs, plus[0], F1_STEP if i == 1 else F2_STEP) if plus else None,
-            _substitute(facs, minus[-1], E1_STEP if i == 1 else E2_STEP) if minus else None)
+            _substitute(facs, plus[0], fstep) if plus else None,
+            _substitute(facs, minus[-1], estep) if minus else None)
 
 
 def _substitute(facs, k, step) -> tuple[int, ...]:
@@ -168,21 +166,22 @@ def dim(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_tableaux(n: int) -> tuple[tuple[int, ...], ...]:
-    """All valid words of length n, sorted; the count matches dim(n)."""
+    """All valid words of length n, sorted; the count matches dim(n).
+
+    Every prefix of a valid word is valid, so each word of length n - 1, in
+    order, is extended by one letter at or after its last letter and kept
+    when the letter counts pass.
+    """
+    if n == 0:
+        return ((),)
     out = []
-
-    def rec(word, lo):
-        # every prefix passes the counting constraints and letters are taken
-        # in order, so each full-length word is valid
-        if len(word) == n:
-            out.append(word)
-            return
-        for idx in range(lo, 14):
-            w2 = word + (LETTERS[idx],)
-            if _counts_ok(_counts(w2)):
-                rec(w2, idx)
-
-    rec((), 0)
+    for word in enumerate_tableaux(n - 1):
+        c = _counts(word)
+        for a in LETTERS[ORDER_INDEX[word[-1]] if word else 0:]:
+            c[a] += 1
+            if _counts_ok(c):
+                out.append(word + (a,))
+            c[a] -= 1
     count = dim(n)
     if len(out) != count:
         raise RuntimeError(f"enumeration of B({n}*La1) gave {len(out)} words, expected {count}")
@@ -235,4 +234,4 @@ def wbarstrip(k: int) -> tuple[int, ...]:
 
 def involution(word) -> tuple[int, ...]:
     """Reverse the word and bar-conjugate every letter."""
-    return tuple(bar(a) for a in reversed(word))
+    return tuple(map(_BAR.__getitem__, reversed(word)))

@@ -136,6 +136,25 @@ def test_depth_on_an_operator_cycle_is_a_failure(fresh_caches):
     assert not report["all_pass"]
 
 
+def test_depth_tables_are_the_depth_walks(monkeypatch):
+    for l in (1, 2, 3, 4):
+        mod = affine.model(l)
+        for table in (mod._ea, mod._fa):
+            assert (affine._depths(mod.elements, table)
+                    == [affine._depth(table, b) for b in mod.elements])
+    # a tail into a cycle reads len(table) + 1 on every element that reaches it
+    elements = ["a", "b", "c", "d", "e"]
+    table = {"a": "b", "b": "c", "c": "b", "e": "d"}
+    assert affine._depths(elements, table) == [5, 5, 5, 0, 1]
+    assert [affine._depth(table, x) for x in elements] == [5, 5, 5, 0, 1]
+    # C3 reads the tables, not one walk per element
+    calls = []
+    depth = affine._depth
+    monkeypatch.setattr(affine, "_depth", lambda table, b: calls.append(b) or depth(table, b))
+    assert affine.verify_construction(3)["all_pass"]
+    assert calls == []
+
+
 def test_raising_step_weight_gain():
     # each raising step increases -2*wt_1 - wt_0 by exactly two
     for l in (2, 3):

@@ -1,7 +1,8 @@
 import hashlib
 import json
 
-from g2crystal import g2, rmatrix
+from g2crystal import g2, perfect, rmatrix
+from g2crystal.affine import ConstructionFault
 from g2crystal.cli import main
 
 
@@ -153,6 +154,20 @@ def test_verify_reports_construction_fault(monkeypatch, fresh_caches, capsys):
     code, out = run_cli(["verify", "--level", "2"], capsys)
     assert code == 1
     assert out.splitlines()[-1].startswith("level 1: construction FAILED: ")
+
+
+def test_verify_reports_a_perfectness_fault_with_its_level(monkeypatch, capsys):
+    # a fault raised inside check_perfect, after the construction lines
+    def stuck(tables, pair):
+        raise ConstructionFault(f"e_1/e_2 walk from {pair} does not end")
+
+    monkeypatch.setattr(perfect, "_greedy", stuck)
+    code, out = run_cli(["verify", "--level", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1].startswith("level 1: construction FAILED: e_1/e_2 walk from ")
+    assert sum("construction FAILED" in line for line in lines) == 1
+    assert all(line.startswith("level 1 ") for line in lines[:-1])
 
 
 def test_construction_fault_is_one_line_in_every_command(monkeypatch, fresh_caches, capsys):

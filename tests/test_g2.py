@@ -21,6 +21,15 @@ def test_enumeration_matches_closure():
         assert set(g2.enumerate_tableaux(n)) == g2.closure_from_highest(n)
 
 
+def test_enumeration_is_the_closure_in_letter_order():
+    # the CLI lists words in this order, so it is pinned, not only the set
+    def key(w):
+        return [g2.ORDER_INDEX[a] for a in w]
+
+    for n in range(6):
+        assert list(g2.enumerate_tableaux(n)) == sorted(g2.closure_from_highest(n), key=key)
+
+
 def test_printed_constraints_needed_correction():
     # the two weight-zero-letter constraints must include 0_1, otherwise
     # words such as [3, 0_1] slip through and the count at n=2 is 81
