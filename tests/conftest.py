@@ -6,13 +6,9 @@ from g2crystal import affine, rmatrix
 @pytest.fixture
 def fresh_caches():
     """Empty the per-level caches around a test that poisons a construction."""
-    def clear():
-        for cached in (affine.model, affine.bl_crystal):
-            cached.cache_clear()
-
-    clear()
+    affine.clear_level_caches()
     yield
-    clear()
+    affine.clear_level_caches()
 
 
 @pytest.fixture

@@ -460,8 +460,8 @@ def test_closed_form_f1_matches_the_tableau_walk():
                     assert got == want, (op, b)
 
 
-def test_bl_tables_fold_each_word_once_per_color(monkeypatch, fresh_caches):
-    # B^3 has 365 words; Phi reads the color-1/2 tables instead of walking words
+def test_bl_tables_read_each_row_off_its_prefix(monkeypatch, fresh_caches):
+    # B^3's color-1/2 rows come from the prefix rows: no word is folded
     calls = Counter()
     for mod, name in ((g2, "strings"), (g2, "apply"), (a2, "apply")):
         def wrapper(*args, fn=getattr(mod, name), key=f"{mod.__name__}.{name}"):
@@ -470,7 +470,48 @@ def test_bl_tables_fold_each_word_once_per_color(monkeypatch, fresh_caches):
 
         monkeypatch.setattr(mod, name, wrapper)
     affine.bl_crystal(3)
-    assert calls == {"g2crystal.g2.strings": 2 * 365}
+    assert calls == {}
+
+
+def test_prefix_rows_are_the_word_folds():
+    # g2.strings, which folds the whole word and re-sorts its images, is the
+    # oracle; the tables keep element order, which graph iterates in
+    for l in range(8):
+        bl = affine.bl_crystal(l)
+        for i in (1, 2):
+            rows = [g2.strings(i, w) for w in bl.elements]
+            assert bl._eps[i] == [r[0] for r in rows], (l, i)
+            assert bl._phi[i] == [r[1] for r in rows], (l, i)
+            for table, k in ((bl._f[i], 2), (bl._e[i], 3)):
+                want = [(w, r[k]) for w, r in zip(bl.elements, rows) if r[k] is not None]
+                assert list(table.items()) == want, (l, i, k)
+
+
+def test_undefined_prefix_step_is_a_construction_fault(monkeypatch, fresh_caches):
+    # f_1 of (1,) dropped from its row: f_1 of (1, 2) acts on that prefix
+    two_factor = affine.BlCrystal._two_factor
+
+    def dropped(self, i):
+        for w, row in zip(self.elements, two_factor(self, i)):
+            yield row[:2] + (None, row[3]) if (i, w) == (1, (1,)) else row
+
+    monkeypatch.setattr(affine.BlCrystal, "_two_factor", dropped)
+    with pytest.raises(affine.ConstructionFault, match=r"color-1 rule at \(1, 2\) needs an undefined step"):
+        affine.bl_crystal(2)
+
+
+def test_untabulated_prefix_is_a_construction_fault(monkeypatch, fresh_caches):
+    # (1, 1) moved before its prefix (1,)
+    gl_elements = affine.gl_elements
+
+    def shuffled(l):
+        words = gl_elements(l)
+        words.remove((1, 1))
+        return words[:1] + [(1, 1)] + words[1:]
+
+    monkeypatch.setattr(affine, "gl_elements", shuffled)
+    with pytest.raises(affine.ConstructionFault, match=r"prefix \(1,\) of \(1, 1\) is not tabulated"):
+        affine.bl_crystal(2)
 
 
 def test_construction_fault_on_bad_param():

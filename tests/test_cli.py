@@ -156,6 +156,22 @@ def test_verify_reports_construction_fault(monkeypatch, fresh_caches, capsys):
     assert out.splitlines()[-1].startswith("level 1: construction FAILED: ")
 
 
+def test_verify_keeps_one_level_alive(fresh_caches, capsys):
+    from g2crystal import affine
+
+    assert run_cli(["verify", "--level", "3"], capsys)[0] == 0
+    assert affine.bl_crystal.cache_info().currsize == 1
+    assert affine.model.cache_info().currsize == 1
+
+
+def test_verify_reports_a_missing_letter_step(monkeypatch, fresh_caches, capsys):
+    # a minus on the letter 3, which has no e_1 step: a failed line, not a KeyError
+    monkeypatch.setitem(g2.EP1, 3, (1, 0))
+    code, out = run_cli(["verify", "--level", "2"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["level 1: construction FAILED: color-1 rule at (3,) needs an undefined step"]
+
+
 def test_verify_reports_a_perfectness_fault_with_its_level(monkeypatch, capsys):
     # a fault raised inside check_perfect, after the construction lines
     def stuck(tables, pair):

@@ -36,6 +36,14 @@ def test_minimal_elements_lists():
         assert set(perfect.minimal_elements(l)) == expect
 
 
+def test_minimal_elements_are_the_level_l_eps_weights():
+    # the eps table read directly, against ClassicalWeight and cartan.level
+    for l in range(1, 7):
+        bl = bl_crystal(l)
+        assert perfect.minimal_elements(l) == [w for w in bl.elements
+                                               if level(bl.eps_weight(w)) == l]
+
+
 def test_minimal_stability():
     prev = set(perfect.minimal_elements(1))
     for l in (2, 3, 4, 5):
