@@ -10,19 +10,23 @@ f_1 raises the outer coordinate of the (1,0,1) string, read off (p, q, r) in
 closed form.  E_A is defined case by case on the r = 0 layer and extended to
 the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
-The model tabulates f_1, e_1, E_A and F_A once, B^l colors 1 and 2 each word
-from its prefix's row by the tensor-product rule, each image checked against
-the element set; ``g2.strings``, which folds the whole word, is their oracle.
-The bijection Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l,
-is the unique classical crystal isomorphism, walked breadth-first along those
-tables from the {1,2}-highest elements; any conflict or gap raises a
-construction fault.  B^l's color 0 is f_0 transported through Phi.  The
-explicit tableau anchor formulas are kept as an independent check.
+The model tabulates f_1, e_1, E_A and the involution C_A once, and F_A from
+them; B^l colors 1 and 2 each word from its prefix's row by the
+tensor-product rule, each image checked against the element set;
+``g2.strings``, which folds the whole word, is their oracle.  The bijection
+Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is the unique
+classical crystal isomorphism, walked breadth-first along those tables from
+the {1,2}-highest elements; any conflict or gap raises a construction fault.
+The elements run r innermost, so each f_0-string is a run of the element
+list: B^l's color 0, f_0 transported through Phi, and the checks of C2 and
+E5 read f_0 off those runs.  The explicit tableau anchor formulas are kept
+as an independent check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 from . import a2, g2
@@ -126,6 +130,7 @@ class AffineModel:
         # {b: b}, so that table values are the element objects themselves
         self._members = {b: b for b in self.elements}
         self._f1, self._e1, self._ea, self._fa = {}, {}, {}, {}
+        involution = []
         for b in self.elements:
             i, k, j, p, q, r = b
             R, Q, P = transition(r, q, p)
@@ -137,10 +142,18 @@ class AffineModel:
             base = ea_plus(l, i, k, j, p, q)
             if base is not None:
                 self._ea[b] = self._member("E_A", b, AParam(*base, r))
+            involution.append(self._member(
+                "involution", b, AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)))
+        # the involution table C_A takes the member table's place, so the
+        # model holds one {element: element} table for both
+        self._ca = ca = self._members
+        del self._members
+        ca.update(zip(self.elements, involution))
+        ea = self._ea
         for b in self.elements:
-            up = self._ea.get(self.CA(b))
+            up = ea.get(ca[b])
             if up is not None:
-                self._fa[b] = self.CA(up)
+                self._fa[b] = ca[up]
 
     def f1(self, b: AParam) -> AParam | None:
         return self._f1.get(b)
@@ -174,11 +187,15 @@ class AffineModel:
         return self._ea.get(b)
 
     def CA(self, b: AParam) -> AParam:
-        i, k, j, p, q, r = b
-        return self._member("involution", b, AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r))
+        """The involution, tabulated; a non-element is a fault."""
+        out = self._ca.get(b)
+        if out is None:
+            raise ConstructionFault(f"involution of a non-element: {b}")
+        return out
 
     def _member(self, name, b, out):
-        """The element ``out``, the image of ``b`` under ``name``; a fault if absent."""
+        """The element ``out``, the image of ``b`` under ``name``; a fault if
+        absent.  Only the build checks images: ``_members`` is gone after it."""
         if out not in self._members:
             raise ConstructionFault(f"{name} left the crystal: {b} -> {out}")
         return self._members[out]
@@ -359,9 +376,8 @@ def verify_anchors(l: int, forward) -> dict[str, int]:
     counts = dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0)
     for rule, b, w in _anchor_cases(l):
         counts[rule] += forward.get(b) != w
-    mod = model(l)
-    counts["R8/R9"] = sum(g2.involution(forward[mod.CA(b)]) != w
-                          for b, w in forward.items())
+    ca = model(l)._ca
+    counts["R8/R9"] = sum(g2.involution(forward[ca[b]]) != w for b, w in forward.items())
     return counts
 
 
@@ -456,15 +472,28 @@ class BlCrystal:
         for i in (1, 2):
             self._rows(i, self._two_factor(i))
         self.phi = build_phi(self)
-        fwd, mod = self.phi.forward, self.model
+        self._zero()
 
-        def zero(b):
-            # color 0 transports the model's f_0/e_0 through Phi
-            f0, e0 = mod.f0(b), mod.e0(b)
-            return (b.r, mod.phi0(b), None if f0 is None else fwd[f0],
-                    None if e0 is None else fwd[e0])
+    def _zero(self):
+        """Tabulate color 0, the model's f_0/e_0 transported through Phi.
 
-        self._rows(0, map(zero, map(self.phi.backward.__getitem__, self.elements)))
+        The model's elements run r innermost, so each f_0-string is a run of
+        that list: an element with r > 0 is f_0 of the one before it.  Phi
+        is onto the words, so every row is filled.
+        """
+        mod, fwd, index, elements = self.model, self.phi.forward, self.index, self.elements
+        eps, phi, f, e = self._eps[0], self._phi[0], self._f[0], self._e[0]
+        eps.extend(repeat(0, len(elements)))
+        phi.extend(eps)
+        prev = None
+        for b in mod.elements:
+            n = index[fwd[b]]
+            w = elements[n]
+            eps[n], phi[n] = b.r, mod.phi0(b)
+            if b.r:
+                f[prev] = w
+                e[w] = prev
+            prev = w
 
     def _two_factor(self, i):
         """Yield color i's (eps, phi, f image, e image) row of each element.
@@ -563,28 +592,46 @@ def _components(elements, idx, edge_maps):
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     for mp in edge_maps:
         for a, b in mp.items():
-            ra, rb = find(idx[a]), find(idx[b])
-            if ra != rb:
-                parent[ra] = rb
+            # find's path halving, inlined: this loop runs once per edge
+            a, b = idx[a], idx[b]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
     comps: dict[int, list] = {}
     for w in elements:
         comps.setdefault(find(idx[w]), []).append(w)
     return list(comps.values())
 
 
+def _ea_collisions(elements, ea) -> list[tuple]:
+    """(earlier preimage, b, image) for each element b, in element order,
+    whose E_A image an earlier element already has."""
+    images, out = {}, []
+    for b in elements:
+        up = ea.get(b)
+        if up is not None:
+            if up in images:
+                out.append((images[up], b, up))
+            images[up] = b
+    return out
+
+
 def verify_construction(l: int) -> dict:
     """Check every construction axiom exhaustively; failures are data.
 
-    One pass over the model reads each element's E_A, F_A, f_0, Phi image
-    and weight once for C1-C3, E_A injectivity and E1-E5, and C3 reads the
-    E_A and F_A string depths of every element from one table each; D1 runs
-    over B^l's words.
+    One pass over the model reads each element's E_A, F_A, Phi image and
+    weight once for C1-C3 and E1-E5, f_0 and e_0 off the element's place in
+    its r-run, and C3 reads the E_A and F_A string depths of every element
+    from one table each; E_A injectivity follows from C1, and its collisions
+    are listed only when C1 fails; D1 runs over B^l's words.
     """
     mod = model(l)
     table = phi_table(l)
@@ -594,15 +641,18 @@ def verify_construction(l: int) -> dict:
         "EA_injective", "zero_two_commutation", "color1_compatibility",
         "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
     ea, fa, f1, e1 = mod._ea.get, mod._fa.get, mod._f1.get, mod._e1.get
-    f0, e0, phi0, weight = mod.f0, mod.e0, mod.phi0, mod.weight
-    fwd = table.forward
+    f0, phi0, weight = mod.f0, mod.phi0, mod.weight
+    elements, fwd = mod.elements, table.forward
     bf0, bf1, bf2 = (bl._f[i].get for i in (0, 1, 2))
     be0, be1, be2 = (bl._e[i].get for i in (0, 1, 2))
-    ea_depth = _depths(mod.elements, mod._ea)
-    fa_depth = _depths(mod.elements, mod._fa)
-    images: dict[AParam, AParam] = {}
-    for n, b in enumerate(mod.elements):
-        up, dn, t, w = ea(b), fa(b), f0(b), fwd[b]
+    ea_depth = _depths(elements, mod._ea)
+    fa_depth = _depths(elements, mod._fa)
+    for n, b in enumerate(elements):
+        # elements run r innermost, so each f_0-string is a run of the list:
+        # f_0(b) is the next element while phi_0(b) > 0, e_0(b) is defined
+        # iff r > 0
+        up, dn, w, ph0 = ea(b), fa(b), fwd[b], phi0(b)
+        t = elements[n + 1] if ph0 else None
         w1, w0 = weight(b)
         # (C1) mutual inverse
         if up is not None and fa(up) != b:
@@ -612,16 +662,11 @@ def verify_construction(l: int) -> dict:
         # (C2) commutation with f_0, including definedness, plus phi_0 preservation
         if t is not None and ea(t) != (None if up is None else f0(up)):
             bad["affine_color_commutation"].append(b)
-        if up is not None and phi0(up) != phi0(b):
+        if up is not None and phi0(up) != ph0:
             bad["affine_color_commutation"].append(b)
         # (C3) string-length difference equals the weight functional
         if fa_depth[n] - ea_depth[n] != -2 * w1 - w0:
             bad["string_depth_weight"].append(b)
-        # E_A injectivity where nonzero
-        if up is not None:
-            if up in images:
-                bad["EA_injective"].append((images[up], b, up))
-            images[up] = b
         # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
         # transported through Phi agree with the B^l tables
         for i, name, x, img in ((1, "f1", f1(b), bf1(w)), (1, "e1", e1(b), be1(w)),
@@ -635,10 +680,15 @@ def verify_construction(l: int) -> dict:
         # (E5) vanishing of the affine operators matches the model
         if (bf0(w) is None) != (t is None):
             bad["vanishing_compatibility"].append((b, "f0"))
-        if (be0(w) is None) != (e0(b) is None):
+        if (be0(w) is None) != (b.r == 0):
             bad["vanishing_compatibility"].append((b, "e0"))
     # the per-element tables are not needed by the component passes below
-    del ea_depth, fa_depth, images
+    del ea_depth, fa_depth
+    # E_A injectivity where nonzero: two elements with one E_A image cannot
+    # both pass C1's F_A(E_A b) = b, so only a C1 failure can hide a
+    # collision, and only then are the collisions listed
+    if bad["pair_mutual_inverse"]:
+        bad["EA_injective"] = _ea_collisions(elements, mod._ea)
 
     # (D1) the affine operator commutes with the extra finite color
     ops = (("f", bf0, bf2), ("e", be0, be2))

@@ -31,6 +31,9 @@ def _emit(text, out):
 def cmd_dims(args, out) -> int:
     ok = True
     for l in range(args.max_level + 1):
+        if l > 0:
+            # as in verify: no level reads another's model
+            clear_level_caches()
         total = gl_count(l)
         match = total == len(model(l).elements)
         ok &= match
@@ -182,8 +185,8 @@ def _qcheck(args, out) -> int:
 
 
 # the largest level any command builds: cold, in one process, verify --level 8
-# takes 3.0-3.9 s and 46 MB on a shared 2-core Xeon host with Python 3.11
-# (|B^8| = 24585); B^10 alone takes 2.8 s and 76 MB there
+# takes 3.1-3.7 s and 44 MB on a shared 2-core Xeon host with Python 3.11
+# (|B^8| = 24585); B^10 alone takes 2.8-3.2 s and 75 MB there
 MAX_LEVEL = 8
 
 

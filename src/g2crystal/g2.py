@@ -234,4 +234,6 @@ def wbarstrip(k: int) -> tuple[int, ...]:
 
 def involution(word) -> tuple[int, ...]:
     """Reverse the word and bar-conjugate every letter."""
-    return tuple(map(_BAR.__getitem__, reversed(word)))
+    # a list, not a map: tuple() of an iterator of unknown length is resized,
+    # which parks up to 2000 tuples per length on CPython's free lists
+    return tuple([_BAR[a] for a in reversed(word)])

@@ -622,3 +622,66 @@ def test_verify_construction_reads_each_model_weight_once(monkeypatch):
     calls.clear()
     assert affine.verify_construction(3)["all_pass"]
     assert len(calls) == 365 + len(affine.model(3).blocks) == 385
+
+
+def test_fast_paths_match_the_model_operators():
+    # verify_construction reads f_0/e_0 off the r-runs, C_A off its table
+    # and F_A off its table; the operators themselves are the oracle
+    for l in range(7):
+        mod, bl, table = affine.model(l), affine.bl_crystal(l), affine.phi_table(l)
+        elements, fwd, back = mod.elements, table.forward, table.backward
+        for n, b in enumerate(elements):
+            assert mod.f0(b) == (elements[n + 1] if mod.phi0(b) else None), b
+            assert mod.e0(b) == (elements[n - 1] if b.r else None), b
+            i, k, j, p, q, r = b
+            assert mod._ca[b] == AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)
+        assert mod._fa == {b: mod.CA(up) for b in elements
+                           if (up := mod.EA(mod.CA(b))) is not None}
+        # B^l's color 0, tabulated from the same runs, is f_0/e_0 through Phi
+        assert bl._f[0] == {fwd[b]: fwd[t] for b in elements if (t := mod.f0(b)) is not None}
+        assert bl._e[0] == {fwd[b]: fwd[t] for b in elements if (t := mod.e0(b)) is not None}
+        assert bl._eps[0] == [back[w].r for w in bl.elements]
+        assert bl._phi[0] == [mod.phi0(back[w]) for w in bl.elements]
+
+
+def test_model_values_are_computed_once(monkeypatch, fresh_caches):
+    # one involution image per element in the build, and no C_A or e_0
+    # call in the check
+    images = []
+    member = affine.AffineModel._member
+    monkeypatch.setattr(affine.AffineModel, "_member",
+                        lambda self, name, b, out: images.append(name) or member(self, name, b, out))
+    mod = affine.model(3)
+    assert images.count("involution") == len(mod.elements) == 365
+    affine.bl_crystal(3)
+    calls = []
+    for name in ("CA", "e0"):
+        op = getattr(affine.AffineModel, name)
+        monkeypatch.setattr(affine.AffineModel, name,
+                            lambda self, b, _name=name, _op=op: calls.append(_name) or _op(self, b))
+    assert affine.verify_construction(3)["all_pass"]
+    assert calls == []
+
+
+def test_shared_ea_image_is_listed_once(monkeypatch, fresh_caches):
+    # the second of two elements redirected to the first one's E_A image
+    affine.bl_crystal(3)
+    mod = affine.model(3)
+    first, second = [b for b in mod.elements if b in mod._ea][:2]
+    up = mod._ea[first]
+    monkeypatch.setitem(mod._ea, second, up)
+    entry = affine.verify_construction(3)["EA_injective"]
+    assert not entry["pass"]
+    assert entry["failures"] == 1
+    assert entry["counterexamples"] == [(first, second, up)]
+
+
+def test_poisoned_involution_table_fails_the_anchor_check(fresh_caches):
+    affine.bl_crystal(2)
+    mod = affine.model(2)
+    b, c = mod.elements[:2]
+    mod._ca[b] = mod._ca[c]
+    entry = affine.verify_construction(2)["anchor_formulas"]
+    assert not entry["pass"]
+    assert entry["rules"]["R8/R9"] > 0
+    assert entry["counterexamples"] == ["R8/R9"]

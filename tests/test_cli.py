@@ -132,6 +132,16 @@ def test_output_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_dims_keeps_one_level_alive(fresh_caches, capsys):
+    from g2crystal import affine
+
+    code, out = run_cli(["dims", "--max-level", "8"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "415a7061788e060db46b4b007973e7f6c8860aacd095620d49721cd41ab007c8")
+    assert affine.model.cache_info().currsize == 1
+
+
 def test_negative_max_level_is_usage_error(capsys):
     assert main(["dims", "--max-level", "-1"]) == 2
     assert capsys.readouterr().out == ""
