@@ -10,27 +10,30 @@ f_1 raises the outer coordinate of the (1,0,1) string, read off (p, q, r) in
 closed form.  E_A is defined case by case on the r = 0 layer and extended to
 the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
-The model tabulates f_1, e_1, E_A and the involution C_A once, and F_A from
-them; B^l colors 1 and 2 each word from its prefix's row by the
-tensor-product rule, each image checked against the element set;
-``g2.strings``, which folds the whole word, is their oracle.  The bijection
-Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is the unique
-classical crystal isomorphism, walked breadth-first along those tables from
-the {1,2}-highest elements; any conflict or gap raises a construction fault.
-The elements run r innermost, so each f_0-string is a run of the element
-list: B^l's color 0, f_0 transported through Phi, and the checks of C2 and
-E5 read f_0 off those runs.  The explicit tableau anchor formulas are kept
-as an independent check.
+Every operator table is a list of image positions, None where undefined;
+each crystal's ``index`` dict maps an element to its position.  The model
+tabulates f_1, e_1, E_A and C_A once, and F_A from them; B^l colors 1 and 2
+each word from its prefix's row by the tensor-product rule, each image
+checked against the element set; ``g2.strings``, which folds the whole word,
+is their oracle.  The bijection Phi onto the direct sum of G2 crystals
+B(n*Lambda_1), n <= l, is the unique classical crystal isomorphism, walked
+breadth-first along those tables from the {1,2}-highest elements and kept
+as a permutation and its inverse; any conflict or gap raises a construction
+fault.  The elements run r innermost, so each f_0-string is a run of the
+element list: B^l's color 0, f_0 transported through Phi, and the checks of
+C2 and E5 read f_0 off those runs.  The explicit tableau anchor formulas are
+kept as an independent check.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import NamedTuple
 
 from . import a2, g2
 from .cartan import ClassicalWeight
+from .signature import acts_on_first
 
 
 class ConstructionFault(RuntimeError):
@@ -127,39 +130,31 @@ class AffineModel:
             for q in range(p, p + k + 1)
             for r in range(j + q - 2 * p + 1)
         ]
-        # {b: b}, so that table values are the element objects themselves
-        self._members = {b: b for b in self.elements}
-        self._f1, self._e1, self._ea, self._fa = {}, {}, {}, {}
-        involution = []
-        for b in self.elements:
+        self.index = {b: n for n, b in enumerate(self.elements)}
+        size = len(self.elements)
+        self._f1, self._e1, self._ea = [None] * size, [None] * size, [None] * size
+        self._ca = ca = []
+        for n, b in enumerate(self.elements):
             i, k, j, p, q, r = b
             R, Q, P = transition(r, q, p)
             if R < k + Q - 2 * P:
                 r2, q2, p2 = transition(R + 1, Q, P)
                 t = self._member("f_1", b, AParam(i, k, j, p2, q2, r2))
-                self._f1[b] = t
-                self._e1[t] = b
+                self._f1[n] = t
+                self._e1[t] = n
             base = ea_plus(l, i, k, j, p, q)
             if base is not None:
-                self._ea[b] = self._member("E_A", b, AParam(*base, r))
-            involution.append(self._member(
+                self._ea[n] = self._member("E_A", b, AParam(*base, r))
+            ca.append(self._member(
                 "involution", b, AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)))
-        # the involution table C_A takes the member table's place, so the
-        # model holds one {element: element} table for both
-        self._ca = ca = self._members
-        del self._members
-        ca.update(zip(self.elements, involution))
         ea = self._ea
-        for b in self.elements:
-            up = ea.get(ca[b])
-            if up is not None:
-                self._fa[b] = ca[up]
+        self._fa = [None if (up := ea[c]) is None else ca[up] for c in ca]
 
     def f1(self, b: AParam) -> AParam | None:
-        return self._f1.get(b)
+        return _image(self, self._f1, b)
 
     def e1(self, b: AParam) -> AParam | None:
-        return self._e1.get(b)
+        return _image(self, self._e1, b)
 
     def f0(self, b: AParam) -> AParam | None:
         i, k, j, p, q, r = b
@@ -184,31 +179,32 @@ class AffineModel:
 
     def EA(self, b: AParam) -> AParam | None:
         """The raising counterpart of the extra color; commutes with f_0."""
-        return self._ea.get(b)
+        return _image(self, self._ea, b)
 
     def CA(self, b: AParam) -> AParam:
         """The involution, tabulated; a non-element is a fault."""
-        out = self._ca.get(b)
-        if out is None:
+        n = self.index.get(b)
+        if n is None:
             raise ConstructionFault(f"involution of a non-element: {b}")
-        return out
+        return self.elements[self._ca[n]]
 
     def _member(self, name, b, out):
-        """The element ``out``, the image of ``b`` under ``name``; a fault if
-        absent.  Only the build checks images: ``_members`` is gone after it."""
-        if out not in self._members:
+        """The position of ``out``, the image of ``b`` under ``name``; a fault
+        if ``out`` is not an element."""
+        n = self.index.get(out)
+        if n is None:
             raise ConstructionFault(f"{name} left the crystal: {b} -> {out}")
-        return self._members[out]
+        return n
 
     def FA(self, b: AParam) -> AParam | None:
         """C_A E_A C_A, tabulated."""
-        return self._fa.get(b)
+        return _image(self, self._fa, b)
 
     def ea_depth(self, b: AParam) -> int:
-        return _depth(self._ea, b)
+        return _depth(self._ea, self.index[b])
 
     def fa_depth(self, b: AParam) -> int:
-        return _depth(self._fa, b)
+        return _depth(self._fa, self.index[b])
 
     def is_terminal(self, b: AParam) -> bool:
         return self.FA(b) is None
@@ -240,35 +236,42 @@ class AffineModel:
         return None
 
 
-def _depth(table, b) -> int:
-    """Steps along a tabulated operator until it is undefined; a walk on a
-    cycle stops after len(table) steps and reads len(table) + 1, a depth no
-    string has."""
-    for n in range(len(table) + 1):
-        if b not in table:
-            return n
-        b = table[b]
+def _image(crystal, table, x):
+    """``table``'s image of element ``x`` of ``crystal``, or None."""
+    n = crystal.index.get(x)
+    t = None if n is None else table[n]
+    return None if t is None else crystal.elements[t]
+
+
+def _depth(table, n) -> int:
+    """Steps from position n along a position table until it is undefined;
+    a walk on a cycle stops after len(table) steps and reads len(table) + 1,
+    a depth no string has."""
+    for d in range(len(table) + 1):
+        n = table[n]
+        if n is None:
+            return d
     return len(table) + 1
 
 
-def _depths(elements, table) -> list[int]:
-    """``_depth`` of every element along ``table``, in element order, with
-    each element walked once: a walk stops at the first element whose depth
-    is known.  A walk that runs into a cycle reads len(table) + 1 for every
-    element on it, as ``_depth`` does."""
+def _depths(table) -> list[int]:
+    """``_depth`` of every position along ``table``, with each position
+    walked once: a walk stops at the first position whose depth is known.
+    A walk that runs into a cycle reads len(table) + 1 for every position on
+    it, as ``_depth`` does."""
     cycle = len(table) + 1
-    depth = {}
-    for b in elements:
+    depth = [None] * len(table)
+    for n in range(len(table)):
         path = []
-        while b is not None and b not in depth:
-            depth[b] = cycle  # met again on this walk only on a cycle
-            path.append(b)
-            b = table.get(b)
-        d = -1 if b is None else depth[b]
+        while n is not None and depth[n] is None:
+            depth[n] = cycle  # met again on this walk only on a cycle
+            path.append(n)
+            n = table[n]
+        d = -1 if n is None else depth[n]
         for x in reversed(path):
             d = min(d + 1, cycle)
             depth[x] = d
-    return list(map(depth.__getitem__, elements))
+    return depth
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +302,7 @@ def a_count(l: int) -> int:
 
 
 def _anchor_f0p(l, i, j, p) -> tuple[int, ...]:
-    """Word assigned to f_0^p applied to the highest element of B^i_(l-i,j)."""
+    """Word assigned to f_0^p applied to the highest element of B^i_(l-i,j), unsorted."""
     y = (l - i - j) // 3
     m = (l - i - j) % 3
     if p <= i:
@@ -320,11 +323,11 @@ def _anchor_f0p(l, i, j, p) -> tuple[int, ...]:
             w = (1,) * i + (6,) * (p - i) + (-5,) + (-2,) * (j - p + i)
         else:
             w = (1,) * i + (6,) * (p - i + y + 1) + g2.cstrip(y) + (-3,) + (-2,) * (y + j - p + i)
-    return g2.sort_word(w)
+    return w
 
 
 def _anchor_highest(l, i, j) -> tuple[int, ...]:
-    """Word assigned to the highest element of B^i_(l-i,j); four residue cases."""
+    """Word assigned to the highest element of B^i_(l-i,j), unsorted; four residue cases."""
     y = (l - i - j) // 3
     m = (l - i - j) % 3
     if m == 0:
@@ -335,7 +338,12 @@ def _anchor_highest(l, i, j) -> tuple[int, ...]:
         w = (-5,) + (-2,) * (j - i)
     else:
         w = (6,) * (y + 1) + g2.cstrip(y + i) + (-3,) + (-2,) * (y + j)
-    return g2.sort_word(w)
+    return w
+
+
+def _anchor_word(letters) -> tuple[int, ...]:
+    """The letters sorted; with a non-letter among them, as they are: an invalid word."""
+    return g2.sort_word(letters) if all(a in g2.ORDER_INDEX for a in letters) else letters
 
 
 def _anchor_cases(l):
@@ -353,9 +361,9 @@ def _anchor_cases(l):
             yield "R3", AParam(0, k, l, q, q, l - q) if q <= l else AParam(0, k, l, l, q, 0), w
     for i in range(l // 2 + 1):
         for j in range(i, l - i + 1):
-            yield "R4", AParam(i, l - i, j, 0, 0, 0), _anchor_highest(l, i, j)
+            yield "R4", AParam(i, l - i, j, 0, 0, 0), _anchor_word(_anchor_highest(l, i, j))
             for p in range(j + 1):
-                w = _anchor_f0p(l, i, j, p)
+                w = _anchor_word(_anchor_f0p(l, i, j, p))
                 yield "R5", AParam(i, l - i, j, 0, 0, p), w
                 # a mis-transcribed (invalid) word fails R5 and voids its
                 # R6 string instead of raising inside g2.apply
@@ -366,31 +374,43 @@ def _anchor_cases(l):
                                  else AParam(i, l - i, j, p, q, 0)), w
 
 
-def verify_anchors(l: int, forward) -> dict[str, int]:
-    """Failure counts per rule of the explicit anchor formulas against a table.
+def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
+    """Failure counts per rule of the explicit anchor formulas against Phi.
 
     R1 the boundary families, R2 their e_2-powers, R3/R6 f_1-powers over the
     boundary and f_0-power anchors, R4/R5 the residue-case tableau formulas,
     R8/R9 the involution law Phi(C_A b) = involution(Phi(b)) everywhere.
     """
     counts = dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0)
+    mod, perm, words = model(l), phi.perm, phi.words
     for rule, b, w in _anchor_cases(l):
-        counts[rule] += forward.get(b) != w
-    ca = model(l)._ca
-    counts["R8/R9"] = sum(g2.involution(forward[ca[b]]) != w for b, w in forward.items())
+        n = mod.index.get(b)
+        counts[rule] += n is None or words[perm[n]] != w
+    counts["R8/R9"] = sum(g2.involution(words[perm[c]]) != words[perm[n]]
+                          for n, c in enumerate(mod._ca))
     return counts
 
 
+@dataclass
 class PhiTable:
-    """The bijection between model parameters and tableau words at one level."""
+    """Phi at one level: ``words[perm[n]]`` is Phi(``params[n]``), ``inverse``
+    inverts ``perm``, and the dicts ``forward``/``backward`` are built on read."""
 
-    def __init__(self, l, forward, backward):
-        self.l = l
-        self.forward = forward
-        self.backward = backward
+    perm: list
+    inverse: list
+    params: list
+    words: list
 
     def __len__(self):
-        return len(self.forward)
+        return len(self.perm)
+
+    @property
+    def forward(self) -> dict[AParam, tuple[int, ...]]:
+        return dict(zip(self.params, map(self.words.__getitem__, self.perm)))
+
+    @property
+    def backward(self) -> dict[tuple[int, ...], AParam]:
+        return dict(zip(self.words, map(self.params.__getitem__, self.inverse)))
 
 
 def build_phi(bl: BlCrystal) -> PhiTable:
@@ -405,48 +425,52 @@ def build_phi(bl: BlCrystal) -> PhiTable:
     a construction fault.
     """
     l, mod = bl.l, bl.model
-    forward: dict[AParam, tuple[int, ...]] = {}
-    backward: dict[tuple[int, ...], AParam] = {}
+    params, words = mod.elements, bl.elements
+    perm = [None] * len(params)
+    inverse = [None] * len(words)
 
     def assign(b, w):
-        old = forward.get(b)
+        old = perm[b]
         if old is not None:
             if old != w:
-                raise ConstructionFault(f"conflict at {b}: {old} vs {w}")
+                raise ConstructionFault(f"conflict at {params[b]}: {words[old]} vs {words[w]}")
             return False
-        owner = backward.get(w)
+        owner = inverse[w]
         if owner is not None:
-            raise ConstructionFault(f"word {w} already assigned to {owner}, not {b}")
-        forward[b] = w
-        backward[w] = b
+            raise ConstructionFault(
+                f"word {words[w]} already assigned to {params[owner]}, not {params[b]}")
+        perm[b] = w
+        inverse[w] = b
         return True
 
-    highest = sorted((mod.weight(b), b) for b in mod.elements
-                     if mod.e1(b) is None and mod.EA(b) is None)
+    e1, ea = mod._e1, mod._ea
+    highest = sorted((mod.weight(b), b) for n, b in enumerate(params)
+                     if e1[n] is None and ea[n] is None)
     if [wt for wt, _ in highest] != [(n, -2 * n) for n in range(l + 1)]:
         raise ConstructionFault(
             f"highest elements {[b for _, b in highest]} are not one per n*Lambda_1, n <= {l}")
-    frontier = [b for _, b in highest]
+    frontier = [mod.index[b] for _, b in highest]
     for n, b in enumerate(frontier):
-        assign(b, (1,) * n)
-    f1, fa, bf1, bf2 = mod._f1.get, mod._fa.get, bl._f[1].get, bl._f[2].get
+        assign(b, bl.index[(1,) * n])
+    f1, fa, bf1, bf2 = mod._f1, mod._fa, bl._fpos[1], bl._fpos[2]
     while frontier:
         nxt = []
         for b in frontier:
-            w = forward[b]
-            for t, img in ((f1(b), bf1(w)), (fa(b), bf2(w))):
+            w = perm[b]
+            for t, img in ((f1[b], bf1[w]), (fa[b], bf2[w])):
                 if (t is None) != (img is None):
-                    raise ConstructionFault(f"lowering edge at {b} ~ {w} exists on one side only")
+                    raise ConstructionFault(
+                        f"lowering edge at {params[b]} ~ {words[w]} exists on one side only")
                 if t is not None and assign(t, img):
                     nxt.append(t)
         frontier = nxt
-    if len(forward) != len(mod.elements):
-        missing = [b for b in mod.elements if b not in forward][:5]
+    missing = [b for b, w in zip(params, perm) if w is None][:5]
+    if missing:
         raise ConstructionFault(f"gap: unassigned parameters remain, e.g. {missing}")
     # every image is an element of bl and assign is injective
-    if len(backward) != len(bl.elements):
+    if None in inverse:
         raise ConstructionFault("assignment is not onto the word set")
-    return PhiTable(l, forward, backward)
+    return PhiTable(perm, inverse, params, words)
 
 
 def phi_table(l: int) -> PhiTable:
@@ -464,53 +488,52 @@ class BlCrystal:
         self.model = model(l)
         self.elements = gl_elements(l)
         self.index = {w: n for n, w in enumerate(self.elements)}
-        self._f = {0: {}, 1: {}, 2: {}}
-        self._e = {0: {}, 1: {}, 2: {}}
-        # (eps_i, phi_i) per color, indexed like elements
+        # per color, indexed like elements: the positions of the f_i and e_i
+        # images (None where undefined), eps_i and phi_i
+        self._fpos, self._epos = ([], [], []), ([], [], [])
         self._eps = ([], [], [])
         self._phi = ([], [], [])
         for i in (1, 2):
-            self._rows(i, self._two_factor(i))
+            self._fill(i, self._two_factor(i))
         self.phi = build_phi(self)
-        self._zero()
+        self._fill(0, self._zero())
+
+    def _fill(self, i, rows):
+        """Append color i's (eps, phi, f image, e image) rows, images as
+        positions, one per element in order, to its tables."""
+        tables = self._eps[i], self._phi[i], self._fpos[i], self._epos[i]
+        for row in rows:
+            for table, value in zip(tables, row):
+                table.append(value)
 
     def _zero(self):
-        """Tabulate color 0, the model's f_0/e_0 transported through Phi.
+        """Yield color 0's row of each element: the model's f_0/e_0 through Phi.
 
         The model's elements run r innermost, so each f_0-string is a run of
-        that list: an element with r > 0 is f_0 of the one before it.  Phi
-        is onto the words, so every row is filled.
+        that list: f_0 of the element at position m is the one at m + 1 while
+        phi_0 > 0, and e_0 the one at m - 1 while r > 0.
         """
-        mod, fwd, index, elements = self.model, self.phi.forward, self.index, self.elements
-        eps, phi, f, e = self._eps[0], self._phi[0], self._f[0], self._e[0]
-        eps.extend(repeat(0, len(elements)))
-        phi.extend(eps)
-        prev = None
-        for b in mod.elements:
-            n = index[fwd[b]]
-            w = elements[n]
-            eps[n], phi[n] = b.r, mod.phi0(b)
-            if b.r:
-                f[prev] = w
-                e[w] = prev
-            prev = w
+        elements, phi0, perm = self.model.elements, self.model.phi0, self.phi.perm
+        for m in self.phi.inverse:
+            b = elements[m]
+            ph0 = phi0(b)
+            yield b.r, ph0, perm[m + 1] if ph0 else None, perm[m - 1] if b.r else None
 
     def _two_factor(self, i):
-        """Yield color i's (eps, phi, f image, e image) row of each element.
+        """Yield color i's row of each element, for ``_fill``.
 
-        A word p + (a,) is the tensor product a (x) p, whose signature reads
-        a's phi_a pluses before p's eps_i(p) minuses (Kashiwara's rule), so
+        A word p + (a,) is the tensor product a (x) p (Kashiwara's rule), so
         its row follows from (eps_a, phi_a) and p's row, read back from the
-        tables ``_rows`` fills: words come by length, so p comes first.
-        Images are not re-sorted; ``_rows`` checks each is an element.  A
-        step the rule needs that is undefined, or a prefix not tabulated
-        before its word, is a fault.
+        tables the rows fill: words come by length, so p comes first.
+        Images are not re-sorted but looked up in the element set.  A step
+        the rule needs that is undefined, an image that is not an element,
+        or a prefix not tabulated before its word, is a fault.
         """
         ep, fstep, estep = ((g2.EP1, g2.F1_STEP, g2.E1_STEP) if i == 1
                             else (g2.EP2, g2.F2_STEP, g2.E2_STEP))
-        eps, phi, f, e = self._eps[i], self._phi[i], self._f[i].get, self._e[i].get
-        index = self.index.get
-        for m, w in enumerate(self.elements):
+        eps, phi, f, e = self._eps[i], self._phi[i], self._fpos[i], self._epos[i]
+        index, words = self.index.get, self.elements
+        for m, w in enumerate(words):
             if not w:
                 yield 0, 0, None, None
                 continue
@@ -521,32 +544,33 @@ class BlCrystal:
             E, P = eps[n], phi[n]
             ea, fa = ep[a]
             try:
-                fw = p + (fstep[a],) if fa > E else f(p) + (a,) if P else None
-                ew = e(p) + (a,) if fa < E else p + (estep[a],) if ea else None
+                fw = (p + (fstep[a],) if acts_on_first("f", fa, E)
+                      else words[f[n]] + (a,) if P else None)
+                ew = ((p + (estep[a],) if ea else None) if acts_on_first("e", fa, E)
+                      else words[e[n]] + (a,))
             except (KeyError, TypeError):
                 raise ConstructionFault(f"color-{i} rule at {w} needs an undefined step") from None
-            yield (ea + E - fa, P, fw, ew) if fa < E else (ea, P + fa - E, fw, ew)
+            row = (ea + E - fa, P) if fa < E else (ea, P + fa - E)
+            for img in (fw, ew):
+                n = index(img)
+                if n is None and img is not None:
+                    raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
+                row += (n,)
+            yield row
 
-    def _rows(self, i, rows):
-        """Tabulate color i from one (eps, phi, f image, e image) row per
-        element, in element order; an image that is not an element is a fault."""
-        eps, phi, f, e = self._eps[i], self._phi[i], self._f[i], self._e[i]
-        index, elements = self.index, self.elements
-        for w, (ep, ph, fw, ew) in zip(elements, rows):
-            eps.append(ep)
-            phi.append(ph)
-            for table, img in ((f, fw), (e, ew)):
-                if img is not None:
-                    n = index.get(img)
-                    if n is None:
-                        raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
-                    table[w] = elements[n]
+    # {word: word} views of f_i and e_i per color, built on each read
+    _f = property(lambda self: self._words(self._fpos))
+    _e = property(lambda self: self._words(self._epos))
+
+    def _words(self, tables):
+        el = self.elements
+        return tuple({el[n]: el[t] for n, t in enumerate(tab) if t is not None} for tab in tables)
 
     def f(self, i, w):
-        return self._f[i].get(w)
+        return _image(self, self._fpos[i], w)
 
     def e(self, i, w):
-        return self._e[i].get(w)
+        return _image(self, self._epos[i], w)
 
     def eps(self, i, w) -> int:
         return self._eps[i][self.index[w]]
@@ -583,22 +607,20 @@ def clear_level_caches():
 # -- exhaustive verification --------------------------------------------
 
 
-def _components(elements, idx, edge_maps):
-    """Connected components under the given {element: element} edge maps.
-
-    ``idx`` maps each element to its position in ``elements``.
-    """
-    parent = list(range(len(elements)))
+def _components(size, tables) -> list[list[int]]:
+    """Connected components of positions 0..size-1 under position tables."""
+    parent = list(range(size))
 
     def find(x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for mp in edge_maps:
-        for a, b in mp.items():
+    for table in tables:
+        for a, b in enumerate(table):
+            if b is None:
+                continue
             # find's path halving, inlined: this loop runs once per edge
-            a, b = idx[a], idx[b]
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
@@ -606,32 +628,20 @@ def _components(elements, idx, edge_maps):
             if a != b:
                 parent[a] = b
     comps: dict[int, list] = {}
-    for w in elements:
-        comps.setdefault(find(idx[w]), []).append(w)
+    for x in range(size):
+        comps.setdefault(find(x), []).append(x)
     return list(comps.values())
-
-
-def _ea_collisions(elements, ea) -> list[tuple]:
-    """(earlier preimage, b, image) for each element b, in element order,
-    whose E_A image an earlier element already has."""
-    images, out = {}, []
-    for b in elements:
-        up = ea.get(b)
-        if up is not None:
-            if up in images:
-                out.append((images[up], b, up))
-            images[up] = b
-    return out
 
 
 def verify_construction(l: int) -> dict:
     """Check every construction axiom exhaustively; failures are data.
 
-    One pass over the model reads each element's E_A, F_A, Phi image and
-    weight once for C1-C3 and E1-E5, f_0 and e_0 off the element's place in
-    its r-run, and C3 reads the E_A and F_A string depths of every element
-    from one table each; E_A injectivity follows from C1, and its collisions
-    are listed only when C1 fails; D1 runs over B^l's words.
+    One pass over the model's positions reads each element's E_A, F_A, Phi
+    image and weight once for C1-C3 and E1-E5, f_0 and e_0 off the element's
+    place in its r-run, and C3 reads the E_A and F_A string depths of every
+    element from one list each; E_A injectivity follows from C1, and its
+    collisions are listed only when C1 fails; D1 runs over B^l's positions.
+    Counterexamples name parameters and words, not positions.
     """
     mod = model(l)
     table = phi_table(l)
@@ -640,100 +650,104 @@ def verify_construction(l: int) -> dict:
         "pair_mutual_inverse", "affine_color_commutation", "string_depth_weight",
         "EA_injective", "zero_two_commutation", "color1_compatibility",
         "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
-    ea, fa, f1, e1 = mod._ea.get, mod._fa.get, mod._f1.get, mod._e1.get
-    f0, phi0, weight = mod.f0, mod.phi0, mod.weight
-    elements, fwd = mod.elements, table.forward
-    bf0, bf1, bf2 = (bl._f[i].get for i in (0, 1, 2))
-    be0, be1, be2 = (bl._e[i].get for i in (0, 1, 2))
-    ea_depth = _depths(elements, mod._ea)
-    fa_depth = _depths(elements, mod._fa)
+    ea, fa, f1, e1 = mod._ea, mod._fa, mod._f1, mod._e1
+    phi0, weight = mod.phi0, mod.weight
+    elements, fwd, words = mod.elements, table.perm, bl.elements
+    bf0, bf1, bf2 = bl._fpos
+    be0, be1, be2 = bl._epos
+    ea_depth = _depths(ea)
+    fa_depth = _depths(fa)
     for n, b in enumerate(elements):
         # elements run r innermost, so each f_0-string is a run of the list:
-        # f_0(b) is the next element while phi_0(b) > 0, e_0(b) is defined
-        # iff r > 0
-        up, dn, w, ph0 = ea(b), fa(b), fwd[b], phi0(b)
-        t = elements[n + 1] if ph0 else None
+        # f_0 is the next position while phi_0 > 0, e_0 is defined iff r > 0
+        up, dn, w, ph0 = ea[n], fa[n], fwd[n], phi0(b)
+        t = n + 1 if ph0 else None
         w1, w0 = weight(b)
         # (C1) mutual inverse
-        if up is not None and fa(up) != b:
-            bad["pair_mutual_inverse"].append((b, up))
-        if dn is not None and ea(dn) != b:
-            bad["pair_mutual_inverse"].append((b, dn))
+        if up is not None and fa[up] != n:
+            bad["pair_mutual_inverse"].append((b, elements[up]))
+        if dn is not None and ea[dn] != n:
+            bad["pair_mutual_inverse"].append((b, elements[dn]))
         # (C2) commutation with f_0, including definedness, plus phi_0 preservation
-        if t is not None and ea(t) != (None if up is None else f0(up)):
+        up_ph0 = None if up is None else phi0(elements[up])
+        if t is not None and ea[t] != (up + 1 if up_ph0 else None):
             bad["affine_color_commutation"].append(b)
-        if up is not None and phi0(up) != ph0:
+        if up is not None and up_ph0 != ph0:
             bad["affine_color_commutation"].append(b)
         # (C3) string-length difference equals the weight functional
         if fa_depth[n] - ea_depth[n] != -2 * w1 - w0:
             bad["string_depth_weight"].append(b)
         # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
         # transported through Phi agree with the B^l tables
-        for i, name, x, img in ((1, "f1", f1(b), bf1(w)), (1, "e1", e1(b), be1(w)),
-                                (2, "FA", dn, bf2(w)), (2, "EA", up, be2(w))):
+        for i, name, x, img in ((1, "f1", f1[n], bf1[w]), (1, "e1", e1[n], be1[w]),
+                                (2, "FA", dn, bf2[w]), (2, "EA", up, be2[w])):
             if (None if x is None else fwd[x]) != img:
                 bad[f"color{i}_compatibility"].append((b, name))
         # (E3)/(E4) weight matching
-        wt = g2.weight(w)
+        wt = g2.weight(words[w])
         if wt.m1 != w1 or wt.m2 != -2 * w1 - w0:
             bad["weight_compatibility"].append(b)
         # (E5) vanishing of the affine operators matches the model
-        if (bf0(w) is None) != (t is None):
+        if (bf0[w] is None) != (t is None):
             bad["vanishing_compatibility"].append((b, "f0"))
-        if (be0(w) is None) != (b.r == 0):
+        if (be0[w] is None) != (b.r == 0):
             bad["vanishing_compatibility"].append((b, "e0"))
-    # the per-element tables are not needed by the component passes below
+    # the per-element lists are not needed by the component passes below
     del ea_depth, fa_depth
     # E_A injectivity where nonzero: two elements with one E_A image cannot
     # both pass C1's F_A(E_A b) = b, so only a C1 failure can hide a
-    # collision, and only then are the collisions listed
+    # collision, and only then is each (earlier preimage, b, image) listed
     if bad["pair_mutual_inverse"]:
-        bad["EA_injective"] = _ea_collisions(elements, mod._ea)
+        preimage = {}
+        for n, up in enumerate(ea):
+            if up is not None:
+                if up in preimage:
+                    bad["EA_injective"].append((elements[preimage[up]], elements[n], elements[up]))
+                preimage[up] = n
 
     # (D1) the affine operator commutes with the extra finite color
     ops = (("f", bf0, bf2), ("e", be0, be2))
-    for w in bl.elements:
+    for n, w in enumerate(words):
         for name, zero, two in ops:
-            a = zero(w)
-            a = None if a is None else two(a)
-            c = two(w)
-            c = None if c is None else zero(c)
+            a = zero[n]
+            a = None if a is None else two[a]
+            c = two[n]
+            c = None if c is None else zero[c]
             if a != c:
                 bad["zero_two_commutation"].append((w, name))
     report: dict[str, dict] = {name: {"pass": not lst, "counterexamples": lst[:10],
                                       "failures": len(lst)} for name, lst in bad.items()}
 
     # the paper's explicit anchor formulas, as an oracle independent of the BFS
-    counts = verify_anchors(l, table.forward)
+    counts = verify_anchors(l, table)
     bad_rules = [rule for rule, n in counts.items() if n]
     report["anchor_formulas"] = {"pass": not bad_rules, "rules": counts,
                                  "failures": sum(counts.values()),
                                  "counterexamples": bad_rules}
 
-    # restriction to the finite colors {1,2}: one component per n <= l
-    comps = _components(bl.elements, bl.index, [bl._f[1], bl._f[2]])
+    # restriction to the finite colors {1,2}: one component per n <= l, each
+    # with one source, the word [1^n]
+    eps0, eps1, eps2 = bl._eps
+    comps = _components(len(words), (bf1, bf2))
     sizes = sorted(len(c) for c in comps)
     expected = sorted(g2.dim(n) for n in range(l + 1))
     ok = sizes == expected
-    eps0, eps1, eps2 = bl._eps
-    top = {w for w, a, c in zip(bl.elements, eps1, eps2) if a == c == 0}
-    sources = [[w for w in comp if w in top] for comp in comps]
+    sources = [[words[n] for n in comp if eps1[n] == eps2[n] == 0] for comp in comps]
     ok = ok and all(len(s) == 1 and s[0] == (1,) * len(s[0]) for s in sources)
     report["restriction_12"] = {"pass": ok, "sizes": sizes, "failures": 0 if ok else 1,
                                 "counterexamples": []}
 
     # restriction to the colors {1,0}: components match the model blocks,
     # by size and by the weight of the unique source of each component
-    comps = _components(bl.elements, bl.index, [bl._f[1], bl._f[0]])
-    top = {w for w, a, c in zip(bl.elements, eps1, eps0)
-           if a == c == 0 and e1(table.backward[w]) is None}
+    back = table.inverse
+    comps = _components(len(words), (bf1, bf0))
     got = []
     ok = True
     for comp in comps:
-        srcs = [w for w in comp if w in top]
+        srcs = [back[n] for n in comp if eps1[n] == eps0[n] == 0 and e1[back[n]] is None]
         ok &= len(srcs) == 1
         if srcs:
-            w1, w0 = mod.weight(table.backward[srcs[0]])
+            w1, w0 = mod.weight(elements[srcs[0]])
             got.append((len(comp), w1, w0))
     expected = sorted((a2.dim(k, j), k, j) for (i, k, j) in mod.blocks)
     ok &= sorted(got) == expected

@@ -10,7 +10,9 @@ the fusion construction and is not represented here.
 The square B^l (x) B^l is proved connected over its classical {1,2}-
 components (``_square_components``): one highest element names each, and
 one e_0 probe from it, raised, joins it to another.  The flat BFS over all
-|B^l|^2 states (``_square_connected``) is the reference for tests.
+|B^l|^2 states (``_square_connected``) is the reference for tests.  Both
+walk pairs of positions through B^l's own position tables, one step at a
+time by ``signature.acts_on_first``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .affine import ConstructionFault, _components, bl_crystal
 from .cartan import ClassicalWeight, dominant_weights, level, simple_root, weyl_dim
+from .signature import acts_on_first
 
 
 @dataclass
@@ -74,47 +77,29 @@ def minimal_elements(l: int) -> list[tuple[int, ...]]:
 
 
 def _self_connected(bl) -> bool:
-    return len(_components(bl.elements, bl.index, [bl._f[i] for i in (0, 1, 2)])) <= 1
+    return len(_components(len(bl.elements), bl._fpos)) <= 1
 
 
-def _index_tables(bl):
-    """(f, e, eps, phi) per color, indexed like ``bl.elements``.
-
-    ``f[i][x]``/``e[i][x]`` are the indices of the images of element x, -1
-    where the operator is undefined.
-    """
-    idx = bl.index
-    f = [[idx.get(bl._f[i].get(w), -1) for w in bl.elements] for i in (0, 1, 2)]
-    e = [[idx.get(bl._e[i].get(w), -1) for w in bl.elements] for i in (0, 1, 2)]
-    return f, e, bl._eps, bl._phi
-
-
-def _pair_step(tables, op, i, x, y):
-    """f_i ('f') or e_i ('e') of x (x) y as an index pair, or None.
-
-    The bracketing rule in its two-factor closed form: f_i acts on x when
-    phi_i(x) > eps_i(y), e_i when phi_i(x) >= eps_i(y), and on y otherwise.
-    """
-    f, e, eps, phi = tables
-    img = (f if op == "f" else e)[i]
-    d = phi[i][x] - eps[i][y]
-    if d > 0 or (d == 0 and op == "e"):
+def _pair_step(bl, op, i, x, y):
+    """f_i ('f') or e_i ('e') of x (x) y as a position pair, or None."""
+    img = (bl._fpos if op == "f" else bl._epos)[i]
+    if acts_on_first(op, bl._phi[i][x], bl._eps[i][y]):
         t = img[x]
-        return None if t < 0 else (t, y)
+        return None if t is None else (t, y)
     t = img[y]
-    return None if t < 0 else (x, t)
+    return None if t is None else (x, t)
 
 
-def _greedy(tables, pair):
+def _greedy(bl, pair):
     """Raise pair by e_1 or e_2 until neither is defined.
 
     In a crystal each step moves one factor strictly in weight, so the walk
     ends within 2|B| steps; one that does not is a fault of the tables.
     """
-    limit = 2 * len(tables[0][0])
+    limit = 2 * len(bl.elements)
     for _ in range(limit):
         for i in (1, 2):
-            nxt = _pair_step(tables, "e", i, *pair)
+            nxt = _pair_step(bl, "e", i, *pair)
             if nxt is not None:
                 pair = nxt
                 break
@@ -138,28 +123,27 @@ def _square_components(bl) -> tuple[int, int, int]:
     roots == 1 and size == |B^l|^2 prove the square connected; too few
     probes could only read FAIL, never a false pass.
     """
-    tables = _index_tables(bl)
-    _, _, eps, phi = tables
+    eps, phi = bl._eps, bl._phi
     n = len(bl.elements)
     tops = [x for x in range(n) if eps[1][x] == 0 and eps[2][x] == 0]
     highest = [(x, y) for x in tops for y in range(n)
                if eps[1][y] <= phi[1][x] and eps[2][y] <= phi[2][x]]
     comp = {h: c for c, h in enumerate(highest)}
-    joins = {}  # highest -> the highest element its e_0 probe raises to
+    # per highest element, the one its e_0 probe raises to
+    joins = [None] * len(highest)
     size = escaped = 0
-    for h in highest:
+    for c, h in enumerate(highest):
         x, y = h
         size += weyl_dim(phi[2][x] - eps[2][x] + phi[2][y] - eps[2][y],
                           phi[1][x] - eps[1][x] + phi[1][y] - eps[1][y])
-        img = _pair_step(tables, "e", 0, *h)
+        img = _pair_step(bl, "e", 0, *h)
         if img is None:
             continue
-        top = _greedy(tables, img)
-        if top in comp:
-            joins[h] = top
-        else:
+        top = comp.get(_greedy(bl, img))
+        if top is None:
             escaped += 1
-    roots = len(_components(highest, comp, [joins])) + escaped
+        joins[c] = top
+    roots = len(_components(len(highest), [joins])) + escaped
     return len(highest), roots, size
 
 
@@ -169,7 +153,6 @@ def _square_connected(bl) -> tuple[int, int]:
     The flat BFS over all |B^l|^2 states: the reference for
     ``_square_components``, for tests only.
     """
-    tables = _index_tables(bl)
     n = len(bl.elements)
     start = bl.index[()]
     seen = bytearray(n * n)
@@ -180,7 +163,7 @@ def _square_connected(bl) -> tuple[int, int]:
         pair = frontier.popleft()
         for i in (0, 1, 2):
             for op in ("f", "e"):
-                nxt = _pair_step(tables, op, i, *pair)
+                nxt = _pair_step(bl, op, i, *pair)
                 if nxt is None:
                     continue
                 code = nxt[0] * n + nxt[1]
@@ -225,13 +208,9 @@ def check_perfect(l: int) -> PerfectReport:
     dom = dominant_weights(l)
     eps_img = {e for (_, e, _) in rep.minimal}
     phi_img = {p for (_, _, p) in rep.minimal}
-    rep.cond_eps_phi_bijective = (
-        len(rep.minimal) == len(dom)
-        and eps_img == dom
-        and phi_img == dom
-        and len(eps_img) == len(rep.minimal)
-        and len(phi_img) == len(rep.minimal)
-    )
+    # each image set is dom and of the minimal list's length, so no two
+    # minimal elements share an eps or a phi
+    rep.cond_eps_phi_bijective = len(rep.minimal) == len(dom) and eps_img == dom == phi_img
     return rep
 
 

@@ -9,7 +9,8 @@ surviving minus.
 
 ``unmatched`` is the one implementation of this bracketing rule; word
 reduction, the tensor-product operators and the string lengths of the G2 and
-A2 tableau crystals all call it.  ``reduce_brute`` is kept as its oracle.
+A2 tableau crystals all call it, and ``acts_on_first`` is its two-factor
+closed form.  ``reduce_brute`` is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -105,6 +106,12 @@ def act_factor(op: str, ep_list) -> int | None:
     if op == "e":
         return minus[-1] if minus else None
     raise ValueError(f"unknown operator {op!r}")
+
+
+def acts_on_first(op: str, phi_x: int, eps_y: int) -> bool:
+    """``act_factor`` on x (x) y in closed form: f ('f') acts on x iff
+    phi_x > eps_y, e ('e') iff phi_x >= eps_y, and each on y otherwise."""
+    return phi_x > eps_y if op == "f" else phi_x >= eps_y
 
 
 def tensor_apply(op: str, factors, uword_fn, apply_fn):

@@ -127,9 +127,9 @@ def test_depth_on_an_operator_cycle_is_a_failure(fresh_caches):
     # E_A sends up back to b: the depth walk stops after len(_ea) steps, and
     # C3 reports the cycle as data
     mod = affine.model(2)
-    b = next(b for b in mod.elements if mod.EA(b) is not None)
-    mod._ea[mod.EA(b)] = b
-    assert mod.ea_depth(b) == len(mod._ea) + 1
+    n = next(n for n, up in enumerate(mod._ea) if up is not None)
+    mod._ea[mod._ea[n]] = n
+    assert mod.ea_depth(mod.elements[n]) == len(mod._ea) + 1
     report = affine.verify_construction(2)
     assert report["string_depth_weight"]["failures"] == 4
     assert report["pair_mutual_inverse"]["failures"] == 2
@@ -140,13 +140,12 @@ def test_depth_tables_are_the_depth_walks(monkeypatch):
     for l in (1, 2, 3, 4):
         mod = affine.model(l)
         for table in (mod._ea, mod._fa):
-            assert (affine._depths(mod.elements, table)
-                    == [affine._depth(table, b) for b in mod.elements])
-    # a tail into a cycle reads len(table) + 1 on every element that reaches it
-    elements = ["a", "b", "c", "d", "e"]
-    table = {"a": "b", "b": "c", "c": "b", "e": "d"}
-    assert affine._depths(elements, table) == [5, 5, 5, 0, 1]
-    assert [affine._depth(table, x) for x in elements] == [5, 5, 5, 0, 1]
+            assert affine._depths(table) == [affine._depth(table, n) for n in range(len(table))]
+    # a tail into a cycle reads len(table) + 1 on every position that reaches
+    # it: 0 -> 1 -> 2 -> 1, and 4 -> 3
+    table = [1, 2, 1, None, 3]
+    assert affine._depths(table) == [6, 6, 6, 0, 1]
+    assert [affine._depth(table, n) for n in range(5)] == [6, 6, 6, 0, 1]
     # C3 reads the tables, not one walk per element
     calls = []
     depth = affine._depth
@@ -520,10 +519,19 @@ def test_construction_fault_on_bad_param():
         mod.CA(AParam(0, 5, 5, 0, 0, 0))
 
 
-def test_anchor_formulas_hold_through_level6():
-    for l in range(1, 7):
-        counts = affine.verify_anchors(l, affine.phi_table(l).forward)
+def test_anchor_formulas_hold_through_level7(monkeypatch):
+    # the f_0^p anchor's p > i, m == 1, y > 0 case is read from l = 5, but
+    # with i >= 1, where its (1,) * i letters show, first at l = 7
+    calls = []
+    anchor_f0p = affine._anchor_f0p
+    monkeypatch.setattr(affine, "_anchor_f0p",
+                        lambda l, i, j, p: calls.append((l, i, j, p)) or anchor_f0p(l, i, j, p))
+    for l in range(1, 8):
+        counts = affine.verify_anchors(l, affine.phi_table(l))
         assert counts == dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0), l
+    branch = [(l, i, j, p) for l, i, j, p in calls
+              if p > i >= 1 and (l - i - j) % 3 == 1 and (l - i - j) // 3 > 0]
+    assert branch and min(l for l, *_ in branch) == 7
     entry = affine.verify_construction(2)["anchor_formulas"]
     assert entry["pass"] and entry["failures"] == 0
 
@@ -564,6 +572,21 @@ def test_injected_anchor_formula_fails_only_its_rule(monkeypatch, fresh_caches):
                if isinstance(v, dict) and name != "anchor_formulas")
 
 
+def test_non_letter_in_an_anchor_fails_its_rule(monkeypatch, fresh_caches, capsys):
+    # the letter 1 of the f_0^p anchor mis-transcribed as 0, which is no
+    # letter: first read at level 2, where R5 fails and its R6 string is void
+    anchor_f0p = affine._anchor_f0p
+    monkeypatch.setattr(affine, "_anchor_f0p", lambda l, i, j, p: tuple(
+        0 if a == 1 else a for a in anchor_f0p(l, i, j, p)))
+    assert main(["verify", "--level", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "level 2 anchor_formulas: FAIL" in lines
+    assert lines[-1] == "level 2: construction verification FAILED"
+    assert sum("FAIL" in line for line in lines) == 2
+    counts = affine.verify_construction(2)["anchor_formulas"]["rules"]
+    assert [rule for rule, n in counts.items() if n] == ["R5", "R6"]
+
+
 def test_injected_transition_is_a_construction_fault(monkeypatch, fresh_caches, capsys):
     # the last coordinate of the closed-form transition off by one
     def transition(r, q, p):
@@ -597,10 +620,10 @@ def test_non_tableau_image_in_bl_tables_is_a_construction_fault(monkeypatch, fre
 
 def test_zero_two_commutation_lists_each_failure_once(fresh_caches):
     bl = affine.bl_crystal(2)
-    fmap = bl._f[0]
+    f0, f2 = bl._fpos[0], bl._fpos[2]
     # send f_0 w to (), where f_2 is undefined, so f_2 f_0 w becomes None
-    w = next(w for w in bl.elements if w in fmap and bl.f(2, fmap[w]) is not None)
-    fmap[w] = ()
+    n = next(n for n, t in enumerate(f0) if t is not None and f2[t] is not None)
+    f0[n] = bl.index[()]
 
     def f(i, x):
         return None if x is None else bl.f(i, x)
@@ -634,9 +657,9 @@ def test_fast_paths_match_the_model_operators():
             assert mod.f0(b) == (elements[n + 1] if mod.phi0(b) else None), b
             assert mod.e0(b) == (elements[n - 1] if b.r else None), b
             i, k, j, p, q, r = b
-            assert mod._ca[b] == AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)
-        assert mod._fa == {b: mod.CA(up) for b in elements
-                           if (up := mod.EA(mod.CA(b))) is not None}
+            assert elements[mod._ca[n]] == AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)
+            up = mod.EA(mod.CA(b))
+            assert mod.FA(b) == (None if up is None else mod.CA(up)), b
         # B^l's color 0, tabulated from the same runs, is f_0/e_0 through Phi
         assert bl._f[0] == {fwd[b]: fwd[t] for b in elements if (t := mod.f0(b)) is not None}
         assert bl._e[0] == {fwd[b]: fwd[t] for b in elements if (t := mod.e0(b)) is not None}
@@ -645,7 +668,7 @@ def test_fast_paths_match_the_model_operators():
 
 
 def test_model_values_are_computed_once(monkeypatch, fresh_caches):
-    # one involution image per element in the build, and no C_A or e_0
+    # one involution image per element in the build, and no C_A, e_0 or f_0
     # call in the check
     images = []
     member = affine.AffineModel._member
@@ -655,7 +678,7 @@ def test_model_values_are_computed_once(monkeypatch, fresh_caches):
     assert images.count("involution") == len(mod.elements) == 365
     affine.bl_crystal(3)
     calls = []
-    for name in ("CA", "e0"):
+    for name in ("CA", "e0", "f0"):
         op = getattr(affine.AffineModel, name)
         monkeypatch.setattr(affine.AffineModel, name,
                             lambda self, b, _name=name, _op=op: calls.append(_name) or _op(self, b))
@@ -663,24 +686,23 @@ def test_model_values_are_computed_once(monkeypatch, fresh_caches):
     assert calls == []
 
 
-def test_shared_ea_image_is_listed_once(monkeypatch, fresh_caches):
+def test_shared_ea_image_is_listed_once(fresh_caches):
     # the second of two elements redirected to the first one's E_A image
     affine.bl_crystal(3)
     mod = affine.model(3)
-    first, second = [b for b in mod.elements if b in mod._ea][:2]
+    first, second = [n for n, up in enumerate(mod._ea) if up is not None][:2]
     up = mod._ea[first]
-    monkeypatch.setitem(mod._ea, second, up)
+    mod._ea[second] = up
     entry = affine.verify_construction(3)["EA_injective"]
     assert not entry["pass"]
     assert entry["failures"] == 1
-    assert entry["counterexamples"] == [(first, second, up)]
+    assert entry["counterexamples"] == [tuple(mod.elements[n] for n in (first, second, up))]
 
 
 def test_poisoned_involution_table_fails_the_anchor_check(fresh_caches):
     affine.bl_crystal(2)
     mod = affine.model(2)
-    b, c = mod.elements[:2]
-    mod._ca[b] = mod._ca[c]
+    mod._ca[0] = mod._ca[1]
     entry = affine.verify_construction(2)["anchor_formulas"]
     assert not entry["pass"]
     assert entry["rules"]["R8/R9"] > 0

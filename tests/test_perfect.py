@@ -109,10 +109,9 @@ def test_level4_self_connected():
 def test_self_connected_detects_two_components():
     from types import SimpleNamespace
 
-    split = SimpleNamespace(elements=[(), (1,)], index={(): 0, (1,): 1},
-                            _f={0: {}, 1: {}, 2: {}})
+    split = SimpleNamespace(elements=[(), (1,)], _fpos=([None] * 2, [None] * 2, [None] * 2))
     assert not perfect._self_connected(split)
-    split._f[0][()] = (1,)
+    split._fpos[0][0] = 1
     assert perfect._self_connected(split)
 
 
@@ -122,7 +121,6 @@ def test_square_rule_matches_act_factor():
     from g2crystal.signature import act_factor
 
     bl = bl_crystal(2)
-    tables = perfect._index_tables(bl)
     idx = bl.index
     for i in (0, 1, 2):
         eps, phi = bl._eps[i], bl._phi[i]
@@ -140,18 +138,18 @@ def test_square_rule_matches_act_factor():
                         assert k == (1 if step(i, y) is not None else None)
                     expect = (None if k is None else
                               (idx[step(i, x)], ny) if k == 0 else (nx, idx[step(i, y)]))
-                    assert perfect._pair_step(tables, op, i, nx, ny) == expect
+                    assert perfect._pair_step(bl, op, i, nx, ny) == expect
 
 
 def _sl2():
     # the sl2 string B(2) in color 1, () its middle element
     from types import SimpleNamespace
 
-    top, mid, low = (1,), (), (2,)
+    none = [None] * 3
     return SimpleNamespace(
-        elements=[top, mid, low], index={top: 0, mid: 1, low: 2},
+        elements=[(1,), (), (2,)], index={(1,): 0, (): 1, (2,): 2},
         _eps=([0] * 3, [0, 1, 2], [0] * 3), _phi=([0] * 3, [2, 1, 0], [0] * 3),
-        _f={0: {}, 1: {top: mid, mid: low}, 2: {}}, _e={0: {}, 1: {mid: top, low: mid}, 2: {}})
+        _fpos=(none[:], [1, 2, None], none[:]), _epos=(none[:], [None, 0, 1], none[:]))
 
 
 def test_square_bfs_reaches_one_component():
@@ -173,12 +171,12 @@ def test_square_proof_counts_an_escaped_probe_as_a_root():
     # dropped at (2,) two probes stop outside them, at (2,) (x) (1,) and
     # (2,) (x) (2,), and count as roots of their own
     sl2 = _sl2()
-    top, low = (1,), (2,)
-    sl2._e[0][top], sl2._f[0][low] = low, top
+    top, low = 0, 2
+    sl2._epos[0][top], sl2._fpos[0][low] = low, top
     sl2._eps[0][:] = [1, 0, 0]
     sl2._phi[0][:] = [0, 0, 1]
     assert perfect._square_components(sl2)[:2] == (3, 1)
-    del sl2._e[1][low]
+    sl2._epos[1][low] = None
     assert perfect._square_components(sl2)[:2] == (3, 4)
 
 
@@ -186,11 +184,10 @@ def test_greedy_walk_on_a_cycle_is_a_construction_fault():
     from g2crystal.affine import ConstructionFault
 
     sl2 = _sl2()
-    sl2._e[1][(1,)] = (2,)
+    sl2._epos[1][0] = 2
     sl2._eps[1][0] = 1
-    tables = perfect._index_tables(sl2)
     with pytest.raises(ConstructionFault, match="does not end"):
-        perfect._greedy(tables, (0, 0))
+        perfect._greedy(sl2, (0, 0))
 
 
 def test_square_proof_makes_one_probe_per_component(monkeypatch):
@@ -219,8 +216,9 @@ def test_square_proof_matches_the_flat_bfs():
 
 def test_square_without_color_0_is_not_connected(monkeypatch, fresh_caches):
     bl = bl_crystal(2)
-    monkeypatch.setitem(bl._f, 0, {})
-    monkeypatch.setitem(bl._e, 0, {})
+    none = [None] * len(bl.elements)
+    monkeypatch.setattr(bl, "_fpos", (none,) + bl._fpos[1:])
+    monkeypatch.setattr(bl, "_epos", (none,) + bl._epos[1:])
     components, roots, size = perfect._square_components(bl)
     assert components == 38 and roots > 1 and size == 92 ** 2
     rep = perfect.check_perfect(2)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from g2crystal.signature import (
     MINUS, PLUS, UWord, ZERO, act_factor, reduce_brute, reduce_word,
@@ -189,3 +190,14 @@ def test_a2_string_lengths_match_bruteforce():
                 for color, ep in (("a", a2._EP_A), ("b", a2._EP_B)):
                     minus, plus = _brute([ep[x] for x in t.factors()])
                     assert (a2.eps(color, t), a2.phi(color, t)) == (len(minus), len(plus))
+
+
+def test_two_factor_side_rule_matches_act_factor():
+    # acts_on_first is act_factor on two factors, wherever either acts
+    from g2crystal.signature import acts_on_first
+
+    for ex, px, ey, py in product(range(3), repeat=4):
+        for op in ("f", "e"):
+            k = act_factor(op, [(ex, px), (ey, py)])
+            if k is not None:
+                assert (k == 0) == acts_on_first(op, px, ey), (op, ex, px, ey, py)
