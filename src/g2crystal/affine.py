@@ -28,7 +28,7 @@ kept as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import a2, g2
@@ -394,7 +394,8 @@ def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
 @dataclass
 class PhiTable:
     """Phi at one level: ``words[perm[n]]`` is Phi(``params[n]``), ``inverse``
-    inverts ``perm``, and the dicts ``forward``/``backward`` are built on read."""
+    inverts ``perm``, and the dicts ``forward``/``backward`` are built on first
+    read and kept."""
 
     perm: list
     inverse: list
@@ -404,11 +405,11 @@ class PhiTable:
     def __len__(self):
         return len(self.perm)
 
-    @property
+    @cached_property
     def forward(self) -> dict[AParam, tuple[int, ...]]:
         return dict(zip(self.params, map(self.words.__getitem__, self.perm)))
 
-    @property
+    @cached_property
     def backward(self) -> dict[tuple[int, ...], AParam]:
         return dict(zip(self.words, map(self.params.__getitem__, self.inverse)))
 

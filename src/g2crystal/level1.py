@@ -284,10 +284,13 @@ def gram(a, b) -> QRat:
 
 
 def vec_pair(u, v) -> QRat:
+    """(u, v); the form is weight-diagonal, so most basis pairs read zero."""
     out = QRat.zero()
     for a, c in u.items():
         for b, d in v.items():
-            out = out + c * d * gram(a, b)
+            g = gram(a, b)
+            if g:
+                out = out + c * d * g
     return out
 
 

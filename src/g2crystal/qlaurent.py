@@ -7,9 +7,16 @@ integer content, and no common polynomial factor with the numerator, so
 equality is structural.  No floating point anywhere.
 
 ``QRat(num, den)`` normalises what callers pass: ints, zero coefficients and
-a zero denominator (``ZeroDivisionError``).  Arithmetic builds zero-free
-dicts through ``put`` and hands them to ``_reduce`` without a copy or a
-trim.  Values never mutate their dicts, so they may share them.
+a zero denominator (``ZeroDivisionError``); ``_reduce`` then runs one gcd
+cancel (``_cancel``) and one sign and content step (``_normal``).
+Arithmetic takes reduced operands, so it runs only the gcds that can find a
+factor (Henrici's rules, Knuth TAOCP 4.5.1); a single term shares none with
+a denominator, which has valuation zero, and a constant is a unit.  So
+a/b * c/d cancels a against d and c against b only, as gcd(a, b) = gcd(c, d)
+= 1; (a/b)^-1 is b/a shifted to valuation zero; a/b + c/b cancels a + c
+against b, not b*b; a/b + c/k for a constant k is coprime already, as
+gcd(a*k + c*b, b) = gcd(a*k, b) = 1; any other sum is reduced in full.
+Values never mutate their dicts, so they may share them.
 """
 
 from __future__ import annotations
@@ -56,7 +63,17 @@ def vscale(c, u):
     return {k: c * x for k, x in u.items()}
 
 
+def _shift(d, k):
+    return {e + k: c for e, c in d.items()} if k else d
+
+
 def _mul(d1, d2):
+    if len(d2) == 1:
+        d1, d2 = d2, d1
+    if len(d1) == 1:
+        # a single term shifts and scales: no two products share an exponent
+        ((e1, c1),) = d1.items()
+        return {e1 + e: c1 * c for e, c in d2.items()}
     out = {}
     for e1, c1 in d1.items():
         for e2, c2 in d2.items():
@@ -121,6 +138,19 @@ def _list_divexact(a, b):
     return out
 
 
+def _cancel(num, den):
+    """num/g and den/g for the primitive gcd g of zero-free dicts; den has
+    valuation zero.  A single term on either side shares no factor."""
+    if len(num) < 2 or len(den) < 2:
+        return num, den
+    vn, ln = _to_list(num)
+    _, ld = _to_list(den)
+    g = _list_gcd(ln, ld)
+    if len(g) == 1:
+        return num, den
+    return _from_list(vn, _list_divexact(ln, g)), _from_list(0, _list_divexact(ld, g))
+
+
 class QRat:
     """A reduced fraction of integer Laurent polynomials in q."""
 
@@ -148,28 +178,24 @@ class QRat:
     @classmethod
     def _reduce(cls, num, den):
         """The value num/den of zero-free dicts, den nonempty; no copy."""
+        vd = min(den)
+        return cls._normal(*_cancel(_shift(num, -vd), _shift(den, -vd)))
+
+    @classmethod
+    def _normal(cls, num, den):
+        """Canonical num/den, for den of valuation zero sharing no polynomial
+        factor with num: a positive constant term, unit integer content."""
         if not num:
             return _ZERO
-        vd = min(den)
-        if vd:
-            num = {e - vd: c for e, c in num.items()}
-            den = {e - vd: c for e, c in den.items()}
-        if len(den) > 1:
-            vn, ln = _to_list(num)
-            _, ld = _to_list(den)
-            gpoly = _list_gcd(ln, ld)
-            if len(gpoly) > 1:
-                num = _from_list(vn, _list_divexact(ln, gpoly))
-                den = _from_list(0, _list_divexact(ld, gpoly))
         if den[0] < 0:
-            num = vscale(-1, num)
-            den = vscale(-1, den)
+            num, den = vscale(-1, num), vscale(-1, den)
         # dividing by a primitive polynomial and flipping signs keep the
         # integer contents, so one content step at the end suffices
-        g = gcd(*den.values(), *num.values())
-        if g > 1:
-            num = {e: c // g for e, c in num.items()}
-            den = {e: c // g for e, c in den.items()}
+        if len(den) > 1 or den[0] != 1:
+            g = gcd(*den.values(), *num.values())
+            if g > 1:
+                num = {e: c // g for e, c in num.items()}
+                den = {e: c // g for e, c in den.items()}
         return cls._canonical(num, den)
 
     # -- constructors --------------------------------------------------
@@ -213,8 +239,13 @@ class QRat:
             return other
         if not other.num:
             return self
-        return QRat._reduce(vadd(_mul(self.num, other.den), _mul(other.num, self.den)),
-                            _mul(self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return QRat._normal(*_cancel(vadd(a, c), b))
+        num, den = vadd(_mul(a, d), _mul(c, b)), _mul(b, d)
+        if len(b) > 1 and len(d) > 1:  # else gcd(a*d + c*b, b*d) = 1 already
+            num, den = _cancel(num, den)
+        return QRat._normal(num, den)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -235,7 +266,9 @@ class QRat:
             other = QRat(other)
         if not self.num or not other.num:
             return _ZERO
-        return QRat._reduce(_mul(self.num, other.num), _mul(self.den, other.den))
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return QRat._normal(_mul(a, c), _mul(b, d))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -243,7 +276,8 @@ class QRat:
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("inverting zero")
-        return QRat._reduce(self.den, self.num)
+        v = min(self.num)
+        return QRat._normal(_shift(self.den, -v), _shift(self.num, -v))
 
     def __truediv__(self, other):
         if isinstance(other, int):

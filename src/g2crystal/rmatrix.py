@@ -375,10 +375,10 @@ def fusion_items() -> dict:
 
 @lru_cache(maxsize=None)
 def fusion_values() -> dict:
-    """{item: coefficient of its target}, each operator string applied once."""
+    """{item: (its target's coefficient, the expected one)}, strings applied once."""
     data = fusion_items()
-    return {n: extract_multiple(_string(ops, data["singular"][src]), target)
-            for n, (ops, src, target, _) in data["items"].items()}
+    return {n: (extract_multiple(_string(ops, data["singular"][src]), target), expected)
+            for n, (ops, src, target, expected) in data["items"].items()}
 
 
 def verify_fusion_identities() -> dict:
@@ -388,10 +388,8 @@ def verify_fusion_identities() -> dict:
     (named by the highest vector of the component); they are
     verified exactly there.
     """
-    values = fusion_values()
     report = {"items": {}, "pass": True}
-    for n, (_, _, _, expected) in fusion_items()["items"].items():
-        got = values[n]
+    for n, (got, expected) in fusion_values().items():
         ok = got == expected
         report["items"][n] = {"pass": ok}
         if not ok:
@@ -406,7 +404,7 @@ def fusion_vectors(family: str) -> list[XY]:
     groups = {"F": (1, 2, 3), "E": (4, 5, 6), "f0": (7, 8, 9),
               "f02": (10, 11), "long": (12, 13)}
     values = fusion_values()
-    return [values[n] for n in groups[family]]
+    return [values[n][0] for n in groups[family]]
 
 
 # -- the transcribed coefficient polynomials of the intertwiner ----------
