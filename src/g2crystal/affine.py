@@ -652,7 +652,7 @@ def verify_construction(l: int) -> dict:
         "EA_injective", "zero_two_commutation", "color1_compatibility",
         "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
     ea, fa, f1, e1 = mod._ea, mod._fa, mod._f1, mod._e1
-    phi0, weight = mod.phi0, mod.weight
+    phi0, weight, weight_pair = mod.phi0, mod.weight, g2.weight_pair
     elements, fwd, words = mod.elements, table.perm, bl.elements
     bf0, bf1, bf2 = bl._fpos
     be0, be1, be2 = bl._epos
@@ -684,9 +684,10 @@ def verify_construction(l: int) -> dict:
                                 (2, "FA", dn, bf2[w]), (2, "EA", up, be2[w])):
             if (None if x is None else fwd[x]) != img:
                 bad[f"color{i}_compatibility"].append((b, name))
-        # (E3)/(E4) weight matching
-        wt = g2.weight(words[w])
-        if wt.m1 != w1 or wt.m2 != -2 * w1 - w0:
+        # (E3)/(E4) weight matching: the word's (m1, m2), summed as ints from
+        # its letters, not read off B^l's eps/phi tables
+        m1, m2 = weight_pair(words[w])
+        if m1 != w1 or m2 != -2 * w1 - w0:
             bad["weight_compatibility"].append(b)
         # (E5) vanishing of the affine operators matches the model
         if (bf0[w] is None) != (t is None):

@@ -182,8 +182,11 @@ def _qcheck(args, out) -> int:
 
 
 # the largest level any command builds: cold, in one process, verify --level 8
-# takes 2.2-2.3 s and 36 MB on a shared 2-core Xeon host with Python 3.11
-# (|B^8| = 24585); B^10 alone takes 2.1-2.3 s and 55 MB there
+# takes 1.3-1.9 s and 32 MB on a shared 2-core Xeon host with Python 3.11
+# (|B^8| = 24585).  At l = 10, verify takes 4.6-6.9 s and 64-65 MB there,
+# but the commands that build their whole document before writing it do not
+# fit 100 MB: graph 478 MB, phi 172 MB, graph --format dot 143 MB, enumerate
+# 122 MB
 MAX_LEVEL = 8
 
 

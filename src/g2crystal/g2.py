@@ -109,9 +109,13 @@ def _counts_ok(c) -> bool:
     return True
 
 
+def weight_pair(word) -> tuple[int, int]:
+    """(m1, m2) of a word's G2 weight: the sums of its letters' weights, as ints."""
+    return sum(map(_WT1.__getitem__, word)), sum(map(_WT2.__getitem__, word))
+
+
 def weight(word) -> ClassicalWeight:
-    return from_classical_pair(sum(map(_WT1.__getitem__, word)),
-                               sum(map(_WT2.__getitem__, word)))
+    return from_classical_pair(*weight_pair(word))
 
 
 def strings(i: int, word):

@@ -21,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .affine import ConstructionFault, _components, bl_crystal
-from .cartan import ClassicalWeight, dominant_weights, level, simple_root, weyl_dim
+from .cartan import ClassicalWeight, dominant_weights, simple_root, weyl_dim
 from .signature import acts_on_first
 
 
@@ -62,12 +62,6 @@ class PerfectReport:
             "top_weight": self.top_weight.to_json() if self.top_weight else None,
             "minimal_count": len(self.minimal),
         }
-
-
-def _eps_phi(bl):
-    """Yield (word, eps, phi) for each element, the weights read off B^l's tables."""
-    for w, e0, e1, e2, p0, p1, p2 in zip(bl.elements, *bl._eps, *bl._phi):
-        yield w, ClassicalWeight(e0, e1, e2), ClassicalWeight(p0, p1, p2)
 
 
 def minimal_elements(l: int) -> list[tuple[int, ...]]:
@@ -183,16 +177,20 @@ def check_perfect(l: int) -> PerfectReport:
     rep.cond_connected_square = (rep.square_roots == 1
                                  and rep.square_size == len(bl.elements) ** 2)
 
-    # one pass over B^l's tables: the weights phi - eps, the level bound and
-    # the minimal elements
-    weights: Counter[ClassicalWeight] = Counter()
-    rep.cond_level_bound = True
-    for w, e, p in _eps_phi(bl):
-        weights[p - e] += 1
-        lev = level(e)
-        rep.cond_level_bound &= lev >= l
+    # one pass over B^l's tables, in ints: the weights phi - eps, the level
+    # <c, eps> against l and the minimal elements; a ClassicalWeight is built
+    # only per distinct weight and per minimal element
+    counts: Counter[tuple[int, int, int]] = Counter()
+    below = False
+    for w, e0, e1, e2, p0, p1, p2 in zip(bl.elements, *bl._eps, *bl._phi):
+        counts[p0 - e0, p1 - e1, p2 - e2] += 1
+        lev = e0 + 2 * e1 + e2
         if lev == l:
-            rep.minimal.append((w, e, p))
+            rep.minimal.append((w, ClassicalWeight(e0, e1, e2), ClassicalWeight(p0, p1, p2)))
+        elif lev < l:
+            below = True
+    rep.cond_level_bound = not below
+    weights = {ClassicalWeight(*k): n for k, n in counts.items()}
 
     # the extremal weight is discovered, not assumed: the unique weight from
     # which no other weight is reachable by adding a classical simple root

@@ -118,18 +118,18 @@ def tensor_apply(gen, u):
     if kind == "f":
         for (a, b), c in u.items():
             for a2, coef in F_TABLE[i].get(a, ()):
-                put(out, (a2, b), c * XY.monomial(-twist, 0, coef))
+                put(out, (a2, b), c.scale(coef).shift(-twist, 0))
             tw = _Q(NORMS[i] * weight_pairing(i, a))
             for b2, coef in F_TABLE[i].get(b, ()):
-                put(out, (a, b2), c * XY.monomial(0, -twist, tw * coef))
+                put(out, (a, b2), c.scale(tw * coef).shift(0, -twist))
         return out
     if kind == "e":
         for (a, b), c in u.items():
             tw = _Q(-NORMS[i] * weight_pairing(i, b))
             for a2, coef in E_TABLE[i].get(a, ()):
-                put(out, (a2, b), c * XY.monomial(twist, 0, coef * tw))
+                put(out, (a2, b), c.scale(coef * tw).shift(twist, 0))
             for b2, coef in E_TABLE[i].get(b, ()):
-                put(out, (a, b2), c * XY.monomial(0, twist, coef))
+                put(out, (a, b2), c.scale(coef).shift(0, twist))
         return out
     raise ValueError(f"unknown generator {gen!r}")
 

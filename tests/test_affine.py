@@ -707,3 +707,11 @@ def test_poisoned_involution_table_fails_the_anchor_check(fresh_caches):
     assert not entry["pass"]
     assert entry["rules"]["R8/R9"] > 0
     assert entry["counterexamples"] == ["R8/R9"]
+
+
+def test_weight_compatibility_reads_the_letter_weights(monkeypatch, fresh_caches):
+    # E3/E4 sums each word's letter weights through g2.weight_pair: a wrong
+    # <h_1, wt> of the letter 0_1 fails it, with counterexamples
+    monkeypatch.setitem(g2._WT1, 7, 1)
+    report = affine.verify_construction(2)["weight_compatibility"]
+    assert not report["pass"] and report["counterexamples"]

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from g2crystal import perfect
+from g2crystal import affine, perfect
 from g2crystal.affine import bl_crystal, gl_count
-from g2crystal.cartan import ClassicalWeight, dominant_weights, level
+from g2crystal.cartan import ClassicalWeight, dominant_weights, level, simple_root
 
 
 EXPECTED_MINIMAL = {
@@ -269,3 +271,70 @@ def test_cone_closed_form_matches_the_cone():
             for m2 in range(-20, 21):
                 d = ClassicalWeight(m0, m1, m2)
                 assert perfect._in_cone(d) == (d in cone), d
+
+
+def _reference_report(bl, l):
+    """check_perfect's report from one ClassicalWeight per element: the
+    reference for the pass over B^l's tables as ints."""
+    rep = perfect.PerfectReport(level=l)
+    rep.cond_self_connected = perfect._self_connected(bl)
+    rep.square_components, rep.square_roots, rep.square_size = perfect._square_components(bl)
+    rep.cond_connected_square = (rep.square_roots == 1
+                                 and rep.square_size == len(bl.elements) ** 2)
+    weights = Counter()
+    rep.cond_level_bound = True
+    for w, e0, e1, e2, p0, p1, p2 in zip(bl.elements, *bl._eps, *bl._phi):
+        e, p = ClassicalWeight(e0, e1, e2), ClassicalWeight(p0, p1, p2)
+        weights[p - e] += 1
+        lev = level(e)
+        rep.cond_level_bound &= lev >= l
+        if lev == l:
+            rep.minimal.append((w, e, p))
+    shifts = [simple_root(1), simple_root(2)]
+    tops = [wt for wt in weights if all(wt + s not in weights for s in shifts)]
+    if len(tops) == 1:
+        rep.top_weight = lam0 = tops[0]
+        rep.cond_unique_top_weight = (weights[lam0] == 1
+                                      and all(perfect._in_cone(lam0 - wt) for wt in weights))
+    dom = dominant_weights(l)
+    rep.cond_eps_phi_bijective = (len(rep.minimal) == len(dom)
+                                  and {e for _, e, _ in rep.minimal} == dom
+                                  == {p for _, _, p in rep.minimal})
+    return rep
+
+
+def test_int_pass_matches_the_classical_weight_pass():
+    for l in range(1, 6):
+        rep, ref = perfect.check_perfect(l), _reference_report(bl_crystal(l), l)
+        assert rep.minimal == ref.minimal, l
+        assert rep.top_weight == ref.top_weight == ClassicalWeight(-2 * l, l, 0), l
+        assert rep == ref, l
+
+
+def test_int_pass_matches_the_reference_on_poisoned_tables(monkeypatch):
+    # a private B^3, never the cached one: the minimal (1, -1) drops to
+    # eps_1 = 0, of level 1, and (1, 1) gains a phi_2, which breaks the level
+    # bound, the bijection and the top weight
+    bl = affine.BlCrystal(3)
+    bl._eps[1][bl.index[(1, -1)]] -= 1
+    bl._phi[2][bl.index[(1, 1)]] += 1
+    monkeypatch.setattr(perfect, "bl_crystal", lambda l: bl)
+    rep = perfect.check_perfect(3)
+    assert rep == _reference_report(bl, 3)
+    assert not (rep.cond_level_bound or rep.cond_eps_phi_bijective
+                or rep.cond_unique_top_weight)
+    assert bl_crystal(3)._eps[1] != bl._eps[1]
+
+
+def test_weight_passes_build_few_classical_weights(monkeypatch):
+    # one ClassicalWeight per distinct weight and per minimal element, not
+    # three per element (19,893 at l = 6); none in the construction check or
+    # in the builds
+    made = []
+    init = ClassicalWeight.__init__
+    monkeypatch.setattr(ClassicalWeight, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    assert perfect.check_perfect(6).all_pass()
+    assert 0 < len(made) <= 1200
+    made.clear()
+    assert affine.verify_construction(4)["all_pass"]
+    assert made == []
