@@ -139,14 +139,14 @@ class AffineModel:
             R, Q, P = transition(r, q, p)
             if R < k + Q - 2 * P:
                 r2, q2, p2 = transition(R + 1, Q, P)
-                t = self._member("f_1", b, AParam(i, k, j, p2, q2, r2))
+                t = self._member("f_1", b, (i, k, j, p2, q2, r2))
                 self._f1[n] = t
                 self._e1[t] = n
             base = ea_plus(l, i, k, j, p, q)
             if base is not None:
-                self._ea[n] = self._member("E_A", b, AParam(*base, r))
+                self._ea[n] = self._member("E_A", b, (*base, r))
             ca.append(self._member(
-                "involution", b, AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)))
+                "involution", b, (i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)))
         ea = self._ea
         self._fa = [None if (up := ea[c]) is None else ca[up] for c in ca]
 
@@ -190,10 +190,11 @@ class AffineModel:
 
     def _member(self, name, b, out):
         """The position of ``out``, the image of ``b`` under ``name``; a fault
-        if ``out`` is not an element."""
+        if ``out`` is not an element.  ``out`` is a plain tuple, which hashes
+        and compares equal to the ``AParam`` of the same fields."""
         n = self.index.get(out)
         if n is None:
-            raise ConstructionFault(f"{name} left the crystal: {b} -> {out}")
+            raise ConstructionFault(f"{name} left the crystal: {b} -> {AParam(*out)}")
         return n
 
     def FA(self, b: AParam) -> AParam | None:

@@ -28,6 +28,17 @@ def _emit(text, out):
     out.write(text + "\n")
 
 
+def _write_list(items, out):
+    """Write ``json.dumps(list(items))`` one item at a time, so that no
+    command holds a whole document (at l = 10, up to 478 MB for graph)."""
+    out.write("[")
+    for n, item in enumerate(items):
+        if n:
+            out.write(", ")
+        out.write(json.dumps(item))
+    out.write("]")
+
+
 def cmd_dims(args, out) -> int:
     ok = True
     for l in range(args.max_level + 1):
@@ -44,28 +55,32 @@ def cmd_dims(args, out) -> int:
 
 def cmd_enumerate(args, out) -> int:
     bl = bl_crystal(args.level)
-    data = [g2.word_to_json(w) for w in bl.elements]
-    _emit(json.dumps(data), out)
+    _write_list(map(g2.word_to_json, bl.elements), out)
+    out.write("\n")
     return 0
 
 
 def cmd_graph(args, out) -> int:
     bl = bl_crystal(args.level)
-    edges = [(i, w, img) for i in (0, 1, 2) for w in bl.elements
-             if (img := bl.f(i, w)) is not None]
+    edges = ((i, w, img) for i in (0, 1, 2) for w in bl.elements
+             if (img := bl.f(i, w)) is not None)
     if args.format == "dot":
-        lines = [f"digraph B{args.level} {{"]
-        lines += [f'  "{_word_id(w)}";' for w in bl.elements]
-        lines += [f'  "{_word_id(w)}" -> "{_word_id(img)}" [label={i}];' for i, w, img in edges]
-        lines.append("}")
-        _emit("\n".join(lines), out)
+        _emit(f"digraph B{args.level} {{", out)
+        for w in bl.elements:
+            _emit(f'  "{_word_id(w)}";', out)
+        for i, w, img in edges:
+            _emit(f'  "{_word_id(w)}" -> "{_word_id(img)}" [label={i}];', out)
+        _emit("}", out)
     elif args.format == "text":
         for i, w, img in edges:
             _emit(f"{_word_id(w)} -{i}-> {_word_id(img)}", out)
     else:
-        _emit(json.dumps({"vertices": [g2.word_to_json(w) for w in bl.elements],
-                          "edges": [{"color": i, "from": g2.word_to_json(w),
-                                     "to": g2.word_to_json(img)} for i, w, img in edges]}), out)
+        out.write('{"vertices": ')
+        _write_list(map(g2.word_to_json, bl.elements), out)
+        out.write(', "edges": ')
+        _write_list(({"color": i, "from": g2.word_to_json(w), "to": g2.word_to_json(img)}
+                     for i, w, img in edges), out)
+        out.write("}\n")
     return 0
 
 
@@ -119,9 +134,11 @@ def cmd_minimal(args, out) -> int:
 
 
 def cmd_phi(args, out) -> int:
-    rows = [{"param": b.to_json(), "tableau": g2.word_to_json(w)}
-            for b, w in sorted(phi_table(args.level).forward.items())]
-    _emit(json.dumps(rows), out)
+    table = phi_table(args.level)
+    # the model's elements, and so the params, run in sorted order
+    _write_list(({"param": b.to_json(), "tableau": g2.word_to_json(table.words[n])}
+                 for b, n in zip(table.params, table.perm)), out)
+    out.write("\n")
     return 0
 
 
@@ -183,10 +200,8 @@ def _qcheck(args, out) -> int:
 
 # the largest level any command builds: cold, in one process, verify --level 8
 # takes 1.3-1.9 s and 32 MB on a shared 2-core Xeon host with Python 3.11
-# (|B^8| = 24585).  At l = 10, verify takes 4.6-6.9 s and 64-65 MB there,
-# but the commands that build their whole document before writing it do not
-# fit 100 MB: graph 478 MB, phi 172 MB, graph --format dot 143 MB, enumerate
-# 122 MB
+# (|B^8| = 24585).  At l = 10, verify takes 4.3-4.4 s and 64-65 MB there, and
+# the streamed enumerate, graph and phi at most 3.4 s and 59 MB
 MAX_LEVEL = 8
 
 

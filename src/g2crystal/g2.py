@@ -9,6 +9,12 @@ display order, canonically sorted by the fixed linearization
 with {5,6}, {0_1,0_2} and {-5,-6} incomparable in the underlying preorder.
 Tensor factors are read right to left (the last letter of a word is the
 first tensor factor).
+
+The tableau words are grown letter by letter.  Which letters may extend a
+valid word depends only on its extension state, its last letter and which of
+3, 4, 5, 6, 0_1, 0_2, -6, -5, -4, -3 it holds, since that fixes every count
+the validity constraints read; so the counting rule runs once per state, not
+once per word (``enumerate_tableaux`` gives the reasons).
 """
 
 from __future__ import annotations
@@ -45,7 +51,20 @@ _WT2 = {a: wt[1] for a, wt in LETTER_WEIGHT.items()}
 
 _BAR = {**{a: -a for a in (1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6)}, 7: 7, 8: 8}
 
-_INCOMPARABLE = ({5, 6}, {7, 8}, {-5, -6})
+_INCOMPARABLE = ((5, 6), (7, 8), (-5, -6))
+
+# The five counting constraints: a valid word holds at most one letter of
+# each group, counted with multiplicity, except that the letters of
+# _PRESENCE count once however often they occur.
+_AT_MOST_ONE = ((5, 7, 8, -5), (3, 4, 5, 7), (7, -5, -4, -3), (5, 6, 7), (7, -6, -5))
+_PRESENCE = (6, -6)
+
+# A word's extension state (see enumerate_tableaux): the position of its last
+# letter in LETTERS in the low four bits, and one bit above them for each
+# letter of a constraint that the word holds.
+_STATE_BIT = {a: 1 << (4 + n) for n, a in enumerate(
+    a for a in LETTERS if any(a in group for group in _INCOMPARABLE + _AT_MOST_ONE))}
+_LAST_BITS = 0b1111
 
 
 def letter_to_json(a: int) -> str:
@@ -93,19 +112,13 @@ def is_valid_word(word) -> bool:
 
 def _counts_ok(c) -> bool:
     """The incomparable-pair test and the five counting constraints."""
-    for pair in _INCOMPARABLE:
-        if all(c[a] > 0 for a in pair):
+    for a, b in _INCOMPARABLE:
+        if c[a] and c[b]:
             return False
-    if c[5] + c[7] + c[8] + c[-5] > 1:
-        return False
-    if c[3] + c[4] + c[5] + c[7] > 1:
-        return False
-    if c[7] + c[-5] + c[-4] + c[-3] > 1:
-        return False
-    if c[5] + (1 if c[6] else 0) + c[7] > 1:
-        return False
-    if c[7] + (1 if c[-6] else 0) + c[-5] > 1:
-        return False
+    c = {**c, **{a: min(c[a], 1) for a in _PRESENCE}}
+    for group in _AT_MOST_ONE:
+        if sum(map(c.__getitem__, group)) > 1:
+            return False
     return True
 
 
@@ -168,27 +181,53 @@ def dim(n: int) -> int:
     return weyl_dim(0, n)
 
 
-@lru_cache(maxsize=None)
 def enumerate_tableaux(n: int) -> tuple[tuple[int, ...], ...]:
     """All valid words of length n, sorted; the count matches dim(n).
 
     Every prefix of a valid word is valid, so each word of length n - 1, in
-    order, is extended by one letter at or after its last letter and kept
-    when the letter counts pass.
+    order, is extended by the letters at or after its last letter that keep
+    the counting constraints.  Those letters depend only on the word's
+    extension state, since its last letter and the constrained letters it
+    holds give every count the constraints read: 1, 2, -2 and -1 are in none,
+    6 and -6 are read as present or absent, and each other constrained letter
+    occurs at most once, its group in _AT_MOST_ONE summing to at most 1.  So
+    ``_extensions`` works them out once per state, and each length keeps its
+    words' states for the next length to extend.
     """
+    return _grown(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _grown(n: int) -> tuple[tuple[tuple[int, ...], ...], str]:
+    """The words of length n, sorted, and their extension states as one str
+    whose k-th code point is the k-th word's state: two bytes a word, where
+    a tuple of ints takes eight."""
     if n == 0:
-        return ((),)
-    out = []
-    for word in enumerate_tableaux(n - 1):
-        c = _counts(word)
-        for a in LETTERS[ORDER_INDEX[word[-1]] if word else 0:]:
-            c[a] += 1
-            if _counts_ok(c):
-                out.append(word + (a,))
-            c[a] -= 1
+        return ((),), chr(0)
+    words, states = [], []
+    for word, state in zip(*_grown(n - 1)):
+        for nxt in _extensions(ord(state)):
+            words.append(word + (LETTERS[nxt & _LAST_BITS],))
+            states.append(nxt)
     count = dim(n)
-    if len(out) != count:
-        raise RuntimeError(f"enumeration of B({n}*La1) gave {len(out)} words, expected {count}")
+    if len(words) != count:
+        raise RuntimeError(f"enumeration of B({n}*La1) gave {len(words)} words, expected {count}")
+    return tuple(words), "".join(map(chr, states))
+
+
+@lru_cache(maxsize=None)
+def _extensions(state: int) -> tuple[int, ...]:
+    """The state of the extended word for each letter that may extend a
+    word in ``state``, in letter order, by ``_counts_ok`` on the counts the
+    state stands for; its low bits give the letter."""
+    c = {a: 1 if state & _STATE_BIT.get(a, 0) else 0 for a in LETTERS}
+    held = state & ~_LAST_BITS
+    out = []
+    for a in LETTERS[state & _LAST_BITS:]:
+        c[a] += 1
+        if _counts_ok(c):
+            out.append(held | _STATE_BIT.get(a, 0) | ORDER_INDEX[a])
+        c[a] -= 1
     return tuple(out)
 
 

@@ -667,6 +667,21 @@ def test_fast_paths_match_the_model_operators():
         assert bl._phi[0] == [mod.phi0(back[w]) for w in bl.elements]
 
 
+def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):
+    # the f_1, E_A and involution images are looked up as plain tuples
+    made = []
+    new = AParam.__new__
+    monkeypatch.setattr(AParam, "__new__",
+                        staticmethod(lambda cls, *args: made.append(args) or new(cls, *args)))
+    mod = affine.AffineModel(4)
+    assert len(made) == len(mod.elements) == 1113
+    # a fault message still names both elements as AParams
+    monkeypatch.setattr(affine, "ea_plus", lambda l, i, k, j, p, q: (i, k, j, p + 9, q))
+    with pytest.raises(affine.ConstructionFault,
+                       match=r"^E_A left the crystal: AParam\(i=0, .*\) -> AParam\(i=0, k=0, j=0, p=9, "):
+        affine.AffineModel(1)
+
+
 def test_model_values_are_computed_once(monkeypatch, fresh_caches):
     # one involution image per element in the build, and no C_A, e_0 or f_0
     # call in the check

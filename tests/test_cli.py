@@ -1,9 +1,9 @@
 import hashlib
 import json
 
-from g2crystal import g2, perfect, rmatrix
+from g2crystal import affine, g2, perfect, rmatrix
 from g2crystal.affine import ConstructionFault
-from g2crystal.cli import main
+from g2crystal.cli import _word_id, main
 
 
 def run_cli(argv, capsys):
@@ -91,6 +91,32 @@ def test_deterministic_output(capsys):
     _, out1 = run_cli(["graph", "--level", "2", "--format", "dot"], capsys)
     _, out2 = run_cli(["graph", "--level", "2", "--format", "dot"], capsys)
     assert out1 == out2
+
+
+def test_streamed_documents_are_the_whole_documents(capsys):
+    # enumerate, graph and phi write item by item; the single json.dumps or
+    # join of the whole document is the oracle
+    for l in range(4):
+        bl = affine.bl_crystal(l)
+        vertices = [g2.word_to_json(w) for w in bl.elements]
+        edges = [(i, w, img) for i in (0, 1, 2) for w in bl.elements
+                 if (img := bl.f(i, w)) is not None]
+        dot = ([f"digraph B{l} {{"] + [f'  "{_word_id(w)}";' for w in bl.elements]
+               + [f'  "{_word_id(w)}" -> "{_word_id(img)}" [label={i}];' for i, w, img in edges]
+               + ["}"])
+        documents = {
+            ("enumerate",): json.dumps(vertices),
+            ("graph",): json.dumps({"vertices": vertices, "edges": [
+                {"color": i, "from": g2.word_to_json(w), "to": g2.word_to_json(img)}
+                for i, w, img in edges]}),
+            ("graph", "--format", "dot"): "\n".join(dot),
+            ("phi",): json.dumps([{"param": b.to_json(), "tableau": g2.word_to_json(w)}
+                                  for b, w in sorted(affine.phi_table(l).forward.items())]),
+        }
+        for (command, *rest), document in documents.items():
+            code, out = run_cli([command, "--level", str(l), *rest], capsys)
+            assert code == 0
+            assert out == document + "\n", (l, command, rest)
 
 
 def test_usage_error_exit_code(capsys):

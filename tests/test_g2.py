@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from g2crystal import g2
 from g2crystal.cartan import from_classical_pair
 
@@ -28,6 +30,43 @@ def test_enumeration_is_the_closure_in_letter_order():
 
     for n in range(6):
         assert list(g2.enumerate_tableaux(n)) == sorted(g2.closure_from_highest(n), key=key)
+
+
+@pytest.fixture
+def fresh_enumeration():
+    """Empty the enumeration's caches around a test that counts or poisons it."""
+    for cached in (g2._grown, g2._extensions):
+        cached.cache_clear()
+    yield
+    for cached in (g2._grown, g2._extensions):
+        cached.cache_clear()
+
+
+def test_enumeration_is_the_valid_sorted_extensions():
+    # the per-word predicate is the oracle of the extension states
+    for n in range(1, 8):
+        expected = [w + (a,) for w in g2.enumerate_tableaux(n - 1) for a in g2.LETTERS
+                    if g2.is_valid_word(w + (a,))]
+        assert list(g2.enumerate_tableaux(n)) == expected, n
+
+
+def test_enumeration_counts_once_per_extension_state(monkeypatch, fresh_enumeration):
+    # 682 calls over 256 states; one call per letter tried per word was 29,400
+    calls = []
+    counts_ok = g2._counts_ok
+    monkeypatch.setattr(g2, "_counts_ok", lambda c: calls.append(1) or counts_ok(c))
+    for n in range(9):
+        g2.enumerate_tableaux(n)
+    assert len(calls) <= 1500
+
+
+def test_poisoned_constraint_fails_the_dimension_check(monkeypatch, fresh_enumeration):
+    # the second counting constraint without 0_1: [3, 0_1] and [4, 0_1] pass
+    groups = tuple((3, 4, 5) if g == (3, 4, 5, 7) else g for g in g2._AT_MOST_ONE)
+    assert groups != g2._AT_MOST_ONE
+    monkeypatch.setattr(g2, "_AT_MOST_ONE", groups)
+    with pytest.raises(RuntimeError, match=r"B\(2\*La1\) gave 79 words, expected 77"):
+        g2.enumerate_tableaux(2)
 
 
 def test_printed_constraints_needed_correction():
