@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .signature import act_factor, unmatched
+from .signature import act_factor, bracket
 
 # (eps, phi) of each letter for color a and color b.
 _EP_A = {1: (0, 1), 2: (1, 0), 3: (0, 0)}
@@ -114,7 +114,7 @@ def apply(op: str, color: str, t: A2Tableau) -> A2Tableau | None:
     """Kashiwara operator via the signature rule; returns None at string ends."""
     ep = _EP_A if color == "a" else _EP_B
     facs = t.factors()
-    k = act_factor(op, [ep[x] for x in facs])
+    k = act_factor(op, map(ep.__getitem__, facs))
     if k is None:
         return None
     step = _F_STEP[color] if op == "f" else _E_STEP[color]
@@ -135,12 +135,12 @@ def apply_power(op, color, t, k):
 
 def eps(color: str, t: A2Tableau) -> int:
     ep = _EP_A if color == "a" else _EP_B
-    return len(unmatched([ep[x] for x in t.factors()])[0])
+    return bracket(map(ep.__getitem__, t.factors()))[0]
 
 
 def phi(color: str, t: A2Tableau) -> int:
     ep = _EP_A if color == "a" else _EP_B
-    return len(unmatched([ep[x] for x in t.factors()])[1])
+    return bracket(map(ep.__getitem__, t.factors()))[1]
 
 
 @lru_cache(maxsize=None)

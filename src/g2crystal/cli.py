@@ -198,11 +198,11 @@ def _qcheck(args, out) -> int:
     return 0 if ok else 1
 
 
-# the largest level any command builds: cold, in one process, verify --level 8
-# takes 1.3-1.9 s and 32 MB on a shared 2-core Xeon host with Python 3.11
-# (|B^8| = 24585).  At l = 10, verify takes 4.3-4.4 s and 64-65 MB there, and
-# the streamed enumerate, graph and phi at most 3.4 s and 59 MB
-MAX_LEVEL = 8
+# the largest level any command builds: cold, in one process, on a shared
+# 2-core Xeon host with Python 3.11, verify --level 10 takes 3.7-5.9 s and
+# 65 MB, and every other command at l = 10 (graph in each format) at most
+# 4.3 s and 62 MB
+MAX_LEVEL = 10
 
 
 def _level(lo):

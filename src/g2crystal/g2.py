@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cartan import ClassicalWeight, from_classical_pair, weyl_dim
-from .signature import unmatched
+from .signature import bracket
 
 LETTERS = (1, 2, 3, 4, 5, 6, 7, 8, -6, -5, -4, -3, -2, -1)
 ORDER_INDEX = {a: i for i, a in enumerate(LETTERS)}
@@ -51,8 +51,6 @@ _WT2 = {a: wt[1] for a, wt in LETTER_WEIGHT.items()}
 
 _BAR = {**{a: -a for a in (1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6)}, 7: 7, 8: 8}
 
-_INCOMPARABLE = ((5, 6), (7, 8), (-5, -6))
-
 # The five counting constraints: a valid word holds at most one letter of
 # each group, counted with multiplicity, except that the letters of
 # _PRESENCE count once however often they occur.
@@ -63,7 +61,7 @@ _PRESENCE = (6, -6)
 # letter in LETTERS in the low four bits, and one bit above them for each
 # letter of a constraint that the word holds.
 _STATE_BIT = {a: 1 << (4 + n) for n, a in enumerate(
-    a for a in LETTERS if any(a in group for group in _INCOMPARABLE + _AT_MOST_ONE))}
+    a for a in LETTERS if any(a in group for group in _AT_MOST_ONE))}
 _LAST_BITS = 0b1111
 
 
@@ -93,14 +91,14 @@ def _counts(word):
 def is_valid_word(word) -> bool:
     """Membership test for B(n*Lambda_1), n = len(word).
 
-    Weak increase in the preorder (incomparable letters never coexist: for
-    {5,6} and {-5,-6} this is the order constraint; for {0_1,0_2} it follows
-    from the first counting constraint) plus five counting constraints.  The
-    letter 0_1 takes part in the second and third constraints as well as the
-    last three: without that, words such as [3, 0_1] pass the test but are
-    not generated from [1^n], and the count at n=2 comes out 81 instead of
-    77.  The whole predicate is validated exhaustively against the closure
-    of [1^n] under the crystal operators.
+    Weak increase in the linearization plus five counting constraints.
+    Incomparable letters never coexist, since each of {5,6}, {0_1,0_2} and
+    {-5,-6} lies in one group of _AT_MOST_ONE.  The letter 0_1 takes part in
+    the second and third constraints as well as the last three: without
+    that, words such as [3, 0_1] pass the test but are not generated from
+    [1^n], and the count at n=2 comes out 81 instead of 77.  The whole
+    predicate is validated exhaustively against the closure of [1^n] under
+    the crystal operators.
     """
     w = tuple(word)
     if any(a not in ORDER_INDEX for a in w):
@@ -111,10 +109,7 @@ def is_valid_word(word) -> bool:
 
 
 def _counts_ok(c) -> bool:
-    """The incomparable-pair test and the five counting constraints."""
-    for a, b in _INCOMPARABLE:
-        if c[a] and c[b]:
-            return False
+    """The five counting constraints."""
     c = {**c, **{a: min(c[a], 1) for a in _PRESENCE}}
     for group in _AT_MOST_ONE:
         if sum(map(c.__getitem__, group)) > 1:
@@ -141,10 +136,10 @@ def strings(i: int, word):
     """
     facs = word[::-1]
     ep, fstep, estep = (EP1, F1_STEP, E1_STEP) if i == 1 else (EP2, F2_STEP, E2_STEP)
-    minus, plus = unmatched(map(ep.__getitem__, facs))
-    return (len(minus), len(plus),
-            _substitute(facs, plus[0], fstep) if plus else None,
-            _substitute(facs, minus[-1], estep) if minus else None)
+    e, p, f_at, e_at = bracket(map(ep.__getitem__, facs))
+    return (e, p,
+            None if f_at is None else _substitute(facs, f_at, fstep),
+            None if e_at is None else _substitute(facs, e_at, estep))
 
 
 def _substitute(facs, k, step) -> tuple[int, ...]:

@@ -7,10 +7,10 @@ the word has shape minus^a plus^b.  The lowering operator acts at the factor
 of the leftmost surviving plus, the raising operator at the rightmost
 surviving minus.
 
-``unmatched`` is the one implementation of this bracketing rule; word
-reduction, the tensor-product operators and the string lengths of the G2 and
-A2 tableau crystals all call it, and ``acts_on_first`` is its two-factor
-closed form.  ``reduce_brute`` is kept as its oracle.
+``bracket`` is the one bracketing rule the program runs: the tensor-product
+operators and the string lengths of the G2 and A2 tableau crystals all call
+it, and ``acts_on_first`` is its two-factor closed form.  ``unmatched``, the
+positional form behind word reduction, and ``reduce_brute`` are its oracles.
 """
 
 from __future__ import annotations
@@ -63,6 +63,28 @@ def unmatched(ep_list) -> tuple[list[int], list[int]]:
     return minus, plus
 
 
+def bracket(ep_pairs) -> tuple[int, int, int | None, int | None]:
+    """(eps, phi, f_at, e_at) of ``ep_pairs``, read as in ``unmatched`` (a
+    one-shot iterator will do), from integer counts: ``pending`` pluses
+    survive so far; the rightmost surviving minus is in the last factor with
+    minuses left over, the leftmost surviving plus in the last factor whose
+    pluses found none pending."""
+    eps = pending = 0
+    f_at = e_at = None
+    for k, (e, f) in enumerate(ep_pairs):
+        if e > pending:
+            eps += e - pending
+            pending = 0
+            e_at = k
+        else:
+            pending -= e
+        if f:
+            if not pending:
+                f_at = k
+            pending += f
+    return eps, pending, f_at if pending else None, e_at
+
+
 def reduce_word(word: UWord) -> UWord:
     """Reduce through ``unmatched``, one factor per symbol; zeros drop out.
 
@@ -100,11 +122,10 @@ def act_factor(op: str, ep_list) -> int | None:
     order (first factor leftmost).  'f' acts at the leftmost surviving plus,
     'e' at the rightmost surviving minus.
     """
-    minus, plus = unmatched(ep_list)
     if op == "f":
-        return plus[0] if plus else None
+        return bracket(ep_list)[2]
     if op == "e":
-        return minus[-1] if minus else None
+        return bracket(ep_list)[3]
     raise ValueError(f"unknown operator {op!r}")
 
 
@@ -124,7 +145,7 @@ def tensor_apply(op: str, factors, uword_fn, apply_fn):
     sl2 string (apply_fn returning None where the signature demanded a
     step) is a contract violation and raises.
     """
-    k = act_factor(op, [uword_fn(b) for b in factors])
+    k = act_factor(op, map(uword_fn, factors))
     if k is None:
         return None
     image = apply_fn(op, factors[k])

@@ -245,14 +245,14 @@ def test_non_tableau_image_is_one_failed_line(monkeypatch, fresh_caches, capsys)
 def test_tensor_square_level_bound_is_usage_error(fresh_caches, capsys):
     from g2crystal import affine
 
-    for argv in (["connectivity", "--level", "9"], ["verify", "--level", "9"],
-                 ["enumerate", "--level", "9"], ["graph", "--level", "9"],
-                 ["phi", "--level", "9"], ["minimal", "--level", "9"],
-                 ["dims", "--max-level", "9"]):
+    for argv in (["connectivity", "--level", "11"], ["verify", "--level", "11"],
+                 ["enumerate", "--level", "11"], ["graph", "--level", "11"],
+                 ["phi", "--level", "11"], ["minimal", "--level", "11"],
+                 ["dims", "--max-level", "11"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "at most 8" in captured.err, argv
+        assert "at most 10" in captured.err, argv
     assert affine.bl_crystal.cache_info().currsize == 0
     assert affine.model.cache_info().currsize == 0
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -48,6 +49,13 @@ def test_enumeration_is_the_valid_sorted_extensions():
         expected = [w + (a,) for w in g2.enumerate_tableaux(n - 1) for a in g2.LETTERS
                     if g2.is_valid_word(w + (a,))]
         assert list(g2.enumerate_tableaux(n)) == expected, n
+
+
+def test_valid_words_of_length_3_are_the_enumerated_tableaux():
+    # every one of the 14^3 words; the counting constraints alone keep the
+    # incomparable pairs {5,6}, {0_1,0_2} and {-5,-6} apart
+    valid = {w for w in product(g2.LETTERS, repeat=3) if g2.is_valid_word(w)}
+    assert valid == set(g2.enumerate_tableaux(3))
 
 
 def test_enumeration_counts_once_per_extension_state(monkeypatch, fresh_enumeration):

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 from g2crystal.signature import (
-    MINUS, PLUS, UWord, ZERO, act_factor, reduce_brute, reduce_word,
+    MINUS, PLUS, UWord, ZERO, act_factor, bracket, reduce_brute, reduce_word,
     tensor_apply, unmatched,
 )
 
@@ -201,3 +201,61 @@ def test_two_factor_side_rule_matches_act_factor():
             k = act_factor(op, [(ex, px), (ey, py)])
             if k is not None:
                 assert (k == 0) == acts_on_first(op, px, ey), (op, ex, px, ey, py)
+
+
+def test_bracket_matches_unmatched_exhaustively():
+    # every ep list of length <= 4 with entries 0..3
+    pairs = list(product(range(4), repeat=2))
+    for n in range(5):
+        for ep in product(pairs, repeat=n):
+            minus, plus = unmatched(ep)
+            assert bracket(ep) == (len(minus), len(plus),
+                                   plus[0] if plus else None,
+                                   minus[-1] if minus else None), ep
+
+
+def test_bracket_reads_a_one_shot_iterator():
+    ep = [(0, 2), (1, 0), (3, 1), (0, 0), (2, 3), (1, 1)]
+    expected = bracket(ep)
+    assert expected == (3, 3, 4, 4)
+    assert bracket(map(tuple, ep)) == expected
+    assert bracket(iter(ep)) == expected
+    assert bracket(map(tuple, [])) == (0, 0, None, None)
+
+
+def _reference_apply(op, factors, uword, step):
+    """The factor picked from ``unmatched``, stepped by ``step``."""
+    minus, plus = unmatched([uword(b) for b in factors])
+    ks = plus[:1] if op == "f" else minus[-1:]
+    if not ks:
+        return None
+    out = list(factors)
+    out[ks[0]] = step(op, factors[ks[0]])
+    return out
+
+
+def test_tensor_apply_matches_unmatched_on_b3_paths():
+    # seeded paths in (B^3)^(x)16, every e_i/f_i, each path continuing from
+    # a random image
+    from g2crystal.affine import bl_crystal
+
+    bl = bl_crystal(3)
+    calls = [(lambda b, i=i: (bl.eps(i, b), bl.phi_i(i, b)),
+              lambda op, b, i=i: bl.f(i, b) if op == "f" else bl.e(i, b))
+             for i in (0, 1, 2)]
+    rng = random.Random(2016)
+    elements = sorted(bl.elements)
+    path = [rng.choice(elements) for _ in range(16)]
+    hits = 0
+    for _ in range(300):
+        images = []
+        for uword, step in calls:
+            for op in ("e", "f"):
+                image = tensor_apply(op, path, uword, step)
+                assert image == _reference_apply(op, path, uword, step), (op, path)
+                if image is not None:
+                    images.append(image)
+        hits += len(images)
+        path = rng.choice(images) if images and rng.random() < 0.8 else \
+            [rng.choice(elements) for _ in range(16)]
+    assert hits > 1000
