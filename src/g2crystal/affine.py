@@ -27,30 +27,22 @@ kept as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from . import a2, g2
 from .cartan import ClassicalWeight
+from .g2 import ConstructionFault
 from .signature import acts_on_first
 
 
-class ConstructionFault(RuntimeError):
-    """A mis-transcribed case or rule conflict in the model construction."""
+class AParam(namedtuple("AParam", "i k j p q r")):
+    """A model element: block (i, k, j) and string coordinates (p, q, r)."""
 
-
-class AParam(NamedTuple):
-    i: int
-    k: int
-    j: int
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
     def to_json(self):
-        return {"i": self.i, "k": self.k, "j": self.j,
-                "p": self.p, "q": self.q, "r": self.r}
+        return self._asdict()
 
 
 def ea_plus(l, i, k, j, p, q):
@@ -201,41 +193,6 @@ class AffineModel:
         """C_A E_A C_A, tabulated."""
         return _image(self, self._fa, b)
 
-    def ea_depth(self, b: AParam) -> int:
-        return _depth(self._ea, self.index[b])
-
-    def fa_depth(self, b: AParam) -> int:
-        return _depth(self._fa, self.index[b])
-
-    def is_terminal(self, b: AParam) -> bool:
-        return self.FA(b) is None
-
-    # -- the anchor sets -------------------------------------------------
-
-    def y_of(self, i, j) -> int:
-        return (self.l - i - j) // 3
-
-    def classify(self, b: AParam) -> str | None:
-        """Membership in the anchor sets B_C, B_W, B_U, B_R.
-
-        B_C is the q = p wedge of the k = l-i blocks together with its whole
-        f_0-fiber; B_W and B_U are the displayed wedges on the j = i and
-        p = j edges; B_R is the residual of the terminal r = 0 set, which
-        absorbs the over-constrained inequality description.
-        """
-        l = self.l
-        if b.k == l - b.i and b.q == b.p:
-            return "BC"
-        y = self.y_of(b.i, b.j)
-        if b.k == l - b.i and b.r == 0:
-            if b.j == b.i and b.p < b.q <= y + b.i:
-                return "BW"
-            if b.p == b.j and b.j < b.q <= y + 2 * b.j - b.i:
-                return "BU"
-        if b.r == 0 and self.is_terminal(b):
-            return "BR"
-        return None
-
 
 def _image(crystal, table, x):
     """``table``'s image of element ``x`` of ``crystal``, or None."""
@@ -244,22 +201,11 @@ def _image(crystal, table, x):
     return None if t is None else crystal.elements[t]
 
 
-def _depth(table, n) -> int:
-    """Steps from position n along a position table until it is undefined;
-    a walk on a cycle stops after len(table) steps and reads len(table) + 1,
-    a depth no string has."""
-    for d in range(len(table) + 1):
-        n = table[n]
-        if n is None:
-            return d
-    return len(table) + 1
-
-
 def _depths(table) -> list[int]:
-    """``_depth`` of every position along ``table``, with each position
-    walked once: a walk stops at the first position whose depth is known.
-    A walk that runs into a cycle reads len(table) + 1 for every position on
-    it, as ``_depth`` does."""
+    """Per position, the steps along a position table until it is undefined,
+    with each position walked once: a walk stops at the first position whose
+    depth is known.  Every position that reaches a cycle reads len(table) + 1,
+    a depth no string has."""
     cycle = len(table) + 1
     depth = [None] * len(table)
     for n in range(len(table)):
@@ -392,16 +338,13 @@ def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
     return counts
 
 
-@dataclass
 class PhiTable:
     """Phi at one level: ``words[perm[n]]`` is Phi(``params[n]``), ``inverse``
     inverts ``perm``, and the dicts ``forward``/``backward`` are built on first
     read and kept."""
 
-    perm: list
-    inverse: list
-    params: list
-    words: list
+    def __init__(self, perm, inverse, params, words):
+        self.perm, self.inverse, self.params, self.words = perm, inverse, params, words
 
     def __len__(self):
         return len(self.perm)

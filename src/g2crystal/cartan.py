@@ -7,7 +7,7 @@ of an affine weight is never tracked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Rows <h_i, alpha_j> for i, j in {0, 1, 2}.
 CARTAN_MATRIX = (
@@ -20,16 +20,17 @@ CARTAN_MATRIX = (
 ROOT_NORMS = (3, 3, 1)
 
 
-@dataclass(frozen=True, order=True)
-class ClassicalWeight:
-    """Element m0*Lambda_0 + m1*Lambda_1 + m2*Lambda_2 of the classical lattice."""
+class ClassicalWeight(namedtuple("ClassicalWeight", "m0 m1 m2")):
+    """Element m0*Lambda_0 + m1*Lambda_1 + m2*Lambda_2 of the classical lattice.
 
-    m0: int
-    m1: int
-    m2: int
+    A named tuple: it hashes, compares and sorts as its field tuple, and adds
+    and negates as a weight, not as a sequence.
+    """
+
+    __slots__ = ()
 
     def wt(self, i: int) -> int:
-        return (self.m0, self.m1, self.m2)[i]
+        return self[i]
 
     def __add__(self, other: "ClassicalWeight") -> "ClassicalWeight":
         return ClassicalWeight(self.m0 + other.m0, self.m1 + other.m1, self.m2 + other.m2)
@@ -41,7 +42,7 @@ class ClassicalWeight:
         return ClassicalWeight(-self.m0, -self.m1, -self.m2)
 
     def to_json(self) -> dict:
-        return {"m0": self.m0, "m1": self.m1, "m2": self.m2}
+        return self._asdict()
 
 
 def weyl_dim(a: int, b: int) -> int:

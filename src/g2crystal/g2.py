@@ -24,6 +24,11 @@ from functools import lru_cache
 from .cartan import ClassicalWeight, from_classical_pair, weyl_dim
 from .signature import bracket
 
+
+class ConstructionFault(RuntimeError):
+    """A mis-transcribed case or rule conflict in the construction."""
+
+
 LETTERS = (1, 2, 3, 4, 5, 6, 7, 8, -6, -5, -4, -3, -2, -1)
 ORDER_INDEX = {a: i for i, a in enumerate(LETTERS)}
 
@@ -206,7 +211,8 @@ def _grown(n: int) -> tuple[tuple[tuple[int, ...], ...], str]:
             states.append(nxt)
     count = dim(n)
     if len(words) != count:
-        raise RuntimeError(f"enumeration of B({n}*La1) gave {len(words)} words, expected {count}")
+        raise ConstructionFault(
+            f"enumeration of B({n}*La1) gave {len(words)} words, expected {count}")
     return tuple(words), "".join(map(chr, states))
 
 
@@ -226,48 +232,11 @@ def _extensions(state: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def closure_from_highest(n: int) -> set[tuple[int, ...]]:
-    """Independent oracle: the f-closure of [1^n] under both colors."""
-    start = (1,) * n
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in (1, 2):
-                img = apply("f", i, w)
-                if img is not None and img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
 def cstrip(k: int) -> tuple[int, ...]:
     """f_1^k applied to [6^k]: 6s, an optional 0_2, then barred 6s."""
     h = k // 2
     mid = (8,) if k % 2 else ()
     return (6,) * h + mid + (-6,) * h
-
-
-def wstrip(k: int) -> tuple[int, ...]:
-    """f_2^k applied to [2^k], by residue of k mod 3."""
-    h, r = divmod(k, 3)
-    if r == 0:
-        return (2,) * (2 * h) + (6,) * h
-    if r == 1:
-        return (2,) * (2 * h) + (3,) + (6,) * h
-    return (2,) * (2 * h + 1) + (4,) + (6,) * h
-
-
-def wbarstrip(k: int) -> tuple[int, ...]:
-    """e_2^k applied to [(-2)^k], by residue of k mod 3."""
-    h, r = divmod(k, 3)
-    if r == 0:
-        return (-6,) * h + (-2,) * (2 * h)
-    if r == 1:
-        return (-6,) * h + (-3,) + (-2,) * (2 * h)
-    return (-6,) * h + (-4,) + (-2,) * (2 * h + 1)
 
 
 def involution(word) -> tuple[int, ...]:

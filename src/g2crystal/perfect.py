@@ -10,34 +10,38 @@ the fusion construction and is not represented here.
 The square B^l (x) B^l is proved connected over its classical {1,2}-
 components (``_square_components``): one highest element names each, and
 one e_0 probe from it, raised, joins it to another.  The flat BFS over all
-|B^l|^2 states (``_square_connected``) is the reference for tests.  Both
-walk pairs of positions through B^l's own position tables, one step at a
-time by ``signature.acts_on_first``.
+|B^l|^2 states is its reference in the tests.  Both walk pairs of
+positions through B^l's own position tables, one step at a time by
+``signature.acts_on_first`` (``_pair_step``).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
 
 from .affine import ConstructionFault, _components, bl_crystal
 from .cartan import ClassicalWeight, dominant_weights, simple_root, weyl_dim
 from .signature import acts_on_first
 
 
-@dataclass
 class PerfectReport:
-    level: int
-    cond_connected_square: bool = False
-    cond_unique_top_weight: bool = False
-    cond_level_bound: bool = False
-    cond_eps_phi_bijective: bool = False
-    cond_self_connected: bool = False
-    square_size: int = 0
-    square_components: int = 0
-    square_roots: int = 0
-    top_weight: ClassicalWeight | None = None
-    minimal: list = field(default_factory=list)
+    """The perfectness conditions of one level; reports compare field-wise."""
+
+    def __init__(self, level: int):
+        self.level = level
+        self.cond_connected_square = False
+        self.cond_unique_top_weight = False
+        self.cond_level_bound = False
+        self.cond_eps_phi_bijective = False
+        self.cond_self_connected = False
+        self.square_size = 0
+        self.square_components = 0
+        self.square_roots = 0
+        self.top_weight: ClassicalWeight | None = None
+        self.minimal = []
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is PerfectReport else NotImplemented
 
     def all_pass(self) -> bool:
         return (
@@ -139,33 +143,6 @@ def _square_components(bl) -> tuple[int, int, int]:
         joins[c] = top
     roots = len(_components(len(highest), [joins])) + escaped
     return len(highest), roots, size
-
-
-def _square_connected(bl) -> tuple[int, int]:
-    """(states reached from () (x) (), all states) of the tensor square x (x) y.
-
-    The flat BFS over all |B^l|^2 states: the reference for
-    ``_square_components``, for tests only.
-    """
-    n = len(bl.elements)
-    start = bl.index[()]
-    seen = bytearray(n * n)
-    seen[start * n + start] = 1
-    frontier = deque([(start, start)])
-    count = 1
-    while frontier:
-        pair = frontier.popleft()
-        for i in (0, 1, 2):
-            for op in ("f", "e"):
-                nxt = _pair_step(bl, op, i, *pair)
-                if nxt is None:
-                    continue
-                code = nxt[0] * n + nxt[1]
-                if not seen[code]:
-                    seen[code] = 1
-                    count += 1
-                    frontier.append(nxt)
-    return count, n * n
 
 
 def check_perfect(l: int) -> PerfectReport:

@@ -21,7 +21,6 @@ Values never mutate their dicts, so they may share them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -304,8 +303,10 @@ class QRat:
             raise ValueError("zero has no valuation")
         return min(self.num)
 
-    def value_at_zero(self) -> Fraction:
-        """Limit at q = 0 for values regular there."""
+    def value_at_zero(self):
+        """Limit at q = 0 for values regular there, as a Fraction."""
+        from fractions import Fraction
+
         if not self.num:
             return Fraction(0)
         if self.order_at_zero() < 0:

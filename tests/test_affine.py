@@ -5,6 +5,52 @@ import pytest
 from g2crystal import a2, affine, g2
 from g2crystal.affine import AParam
 from g2crystal.cli import main
+from test_g2 import wbarstrip
+
+
+def _depth(table, n):
+    """Steps from position n along a position table until it is undefined;
+    a walk on a cycle stops after len(table) steps and reads len(table) + 1,
+    a depth no string has."""
+    for d in range(len(table) + 1):
+        n = table[n]
+        if n is None:
+            return d
+    return len(table) + 1
+
+
+def ea_depth(mod, b):
+    return _depth(mod._ea, mod.index[b])
+
+
+def fa_depth(mod, b):
+    return _depth(mod._fa, mod.index[b])
+
+
+def y_of(mod, i, j):
+    return (mod.l - i - j) // 3
+
+
+def classify(mod, b):
+    """Membership in the anchor sets B_C, B_W, B_U, B_R.
+
+    B_C is the q = p wedge of the k = l-i blocks together with its whole
+    f_0-fiber; B_W and B_U are the displayed wedges on the j = i and p = j
+    edges; B_R is the residual of the terminal r = 0 set, which absorbs the
+    over-constrained inequality description.
+    """
+    l = mod.l
+    if b.k == l - b.i and b.q == b.p:
+        return "BC"
+    y = y_of(mod, b.i, b.j)
+    if b.k == l - b.i and b.r == 0:
+        if b.j == b.i and b.p < b.q <= y + b.i:
+            return "BW"
+        if b.p == b.j and b.j < b.q <= y + 2 * b.j - b.i:
+            return "BU"
+    if b.r == 0 and mod.FA(b) is None:
+        return "BR"
+    return None
 
 
 def test_model_counts():
@@ -109,7 +155,7 @@ def test_depth_weight_identity():
         mod = affine.model(l)
         for b in mod.elements:
             w1, w0 = mod.weight(b)
-            assert mod.fa_depth(b) - mod.ea_depth(b) == -2 * w1 - w0
+            assert fa_depth(mod, b) - ea_depth(mod, b) == -2 * w1 - w0
 
 
 def test_depth_weight_spot():
@@ -117,8 +163,8 @@ def test_depth_weight_spot():
     # bottom with raising depth five
     mod = affine.model(2)
     b = AParam(0, 2, 1, 0, 0, 0)
-    assert mod.fa_depth(b) == 0
-    assert mod.ea_depth(b) == 5
+    assert fa_depth(mod, b) == 0
+    assert ea_depth(mod, b) == 5
     w1, w0 = mod.weight(b)
     assert -2 * w1 - w0 == -5
 
@@ -129,29 +175,23 @@ def test_depth_on_an_operator_cycle_is_a_failure(fresh_caches):
     mod = affine.model(2)
     n = next(n for n, up in enumerate(mod._ea) if up is not None)
     mod._ea[mod._ea[n]] = n
-    assert mod.ea_depth(mod.elements[n]) == len(mod._ea) + 1
+    assert ea_depth(mod, mod.elements[n]) == len(mod._ea) + 1
     report = affine.verify_construction(2)
     assert report["string_depth_weight"]["failures"] == 4
     assert report["pair_mutual_inverse"]["failures"] == 2
     assert not report["all_pass"]
 
 
-def test_depth_tables_are_the_depth_walks(monkeypatch):
+def test_depth_tables_are_the_depth_walks():
     for l in (1, 2, 3, 4):
         mod = affine.model(l)
         for table in (mod._ea, mod._fa):
-            assert affine._depths(table) == [affine._depth(table, n) for n in range(len(table))]
+            assert affine._depths(table) == [_depth(table, n) for n in range(len(table))]
     # a tail into a cycle reads len(table) + 1 on every position that reaches
     # it: 0 -> 1 -> 2 -> 1, and 4 -> 3
     table = [1, 2, 1, None, 3]
     assert affine._depths(table) == [6, 6, 6, 0, 1]
-    assert [affine._depth(table, n) for n in range(5)] == [6, 6, 6, 0, 1]
-    # C3 reads the tables, not one walk per element
-    calls = []
-    depth = affine._depth
-    monkeypatch.setattr(affine, "_depth", lambda table, b: calls.append(b) or depth(table, b))
-    assert affine.verify_construction(3)["all_pass"]
-    assert calls == []
+    assert [_depth(table, n) for n in range(5)] == [6, 6, 6, 0, 1]
 
 
 def test_raising_step_weight_gain():
@@ -204,13 +244,13 @@ def test_anchor_set_coverage_and_residual():
     for l in (1, 2, 3):
         mod = affine.model(l)
         terminal = [b for b in mod.elements if b.r == 0 and mod.FA(b) is None]
-        labels = {b: mod.classify(b) for b in terminal}
+        labels = {b: classify(mod, b) for b in terminal}
         assert all(v is not None for v in labels.values())
         # terminal elements all live on the k = l - i blocks with the
         # consolidated bound q <= y + j - (i - p)+
         for b in terminal:
             assert b.k == l - b.i
-            y = mod.y_of(b.i, b.j)
+            y = y_of(mod, b.i, b.j)
             assert b.p <= b.q <= y + b.j - max(b.i - b.p, 0)
         # the residual set equals the display with the doubled q-constraint
         # dropped: i < j, p < min(q, j), q within the consolidated bound
@@ -219,7 +259,7 @@ def test_anchor_set_coverage_and_residual():
         for b in mod.elements:
             if b.r or b.k != l - b.i or b.j <= b.i:
                 continue
-            y = mod.y_of(b.i, b.j)
+            y = y_of(mod, b.i, b.j)
             if b.p < min(b.q, b.j) and b.q <= y + b.j - max(b.i - b.p, 0):
                 disp.add(b)
         assert residual == disp
@@ -227,10 +267,10 @@ def test_anchor_set_coverage_and_residual():
 
 def test_classify_examples():
     mod = affine.model(2)
-    assert mod.classify(AParam(0, 2, 1, 0, 0, 0)) == "BC"
-    assert mod.classify(AParam(1, 1, 1, 0, 1, 0)) == "BW"
+    assert classify(mod, AParam(0, 2, 1, 0, 0, 0)) == "BC"
+    assert classify(mod, AParam(1, 1, 1, 0, 1, 0)) == "BW"
     # B_W at level 2 via the displayed inequalities p < q <= y + j, y = 0
-    assert mod.classify(AParam(1, 1, 1, 0, 1, 0)) == "BW"
+    assert classify(mod, AParam(1, 1, 1, 0, 1, 0)) == "BW"
 
 
 def test_conjugate_of_string_top():
@@ -239,13 +279,13 @@ def test_conjugate_of_string_top():
     for l in (2, 3):
         mod = affine.model(l)
         for b in mod.elements:
-            c = mod.classify(b)
+            c = classify(mod, b)
             if c in ("BW", "BU"):
                 end, _ = _terminal_of_string(mod, b)
-                assert mod.classify(mod.CA(end)) == "BC"
+                assert classify(mod, mod.CA(end)) == "BC"
             elif c == "BR":
                 end, _ = _terminal_of_string(mod, b)
-                assert mod.classify(mod.CA(end)._replace(r=0)) == "BR"
+                assert classify(mod, mod.CA(end)._replace(r=0)) == "BR"
 
 
 def test_conjugate_top_lands_in_wedge():
@@ -255,7 +295,7 @@ def test_conjugate_top_lands_in_wedge():
     for l in (2, 3, 4):
         mod = affine.model(l)
         for b in mod.elements:
-            if mod.classify(b) != "BW":
+            if classify(mod, b) != "BW":
                 continue
             end, _ = _terminal_of_string(mod, b)
             c = mod.CA(end)
@@ -380,7 +420,7 @@ def test_uelement_closed_forms():
                 elif 0 < d < 3 * p and d % 3 == 2:
                     exp = (2,) * (d // 3) + (3,) + (6,) * (p - 1 - d // 3) + (-2,) * (l - p)
                 elif d > 3 * p:
-                    exp = (2,) * p + g2.wbarstrip(d - 3 * p) + (-2,) * (k + 2 * p)
+                    exp = (2,) * p + wbarstrip(d - 3 * p) + (-2,) * (k + 2 * p)
                 else:
                     exp = w
                 assert img == g2.sort_word(exp), (l, k, p)
@@ -665,6 +705,16 @@ def test_fast_paths_match_the_model_operators():
         assert bl._e[0] == {fwd[b]: fwd[t] for b in elements if (t := mod.e0(b)) is not None}
         assert bl._eps[0] == [back[w].r for w in bl.elements]
         assert bl._phi[0] == [mod.phi0(back[w]) for w in bl.elements]
+
+
+def test_aparam_is_its_field_tuple():
+    t = (0, 2, 1, 0, 0, 3)
+    b = AParam(*t)
+    assert hash(b) == hash(t) and b == t
+    assert repr(b) == "AParam(i=0, k=2, j=1, p=0, q=0, r=3)"
+    assert not hasattr(b, "__dict__")
+    assert type(b._replace(r=0)) is AParam
+    assert b.to_json() == {"i": 0, "k": 2, "j": 1, "p": 0, "q": 0, "r": 3}
 
 
 def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):

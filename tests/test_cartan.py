@@ -51,3 +51,19 @@ def test_classical_pair_lift_is_level_zero():
 
 def test_weight_json():
     assert ClassicalWeight(1, 2, 3).to_json() == {"m0": 1, "m1": 2, "m2": 3}
+
+
+def test_weight_is_its_field_tuple():
+    t = (2, -1, 3)
+    w = ClassicalWeight(*t)
+    assert hash(w) == hash(t)
+    assert repr(w) == "ClassicalWeight(m0=2, m1=-1, m2=3)"
+    assert not hasattr(w, "__dict__")
+    fields = [(1, 0, 0), (0, 2, -1), (0, 1, 5), (-1, 0, 0), (0, 1, -5)]
+    assert [tuple(x) for x in sorted(ClassicalWeight(*f) for f in fields)] == sorted(fields)
+
+
+def test_weight_arithmetic_returns_weights():
+    a, b = ClassicalWeight(2, -1, 3), ClassicalWeight(-1, 4, 0)
+    for got, want in ((a + b, (1, 3, 3)), (a - b, (3, -5, 3)), (-a, (-2, 1, -3))):
+        assert type(got) is ClassicalWeight and tuple(got) == want

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from g2crystal import affine, g2, perfect, rmatrix
 from g2crystal.affine import ConstructionFault
@@ -283,3 +287,35 @@ def test_qsuite_arithmetic_error_is_one_failed_line(monkeypatch, fresh_fusion_va
                           "module relation ef_commutator: pass",
                           "module relation serre: pass",
                           "prepolarization: pass", "crystal compatibility: pass"]
+
+
+def test_verify_reports_a_wrong_enumeration_count(second_constraint_without_0_1, fresh_caches,
+                                                  capsys):
+    code, out = run_cli(["verify", "--level", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == ("level 2: construction FAILED: "
+                         "enumeration of B(2*La1) gave 79 words, expected 77")
+    assert len(lines) > 1 and all(line.startswith("level 1 ") and line.endswith(": pass")
+                                  for line in lines[:-1])
+
+
+def test_enumerate_reports_a_wrong_enumeration_count(second_constraint_without_0_1, fresh_caches,
+                                                     capsys):
+    code, out = run_cli(["enumerate", "--level", "2"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "construction FAILED: enumeration of B(2*La1) gave 79 words, expected 77"]
+
+
+def test_cold_import_loads_no_unused_stdlib():
+    # every module of the package, in a fresh interpreter without site
+    src = Path(__file__).resolve().parents[1] / "src"
+    names = sorted(p.stem for p in (src / "g2crystal").glob("*.py") if p.stem != "__init__")
+    assert "cli" in names and "qlaurent" in names
+    code = ("import sys\n"
+            + "".join(f"import g2crystal.{name}\n" for name in names)
+            + "print(sorted({'dataclasses', 'typing', 'fractions', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,10 +1,37 @@
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from g2crystal import affine, perfect
 from g2crystal.affine import bl_crystal, gl_count
 from g2crystal.cartan import ClassicalWeight, dominant_weights, level, simple_root
+
+
+def square_connected(bl):
+    """(states reached from () (x) (), all states) of the tensor square x (x) y.
+
+    The flat BFS over all |B^l|^2 states: the reference for
+    ``perfect._square_components``.
+    """
+    n = len(bl.elements)
+    start = bl.index[()]
+    seen = bytearray(n * n)
+    seen[start * n + start] = 1
+    frontier = deque([(start, start)])
+    count = 1
+    while frontier:
+        pair = frontier.popleft()
+        for i in (0, 1, 2):
+            for op in ("f", "e"):
+                nxt = perfect._pair_step(bl, op, i, *pair)
+                if nxt is None:
+                    continue
+                code = nxt[0] * n + nxt[1]
+                if not seen[code]:
+                    seen[code] = 1
+                    count += 1
+                    frontier.append(nxt)
+    return count, n * n
 
 
 EXPECTED_MINIMAL = {
@@ -158,7 +185,7 @@ def test_square_bfs_reaches_one_component():
     # from () (x) () the BFS must reach exactly the B(2) component of
     # B(2) (x) B(2) = B(4) + B(2) + B(0); either comparison turned the other
     # way reaches 7
-    assert perfect._square_connected(_sl2()) == (3, 9)
+    assert square_connected(_sl2()) == (3, 9)
 
 
 def test_square_proof_keeps_the_components_of_a_disconnected_square():
@@ -210,7 +237,7 @@ def test_square_proof_makes_one_probe_per_component(monkeypatch):
 def test_square_proof_matches_the_flat_bfs():
     for l in (1, 2, 3, 4):
         bl = bl_crystal(l)
-        reached, states = perfect._square_connected(bl)
+        reached, states = square_connected(bl)
         _, roots, size = perfect._square_components(bl)
         assert reached == states, l
         assert roots == 1 and size == reached, l
@@ -331,8 +358,8 @@ def test_weight_passes_build_few_classical_weights(monkeypatch):
     # three per element (19,893 at l = 6); none in the construction check or
     # in the builds
     made = []
-    init = ClassicalWeight.__init__
-    monkeypatch.setattr(ClassicalWeight, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    new = ClassicalWeight.__new__
+    monkeypatch.setattr(ClassicalWeight, "__new__", lambda cls, *a: made.append(a) or new(cls, *a))
     assert perfect.check_perfect(6).all_pass()
     assert 0 < len(made) <= 1200
     made.clear()
