@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import g2
 from .cartan import CARTAN_MATRIX, ROOT_NORMS
-from .qlaurent import QRat, put, qbracket, qfactorial, vadd, vscale, vsub
+from .qlaurent import QRat, clear_memo, put, qbracket, qfactorial, vadd, vscale, vsub
 
 BASIS = g2.LETTERS + (9,)
 
@@ -44,6 +44,8 @@ _ONE = QRat.one()
 _B21 = qbracket(2, 3)
 _B22 = qbracket(2, 1)
 _B32 = qbracket(3, 1)
+_B32_B21 = _B32 / _B21
+clear_memo()  # import leaves the gcd memo empty, as it leaves every cache
 
 # Lowering table: F[i][a] = [(target, coefficient), ...]
 F_TABLE = {
@@ -58,7 +60,7 @@ F_TABLE = {
     },
     2: {
         2: [(3, _ONE)], 3: [(4, _B22)], 4: [(6, _B32)],
-        5: [(7, _ONE), (8, _B32 / _B21)], 7: [(-5, _B22)],
+        5: [(7, _ONE), (8, _B32_B21)], 7: [(-5, _B22)],
         -6: [(-4, _ONE)], -4: [(-3, _B22)], -3: [(-2, _B32)],
     },
 }
@@ -76,7 +78,7 @@ E_TABLE = {
     },
     2: {
         -2: [(-3, _ONE)], -3: [(-4, _B22)], -4: [(-6, _B32)],
-        -5: [(7, _ONE), (8, _B32 / _B21)], 7: [(5, _B22)],
+        -5: [(7, _ONE), (8, _B32_B21)], 7: [(5, _B22)],
         6: [(4, _ONE)], 4: [(3, _B22)], 3: [(2, _B32)],
     },
 }
@@ -212,7 +214,7 @@ def nullspace(rows, ncols):
         for r in range(len(mat)):
             if r != rank and not mat[r][col].is_zero():
                 f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+                mat[r] = [x - f * y if y else x for x, y in zip(mat[r], mat[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(mat):

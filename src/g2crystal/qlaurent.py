@@ -17,10 +17,21 @@ a/b * c/d cancels a against d and c against b only, as gcd(a, b) = gcd(c, d)
 against b, not b*b; a/b + c/k for a constant k is coprime already, as
 gcd(a*k + c*b, b) = gcd(a*k, b) = 1; any other sum is reduced in full.
 Values never mutate their dicts, so they may share them.
+
+Two products need no cancel at all: by ``_ONE``, which returns the other
+operand, and of two values over 1, whose product a*c over 1 is already
+canonical (a nonzero polynomial over the positive unit denominator 1).
+``_cancel`` memoises each gcd and its two quotients (Michie's memo
+functions) by the dense coefficient tuples of its operands, valuation
+removed, trivial gcds included, so the memo holds one entry per distinct
+pair it has seen, a few hundred over the whole q-suite; ``clear_memo``
+empties it.  A memoised quotient is the value a fresh gcd would give, so
+the canonical form, and every report, is unchanged.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 
@@ -137,17 +148,32 @@ def _list_divexact(a, b):
     return out
 
 
+_MEMO = {}  # (dense num, dense den) -> their quotients by the primitive gcd
+
+
 def _cancel(num, den):
     """num/g and den/g for the primitive gcd g of zero-free dicts; den has
-    valuation zero.  A single term on either side shares no factor."""
+    valuation zero.  A single term on either side shares no factor; any
+    other pair's gcd is worked out once, then read from ``_MEMO``."""
     if len(num) < 2 or len(den) < 2:
         return num, den
     vn, ln = _to_list(num)
     _, ld = _to_list(den)
-    g = _list_gcd(ln, ld)
-    if len(g) == 1:
+    key = (tuple(ln), tuple(ld))
+    quotients = _MEMO.get(key)
+    if quotients is None:
+        g = _list_gcd(ln, ld)
+        quotients = _MEMO[key] = (
+            key if len(g) == 1 else (_list_divexact(ln, g), _list_divexact(ld, g)))
+    if quotients is key:
         return num, den
-    return _from_list(vn, _list_divexact(ln, g)), _from_list(0, _list_divexact(ld, g))
+    qn, qd = quotients
+    return _from_list(vn, qn), _from_list(0, qd)
+
+
+def clear_memo():
+    """Empty the gcd memo of ``_cancel``."""
+    _MEMO.clear()
 
 
 class QRat:
@@ -227,6 +253,8 @@ class QRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den == {0: 1} and self.num.keys() <= {0}:
+            return hash(self.num.get(0, 0))  # a constant equals, so hashes as, its int
         return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
 
     # -- arithmetic ------------------------------------------------------
@@ -265,6 +293,13 @@ class QRat:
             other = QRat(other)
         if not self.num or not other.num:
             return _ZERO
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
+        if self.den == {0: 1} == other.den:
+            # a product of nonzero polynomials over 1 is canonical as it is
+            return QRat._canonical(_mul(self.num, other.num), self.den)
         a, d = _cancel(self.num, other.den)
         c, b = _cancel(other.num, self.den)
         return QRat._normal(_mul(a, c), _mul(b, d))
@@ -354,6 +389,7 @@ def qbracket(m: int, norm: int) -> QRat:
     return QRat({norm * (m - 1 - 2 * t): 1 for t in range(m)}, None)
 
 
+@lru_cache(maxsize=None)
 def qfactorial(k: int, norm: int) -> QRat:
     out = _ONE
     for m in range(2, k + 1):

@@ -106,32 +106,52 @@ def tvec(a, b, coeff=None):
     return {(a, b): coeff if coeff is not None else XY.const(_ONE)}
 
 
+@lru_cache(maxsize=None)
+def _steps(kind, i):
+    """(left, right, shift) for one generator acting on pure tensors a (x) b.
+
+    f = f (x) 1 + t (x) f and e = e (x) t^-1 + 1 (x) e: left[(a, b)] lists
+    the (a', c) with a (x) b -> c a' (x) b, right[(a, b)] the (b', c) with
+    a (x) b -> c a (x) b', each c carrying the q-twist read off the other
+    factor's label.  One list serves every pair with the same label and
+    twist.  The affine color shifts x on the left and y on the right.
+    """
+    if kind not in ("e", "f"):
+        raise ValueError(f"unknown generator {(kind, i)!r}")
+    table = F_TABLE[i] if kind == "f" else E_TABLE[i]
+    folded = {}
+
+    def moves(x, other, sign):
+        e = sign * NORMS[i] * weight_pairing(i, other)
+        if (x, e) not in folded:
+            folded[x, e] = [(x2, coef * _Q(e) if e else coef) for x2, coef in table[x]]
+        return folded[x, e]
+
+    left_sign, right_sign, shift = (0, 1, -1) if kind == "f" else (-1, 0, 1)
+    left = {(a, b): moves(a, b, left_sign) for a in table for b in BASIS}
+    right = {(a, b): moves(b, a, right_sign) for a in BASIS for b in table}
+    return left, right, shift if i == 0 else 0
+
+
+def _moved(c, coef, dx, dy):
+    """coef * x^dx * y^dy * c, scaled and shifted in one pass over c."""
+    return XY({(x + dx, y + dy): k * coef for (x, y), k in c.terms.items()})
+
+
 def tensor_apply(gen, u):
     """Apply a generator through the comultiplication, with spectral twist.
 
     For the affine color the first factor carries x and the second y; the
     finite colors are untwisted.
     """
-    kind, i = gen[0], gen[1]
-    twist = 1 if i == 0 else 0
+    left, right, s = _steps(*gen)
     out = {}
-    if kind == "f":
-        for (a, b), c in u.items():
-            for a2, coef in F_TABLE[i].get(a, ()):
-                put(out, (a2, b), c.scale(coef).shift(-twist, 0))
-            tw = _Q(NORMS[i] * weight_pairing(i, a))
-            for b2, coef in F_TABLE[i].get(b, ()):
-                put(out, (a, b2), c.scale(tw * coef).shift(0, -twist))
-        return out
-    if kind == "e":
-        for (a, b), c in u.items():
-            tw = _Q(-NORMS[i] * weight_pairing(i, b))
-            for a2, coef in E_TABLE[i].get(a, ()):
-                put(out, (a2, b), c.scale(coef * tw).shift(twist, 0))
-            for b2, coef in E_TABLE[i].get(b, ()):
-                put(out, (a, b2), c.scale(coef).shift(0, twist))
-        return out
-    raise ValueError(f"unknown generator {gen!r}")
+    for (a, b), c in u.items():
+        for a2, coef in left.get((a, b), ()):
+            put(out, (a2, b), _moved(c, coef, s, 0))
+        for b2, coef in right.get((a, b), ()):
+            put(out, (a, b2), _moved(c, coef, 0, s))
+    return out
 
 
 def tensor_divided(kind, i, k, u):

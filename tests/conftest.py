@@ -1,6 +1,6 @@
 import pytest
 
-from g2crystal import affine, g2, rmatrix
+from g2crystal import affine, g2, level1, qlaurent, rmatrix
 
 
 @pytest.fixture
@@ -30,9 +30,20 @@ def second_constraint_without_0_1(monkeypatch, fresh_enumeration):
     monkeypatch.setattr(g2, "_AT_MOST_ONE", groups)
 
 
+def clear_qsuite_caches():
+    """Empty every cache of the exact q-suite: each lru_cache of qlaurent,
+    level1 and rmatrix, the twisted step tables among them, and the gcd memo."""
+    for mod in (qlaurent, level1, rmatrix):
+        for fn in vars(mod).values():
+            if callable(getattr(fn, "cache_clear", None)) and fn.__module__ == mod.__name__:
+                fn.cache_clear()
+    qlaurent.clear_memo()
+
+
 @pytest.fixture
-def fresh_fusion_values():
-    """Empty the cached fusion values around a test that poisons the q-suite."""
-    rmatrix.fusion_values.cache_clear()
-    yield
-    rmatrix.fusion_values.cache_clear()
+def fresh_qsuite():
+    """Run a test that counts or poisons the q-suite from empty caches; the
+    test may call the returned function to empty them again."""
+    clear_qsuite_caches()
+    yield clear_qsuite_caches
+    clear_qsuite_caches()

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from g2crystal import affine, g2, perfect, rmatrix
+from g2crystal import affine, g2, level1, perfect, rmatrix
 from g2crystal.affine import ConstructionFault
 from g2crystal.cli import _word_id, main
 
@@ -261,7 +261,7 @@ def test_tensor_square_level_bound_is_usage_error(fresh_caches, capsys):
     assert affine.model.cache_info().currsize == 0
 
 
-def test_stray_fusion_image_is_a_failed_item(monkeypatch, fresh_fusion_values, capsys):
+def test_stray_fusion_image_is_a_failed_item(monkeypatch, fresh_qsuite, capsys):
     # item 1 lands on (1, 1) alone, so its image strays from a (2, 1) target
     items = rmatrix.fusion_items()
     ops, src, _, expected = items["items"][1]
@@ -274,7 +274,7 @@ def test_stray_fusion_image_is_a_failed_item(monkeypatch, fresh_fusion_values, c
     assert "rmatrix relation_F_family: FAIL" in out.splitlines()
 
 
-def test_qsuite_arithmetic_error_is_one_failed_line(monkeypatch, fresh_fusion_values, capsys):
+def test_qsuite_arithmetic_error_is_one_failed_line(monkeypatch, fresh_qsuite, capsys):
     # a stray (1, 1) term makes the 3La2 vector weight inhomogeneous
     u_3la2 = rmatrix._u_3la2
     monkeypatch.setattr(rmatrix, "_u_3la2",
@@ -308,14 +308,48 @@ def test_enumerate_reports_a_wrong_enumeration_count(second_constraint_without_0
         "construction FAILED: enumeration of B(2*La1) gave 79 words, expected 77"]
 
 
-def test_cold_import_loads_no_unused_stdlib():
-    # every module of the package, in a fresh interpreter without site
+def test_mistranscribed_action_coefficient_fails_qcheck(monkeypatch, fresh_qsuite, capsys):
+    # warm: every q-suite table, cache and memo filled from the true table
+    assert run_cli(["qcheck"], capsys)[0] == 0
+    # f_2 v_3 = [2]_2 v_4, transcribed with [3]_2
+    monkeypatch.setitem(level1.F_TABLE[2], 3, [(4, level1._B32)])
+    fresh_qsuite()
+    code, out = run_cli(["qcheck"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["module relation weight_rows: pass",
+                                "module relation ef_commutator: FAIL",
+                                "module relation serre: FAIL",
+                                "construction FAILED: polarization space has dimension 0, "
+                                "expected 1"]
+    # qcheck stops before the tensor square, which reads the poisoned entry too
+    assert not rmatrix.verify_fusion_identities()["pass"]
+
+
+def _fresh_import(check):
+    """stdout of ``check`` run after importing every module of the package
+    in a fresh interpreter without site."""
     src = Path(__file__).resolve().parents[1] / "src"
     names = sorted(p.stem for p in (src / "g2crystal").glob("*.py") if p.stem != "__init__")
     assert "cli" in names and "qlaurent" in names
-    code = ("import sys\n"
-            + "".join(f"import g2crystal.{name}\n" for name in names)
-            + "print(sorted({'dataclasses', 'typing', 'fractions', 'inspect'} & set(sys.modules)))")
+    code = "import sys\n" + "".join(f"import g2crystal.{name}\n" for name in names) + check
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cold_import_loads_no_unused_stdlib():
+    assert _fresh_import(
+        "print(sorted({'dataclasses', 'typing', 'fractions', 'inspect'} & set(sys.modules)))"
+    ) == "[]\n"
+
+
+def test_cold_import_fills_no_cache():
+    # the rule the benchmark applies before each cold sample, and the gcd memo
+    out = _fresh_import(
+        "mods = [m for n, m in sys.modules.items() if n.startswith('g2crystal.')]\n"
+        "caches = [(f'{m.__name__}.{n}', fn.cache_info().currsize) for m in mods\n"
+        "          for n, fn in vars(m).items() if callable(getattr(fn, 'cache_info', None))\n"
+        "          and fn.__module__ == m.__name__]\n"
+        "print(len(caches), [c for c in caches if c[1]], len(g2crystal.qlaurent._MEMO))")
+    count, rest = out.split(" ", 1)
+    assert int(count) >= 10 and rest == "[] 0\n"

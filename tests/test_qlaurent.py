@@ -190,26 +190,26 @@ def test_arithmetic_matches_the_full_reduction():
         for left, right in ((x, y), (y, x), (x, same_den), (same_den, x), (x, x),
                             (x, -x), (x, constant), (constant, y), (constant, QRat(t, -k)),
                             (x, QRat(t, {2: k})), (x, q(rng.randint(-3, 3))),
-                            (q(rng.randint(-3, 3)), y), (x, k), (x, 0), (QRat(k), y)):
+                            (q(rng.randint(-3, 3)), y), (x, k), (x, 0), (QRat(k), y),
+                            (QRat(r), QRat(t)), (x, QRat.one()), (QRat.one(), y)):
             check(left, right)
         seen["zero"] += (x - x).is_zero() and (x + -x).is_zero() and (x * 0).is_zero()
     assert seen["shared"] > 50 and seen["equal_den"] > 50 and seen["zero"] == 150
 
 
-def test_henrici_rules_skip_the_trivial_gcds(monkeypatch):
-    import importlib
-    import pkgutil
-
-    import g2crystal
-    import g2crystal.qlaurent as Q
+def _run_qsuite():
     from g2crystal import level1, rmatrix
 
-    # start the q-suite cold: every cache of the package empty
-    for info in pkgutil.iter_modules(g2crystal.__path__):
-        mod = importlib.import_module(f"g2crystal.{info.name}")
-        for fn in vars(mod).values():
-            if callable(getattr(fn, "cache_clear", None)) and fn.__module__ == mod.__name__:
-                fn.cache_clear()
+    assert level1.verify_module_relations()["all_pass"]
+    reports = (level1.verify_prepolarization(), level1.crystal_compat_report(),
+               rmatrix.verify_singular(), rmatrix.verify_fusion_identities(),
+               rmatrix.rmatrix_checks())
+    assert all(rep["pass"] for rep in reports)
+
+
+def test_henrici_rules_skip_the_trivial_gcds(monkeypatch, fresh_qsuite):
+    import g2crystal.qlaurent as Q
+
     calls = []
     list_gcd = Q._list_gcd
     monkeypatch.setattr(Q, "_list_gcd", lambda a, b: calls.append(1) or list_gcd(a, b))
@@ -218,10 +218,28 @@ def test_henrici_rules_skip_the_trivial_gcds(monkeypatch):
     calls.clear()
     x.inv(), x * q(5), x * 3
     assert calls == []
-    assert level1.verify_module_relations()["all_pass"]
-    reports = (level1.verify_prepolarization(), level1.crystal_compat_report(),
-               rmatrix.verify_singular(), rmatrix.verify_fusion_identities(),
-               rmatrix.rmatrix_checks())
-    assert all(rep["pass"] for rep in reports)
-    # the full reduction of every product and sum made 3,106 such calls
-    assert 0 < len(calls) <= 1500
+    fresh_qsuite()
+    _run_qsuite()
+    # one gcd per distinct memo key, 295 on a cold suite; a gcd on every
+    # call made 1,337, and the full reduction of every result 3,106
+    assert 0 < len(calls) <= 320
+
+
+def test_memo_entries_are_fresh_gcds(fresh_qsuite):
+    import g2crystal.qlaurent as Q
+
+    _run_qsuite()
+    assert len(Q._MEMO) > 200
+    trivial = 0
+    for (a, b), quotients in Q._MEMO.items():
+        g = Q._list_gcd(list(a), list(b))
+        if len(g) == 1:  # a unit gcd leaves both operands as they are
+            g, trivial = [1], trivial + 1
+        assert [list(c) for c in quotients] == [_list_divexact(a, g), _list_divexact(b, g)]
+    assert 0 < trivial < len(Q._MEMO)
+
+
+def test_constants_hash_as_their_ints():
+    for k in (0, 3, -2, 1):
+        assert QRat(k) == k and hash(QRat(k)) == hash(k) and len({QRat(k), k}) == 1
+    assert len({QRat.zero(), 0, QRat.one(), 1, (q(2) - 1) / (q(1) - 1), q(1) + 1}) == 3

@@ -1,6 +1,6 @@
 from g2crystal import rmatrix as R
-from g2crystal.level1 import qint
-from g2crystal.qlaurent import QRat
+from g2crystal.level1 import BASIS, E_TABLE, F_TABLE, NORMS, qint, weight_pairing
+from g2crystal.qlaurent import QRat, put
 
 q = QRat.q_power
 ONE = QRat.one()
@@ -18,6 +18,42 @@ def test_spectral_twist_on_affine_color():
     # first factor picks up x^-1, second y^-1 with the t-twist of label 9
     assert img[(1, 9)] == R.XY.monomial(-1, 0, qint(2, 0))
     assert img[(9, 1)] == R.XY.monomial(0, -1, qint(2, 0))
+
+
+def _comultiplication(gen, u):
+    """tensor_apply term by term: f = f (x) 1 + t (x) f, e = e (x) t^-1 + 1 (x) e,
+    the twist worked out per term; the oracle of the twisted step tables."""
+    kind, i = gen
+    twist = 1 if i == 0 else 0
+    out = {}
+    if kind == "f":
+        for (a, b), c in u.items():
+            for a2, coef in F_TABLE[i].get(a, ()):
+                put(out, (a2, b), c.scale(coef).shift(-twist, 0))
+            tw = q(NORMS[i] * weight_pairing(i, a))
+            for b2, coef in F_TABLE[i].get(b, ()):
+                put(out, (a, b2), c.scale(tw * coef).shift(0, -twist))
+    else:
+        for (a, b), c in u.items():
+            tw = q(-NORMS[i] * weight_pairing(i, b))
+            for a2, coef in E_TABLE[i].get(a, ()):
+                put(out, (a2, b), c.scale(coef * tw).shift(twist, 0))
+            for b2, coef in E_TABLE[i].get(b, ()):
+                put(out, (a, b2), c.scale(coef).shift(0, twist))
+    return out
+
+
+def test_twisted_tables_match_the_comultiplication():
+    c = R.XY({(0, 0): ONE, (1, -1): q(2) + 1, (-2, 3): -q(-1) / qint(2, 1)})
+    moved = 0
+    for gen in [(kind, i) for kind in "fe" for i in range(3)]:
+        for a in BASIS:
+            for b in BASIS:
+                u = R.tvec(a, b, c)
+                got = R.tensor_apply(gen, u)
+                assert got == _comultiplication(gen, u), (gen, a, b)
+                moved += len(got)
+    assert moved > 1000
 
 
 def test_singular_vectors_all_killed():
