@@ -12,28 +12,30 @@ the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
 Every operator table is a list of image positions, None where undefined;
 each crystal's ``index`` dict maps an element to its position.  The model
-tabulates f_1, e_1, E_A and C_A once, and F_A from them; B^l colors 1 and 2
-each word from its prefix's row by the tensor-product rule, each image
-checked against the element set; ``g2.strings``, which folds the whole word,
-is their oracle.  The bijection Phi onto the direct sum of G2 crystals
-B(n*Lambda_1), n <= l, is the unique classical crystal isomorphism, walked
-breadth-first along those tables from the {1,2}-highest elements and kept
-as a permutation and its inverse; any conflict or gap raises a construction
-fault.  The elements run r innermost, so each f_0-string is a run of the
-element list: B^l's color 0, f_0 transported through Phi, and the checks of
-C2 and E5 read f_0 off those runs.  The explicit tableau anchor formulas are
-kept as an independent check.
+tabulates f_1, e_1, E_A and C_A once, and F_A from them.  B^l's words are
+a prefix tree (``g2._grown`` gives each word's children together, in letter
+order), and colors 1 and 2 grow each word's row from its prefix's by the
+tensor-product rule, each image the position of a child in that tree; the
+E3/E4 check sums the letter weights along the same tree.  ``g2.strings``,
+which folds the whole word, is the oracle of those rows.  The bijection Phi
+onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is the unique
+classical crystal isomorphism, walked breadth-first along those tables from
+the {1,2}-highest elements and kept as a permutation and its inverse; any
+conflict or gap raises a construction fault.  The elements run r innermost,
+so each f_0-string is a run of the element list: B^l's color 0, f_0
+transported through Phi, and the checks of C2 and E5 read f_0 off those
+runs.  The explicit tableau anchor formulas are kept as an independent check.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import accumulate, islice
 
 from . import a2, g2
 from .cartan import ClassicalWeight
 from .g2 import ConstructionFault
-from .signature import acts_on_first
 
 
 class AParam(namedtuple("AParam", "i k j p q r")):
@@ -226,10 +228,31 @@ def model(l: int) -> AffineModel:
     return AffineModel(l)
 
 
-def gl_elements(l: int) -> list[tuple[int, ...]]:
-    """All of the target set: words of length at most l, by length and then
-    in letter order, the order ``enumerate_tableaux`` yields each length in."""
-    return [w for n in range(l + 1) for w in g2.enumerate_tableaux(n)]
+def _prefix_tree(l: int) -> tuple[list[tuple[int, ...]], bytes]:
+    """B^l's words as a prefix tree: the distinct tuples of child letters,
+    and for each word shorter than l, in element order, the number of its
+    tuple in that list.
+
+    ``g2._grown`` extends each word of length n - 1, in order, by the
+    letters ``g2._extensions`` gives its state, so the elements are the
+    empty word and then each of those words' children in turn.  A tree
+    whose children's states are not the walk's, in the walk's order, is a
+    fault: the positions read off it would not name the walk's words.  The
+    states number a few hundred but give a handful of letter tuples, so a
+    byte names a word's tuple.
+    """
+    walk = [g2._grown(n)[1] for n in range(l + 1)]
+    states = "".join(walk[:-1])
+    kids = {s: "".join(map(chr, g2._extensions(ord(s)))) for s in set(states)}
+    if "".join(map(kids.__getitem__, states)) != "".join(walk[1:]):
+        raise ConstructionFault(f"the tableau words up to length {l} are out of step "
+                                "with their prefix tree")
+    # each distinct run of child letters, as their places in g2.LETTERS, numbered
+    runs = {}
+    number = {s: runs.setdefault(bytes(ord(c) & g2._LAST_BITS for c in k), len(runs))
+              for s, k in kids.items()}
+    return ([tuple(map(g2.LETTERS.__getitem__, run)) for run in runs],
+            bytes(map(number.__getitem__, states)))
 
 
 def gl_count(l: int) -> int:
@@ -431,77 +454,95 @@ class BlCrystal:
     def __init__(self, l: int):
         self.l = l
         self.model = model(l)
-        self.elements = gl_elements(l)
+        # the tableau walk's words, by length and then in letter order, taken
+        # from the walk that _prefix_tree checks the tree against
+        self.elements = [w for n in range(l + 1) for w in g2._grown(n)[0]]
         self.index = {w: n for n, w in enumerate(self.elements)}
         # per color, indexed like elements: the positions of the f_i and e_i
         # images (None where undefined), eps_i and phi_i
         self._fpos, self._epos = ([], [], []), ([], [], [])
         self._eps = ([], [], [])
         self._phi = ([], [], [])
-        for i in (1, 2):
-            self._fill(i, self._two_factor(i))
+        self._grow(*_prefix_tree(l))
         self.phi = build_phi(self)
-        self._fill(0, self._zero())
-
-    def _fill(self, i, rows):
-        """Append color i's (eps, phi, f image, e image) rows, images as
-        positions, one per element in order, to its tables."""
-        tables = self._eps[i], self._phi[i], self._fpos[i], self._epos[i]
-        for row in rows:
-            for table, value in zip(tables, row):
-                table.append(value)
+        self._zero()
 
     def _zero(self):
-        """Yield color 0's row of each element: the model's f_0/e_0 through Phi.
+        """Fill color 0's tables: the model's f_0/e_0 through Phi.
 
         The model's elements run r innermost, so each f_0-string is a run of
         that list: f_0 of the element at position m is the one at m + 1 while
         phi_0 > 0, and e_0 the one at m - 1 while r > 0.
         """
         elements, phi0, perm = self.model.elements, self.model.phi0, self.phi.perm
+        eps, phi, f, e = self._eps[0], self._phi[0], self._fpos[0], self._epos[0]
         for m in self.phi.inverse:
             b = elements[m]
             ph0 = phi0(b)
-            yield b.r, ph0, perm[m + 1] if ph0 else None, perm[m - 1] if b.r else None
+            eps.append(b.r)
+            phi.append(ph0)
+            f.append(perm[m + 1] if ph0 else None)
+            e.append(perm[m - 1] if b.r else None)
 
-    def _two_factor(self, i):
-        """Yield color i's row of each element, for ``_fill``.
+    def _grow(self, letters, kind):
+        """Fill colors 1 and 2 along the prefix tree, each word from its
+        prefix's row, in element order.
 
-        A word p + (a,) is the tensor product a (x) p (Kashiwara's rule), so
-        its row follows from (eps_a, phi_a) and p's row, read back from the
-        tables the rows fill: words come by length, so p comes first.
-        Images are not re-sorted but looked up in the element set.  A step
-        the rule needs that is undefined, an image that is not an element,
-        or a prefix not tabulated before its word, is a fault.
+        A word p + (a,) is the tensor product a (x) p (Kashiwara's rule): f_i
+        acts on a iff phi_i(a) > eps_i(p), e_i iff phi_i(a) >= eps_i(p)
+        (``signature.acts_on_first``).  Colors 1 and 2 keep a word's length,
+        so each image is a child in the tree: the sibling p + (step(a),) or
+        the child of f_i p (e_i p) by a, found at its parent's first child
+        plus the letter's rank among that parent's children.  No word is
+        sliced, joined or hashed.  A step the rule needs that is undefined,
+        or an image that is not a tableau, is a fault.
         """
-        ep, fstep, estep = ((g2.EP1, g2.F1_STEP, g2.E1_STEP) if i == 1
-                            else (g2.EP2, g2.F2_STEP, g2.E2_STEP))
-        eps, phi, f, e = self._eps[i], self._phi[i], self._fpos[i], self._epos[i]
-        index, words = self.index.get, self.elements
-        for m, w in enumerate(words):
-            if not w:
-                yield 0, 0, None, None
-                continue
-            p, a = w[:-1], w[-1]
-            n = index(p, m)
-            if n >= m:
-                raise ConstructionFault(f"prefix {p} of {w} is not tabulated before it")
-            E, P = eps[n], phi[n]
-            ea, fa = ep[a]
+        # the index's own int objects: a computed position stored in every
+        # table would be a new int for each entry
+        at = list(self.index.values())
+        ranks = [{a: r for r, a in enumerate(kids)} for kids in letters]
+        # the position of each parent's first child
+        first = list(map(at.__getitem__, islice(
+            accumulate(map(len, map(letters.__getitem__, kind)), initial=1), len(kind))))
+
+        def sibling(rank, step):
+            """The rank of the sibling by ``step``: None where the step is
+            undefined, past every position where it is not a tableau."""
+            return None if step is None else rank.get(step, len(at))
+
+        for i, ep, fstep, estep in ((1, g2.EP1, g2.F1_STEP, g2.E1_STEP),
+                                    (2, g2.EP2, g2.F2_STEP, g2.E2_STEP)):
+            # each child's letter, (eps, phi) and f_i and e_i siblings
+            rows = [tuple((a, *ep[a], sibling(rank, fstep.get(a)), sibling(rank, estep.get(a)))
+                          for a in kids) for kids, rank in zip(letters, ranks)]
+            eps, phi, f, e = self._eps[i], self._phi[i], self._fpos[i], self._epos[i]
+            eps.append(0)
+            phi.append(0)
+            f.append(None)
+            e.append(None)
+            put_eps, put_phi, put_f, put_e = eps.append, phi.append, f.append, e.append
             try:
-                fw = (p + (fstep[a],) if acts_on_first("f", fa, E)
-                      else words[f[n]] + (a,) if P else None)
-                ew = ((p + (estep[a],) if ea else None) if acts_on_first("e", fa, E)
-                      else words[e[n]] + (a,))
-            except (KeyError, TypeError):
-                raise ConstructionFault(f"color-{i} rule at {w} needs an undefined step") from None
-            row = (ea + E - fa, P) if fa < E else (ea, P + fa - E)
-            for img in (fw, ew):
-                n = index(img)
-                if n is None and img is not None:
-                    raise ConstructionFault(f"color-{i} image {img} of {w} is not a tableau")
-                row += (n,)
-            yield row
+                for p, kids in enumerate(map(rows.__getitem__, kind)):
+                    E, P, fp, ep_, c = eps[p], phi[p], f[p], e[p], first[p]
+                    for a, ea, fa, fsib, esib in kids:
+                        if fa < E:
+                            put_eps(ea + E - fa)
+                            put_phi(P)
+                            put_f(at[first[fp] + ranks[kind[fp]][a]] if P else None)
+                            put_e(at[first[ep_] + ranks[kind[ep_]][a]])
+                        else:
+                            put_eps(ea)
+                            put_phi(P + fa - E)
+                            put_f(at[c + fsib] if fa > E
+                                  else at[first[fp] + ranks[kind[fp]][a]] if P else None)
+                            put_e(at[c + esib] if ea else None)
+            # e is filled last, so len(e) is the position of the word at fault
+            except TypeError:  # a step or prefix image the rule needs is None
+                raise ConstructionFault(
+                    f"color-{i} rule at {self.elements[len(e)]} needs an undefined step") from None
+            except (KeyError, IndexError):  # an image with no place in the tree
+                raise ConstructionFault(
+                    f"color-{i} image of {self.elements[len(e)]} is not a tableau") from None
 
     # {word: word} views of f_i and e_i per color, built on each read
     _f = property(lambda self: self._words(self._fpos))
@@ -578,6 +619,25 @@ def _components(size, tables) -> list[list[int]]:
     return list(comps.values())
 
 
+def _word_weights(l: int) -> tuple[bytearray, bytearray]:
+    """(m1, m2) of each of B^l's words, in element order, plus 128: the sums
+    of its letters' weights, ``g2._WT1`` and ``g2._WT2`` read now, each grown
+    along the prefix tree as its prefix's sums plus its last letter's.  A
+    letter weighs at most 3, so |m| <= 3l fits a byte with that offset, and
+    the sums take two bytes a word, where two lists of ints take sixteen."""
+    letters, kind = _prefix_tree(l)
+    wt1, wt2 = g2._WT1, g2._WT2
+    steps = [tuple((wt1[a], wt2[a]) for a in kids) for kids in letters]
+    m1s, m2s = bytearray([128]), bytearray([128])
+    put1, put2 = m1s.append, m2s.append
+    for p, kids in enumerate(map(steps.__getitem__, kind)):
+        m1, m2 = m1s[p], m2s[p]
+        for d1, d2 in kids:
+            put1(m1 + d1)
+            put2(m2 + d2)
+    return m1s, m2s
+
+
 def verify_construction(l: int) -> dict:
     """Check every construction axiom exhaustively; failures are data.
 
@@ -596,12 +656,13 @@ def verify_construction(l: int) -> dict:
         "EA_injective", "zero_two_commutation", "color1_compatibility",
         "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
     ea, fa, f1, e1 = mod._ea, mod._fa, mod._f1, mod._e1
-    phi0, weight, weight_pair = mod.phi0, mod.weight, g2.weight_pair
+    phi0, weight = mod.phi0, mod.weight
     elements, fwd, words = mod.elements, table.perm, bl.elements
     bf0, bf1, bf2 = bl._fpos
     be0, be1, be2 = bl._epos
     ea_depth = _depths(ea)
     fa_depth = _depths(fa)
+    m1s, m2s = _word_weights(l)
     for n, b in enumerate(elements):
         # elements run r innermost, so each f_0-string is a run of the list:
         # f_0 is the next position while phi_0 > 0, e_0 is defined iff r > 0
@@ -628,10 +689,9 @@ def verify_construction(l: int) -> dict:
                                 (2, "FA", dn, bf2[w]), (2, "EA", up, be2[w])):
             if (None if x is None else fwd[x]) != img:
                 bad[f"color{i}_compatibility"].append((b, name))
-        # (E3)/(E4) weight matching: the word's (m1, m2), summed as ints from
-        # its letters, not read off B^l's eps/phi tables
-        m1, m2 = weight_pair(words[w])
-        if m1 != w1 or m2 != -2 * w1 - w0:
+        # (E3)/(E4) weight matching: the word's (m1, m2), summed from its
+        # letters along the prefix tree, not read off B^l's eps/phi tables
+        if m1s[w] - 128 != w1 or m2s[w] - 128 != -2 * w1 - w0:
             bad["weight_compatibility"].append(b)
         # (E5) vanishing of the affine operators matches the model
         if (bf0[w] is None) != (t is None):
@@ -639,7 +699,7 @@ def verify_construction(l: int) -> dict:
         if (be0[w] is None) != (b.r == 0):
             bad["vanishing_compatibility"].append((b, "e0"))
     # the per-element lists are not needed by the component passes below
-    del ea_depth, fa_depth
+    del ea_depth, fa_depth, m1s, m2s
     # E_A injectivity where nonzero: two elements with one E_A image cannot
     # both pass C1's F_A(E_A b) = b, so only a C1 failure can hide a
     # collision, and only then is each (earlier preimage, b, image) listed

@@ -156,45 +156,53 @@ def cmd_connectivity(args, out) -> int:
 
 
 def cmd_qcheck(args, out) -> int:
-    """The q-suite; an ArithmeticError ends it like a construction fault."""
-    try:
-        return _qcheck(args, out)
-    except ArithmeticError as exc:
-        _emit(f"construction FAILED: {exc}", out)
-        return 1
-
-
-def _qcheck(args, out) -> int:
+    """The q-suite, one section at a time: an ArithmeticError ends its
+    section like a construction fault, and the later sections still report."""
     from . import level1, rmatrix
 
-    ok = True
-    rep = level1.verify_module_relations()
-    for name in ("weight_rows", "ef_commutator", "serre"):
-        _emit(f"module relation {name}: {'pass' if rep[name]['pass'] else 'FAIL'}", out)
-        ok &= rep[name]["pass"]
-    prep = level1.verify_prepolarization()
-    _emit(f"prepolarization: {'pass' if prep['pass'] else 'FAIL'}", out)
-    ok &= prep["pass"]
-    cc = level1.crystal_compat_report()
-    _emit(f"crystal compatibility: {'pass' if cc['pass'] else 'FAIL'}", out)
-    ok &= cc["pass"]
-    sing = rmatrix.verify_singular()
-    _emit(f"singular vectors: {'pass' if sing['pass'] else 'FAIL'}", out)
-    ok &= sing["pass"]
-    fus = rmatrix.verify_fusion_identities()
-    for n in sorted(fus["items"]):
-        _emit(f"fusion identity {n}: {'pass' if fus['items'][n]['pass'] else 'FAIL'}", out)
-    ok &= fus["pass"]
-    rm = rmatrix.rmatrix_checks()
-    for name in sorted(rm):
-        if isinstance(rm[name], dict):
-            _emit(f"rmatrix {name}: {'pass' if rm[name]['pass'] else 'FAIL'}", out)
-    ok &= rm["pass"]
-    if args.dump:
-        sing_vecs = rmatrix.singular_vectors()
+    def verdict(label, passed):
+        return f"{label}: {'pass' if passed else 'FAIL'}"
+
+    def relations():
+        rep = level1.verify_module_relations()
+        names = ("weight_rows", "ef_commutator", "serre")
+        return ([verdict(f"module relation {n}", rep[n]["pass"]) for n in names],
+                all(rep[n]["pass"] for n in names))
+
+    def one(label, check):
+        def section():
+            passed = check()["pass"]
+            return [verdict(label, passed)], passed
+        return section
+
+    def fusion():
+        fus = rmatrix.verify_fusion_identities()
+        items = fus["items"]
+        return ([verdict(f"fusion identity {n}", items[n]["pass"]) for n in sorted(items)],
+                fus["pass"])
+
+    def checks():
+        rm = rmatrix.rmatrix_checks()
+        return ([verdict(f"rmatrix {n}", rm[n]["pass"]) for n in sorted(rm)
+                 if isinstance(rm[n], dict)], rm["pass"])
+
+    def dump():
         dump = {name: {str(k): repr(v) for k, v in vec.items()}
-                for name, vec in sing_vecs.items()}
-        _emit(json.dumps(dump), out)
+                for name, vec in rmatrix.singular_vectors().items()}
+        return [json.dumps(dump)], True
+
+    sections = [relations, one("prepolarization", level1.verify_prepolarization),
+                one("crystal compatibility", level1.crystal_compat_report),
+                one("singular vectors", rmatrix.verify_singular), fusion, checks]
+    ok = True
+    for section in sections + ([dump] if args.dump else []):
+        try:
+            lines, passed = section()
+        except ArithmeticError as exc:
+            lines, passed = [f"construction FAILED: {exc}"], False
+        for line in lines:
+            _emit(line, out)
+        ok &= passed
     return 0 if ok else 1
 
 

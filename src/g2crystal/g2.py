@@ -201,7 +201,9 @@ def enumerate_tableaux(n: int) -> tuple[tuple[int, ...], ...]:
 def _grown(n: int) -> tuple[tuple[tuple[int, ...], ...], str]:
     """The words of length n, sorted, and their extension states as one str
     whose k-th code point is the k-th word's state: two bytes a word, where
-    a tuple of ints takes eight."""
+    a tuple of ints takes eight.  Each word's children come together, in the
+    order ``_extensions`` gives its state's letters, so the words of all
+    lengths form a prefix tree; B^l's tables are read along it."""
     if n == 0:
         return ((),), chr(0)
     words, states = [], []

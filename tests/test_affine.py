@@ -394,13 +394,13 @@ def test_phi_bijective():
         mod = affine.model(l)
         assert len(table.forward) == len(mod.elements)
         assert len(table.backward) == len(set(table.forward.values()))
-        words = set(affine.gl_elements(l))
+        words = {w for n in range(l + 1) for w in g2.enumerate_tableaux(n)}
         assert set(table.forward.values()) == words
 
 
 def test_gl_elements_come_by_length_then_letter_order():
     for l in range(7):
-        words = affine.gl_elements(l)
+        words = affine.bl_crystal(l).elements
         assert words == sorted(words, key=lambda w: (len(w), [g2.ORDER_INDEX[a] for a in w]))
 
 
@@ -526,30 +526,42 @@ def test_prefix_rows_are_the_word_folds():
                 assert list(table.items()) == want, (l, i, k)
 
 
+def test_bl_tables_store_the_index_positions():
+    # every stored image position is one of index's own int objects, compared
+    # by identity: a computed position would be a new int object per entry
+    for l in range(7):
+        bl = affine.bl_crystal(l)
+        ids = set(map(id, bl.index.values()))
+        for i in range(3):
+            for table in (bl._fpos[i], bl._epos[i]):
+                assert all(id(t) in ids for t in table if t is not None), (l, i)
+
+
 def test_undefined_prefix_step_is_a_construction_fault(monkeypatch, fresh_caches):
-    # f_1 of (1,) dropped from its row: f_1 of (1, 2) acts on that prefix
-    two_factor = affine.BlCrystal._two_factor
-
-    def dropped(self, i):
-        for w, row in zip(self.elements, two_factor(self, i)):
-            yield row[:2] + (None, row[3]) if (i, w) == (1, (1,)) else row
-
-    monkeypatch.setattr(affine.BlCrystal, "_two_factor", dropped)
-    with pytest.raises(affine.ConstructionFault, match=r"color-1 rule at \(1, 2\) needs an undefined step"):
+    # f_1 of the letter 1 dropped: f_1 of (1,) acts on its letter, the first
+    # child of the empty prefix, and needs that step
+    monkeypatch.delitem(g2.F1_STEP, 1)
+    with pytest.raises(affine.ConstructionFault,
+                       match=r"color-1 rule at \(1,\) needs an undefined step"):
         affine.bl_crystal(2)
 
 
-def test_untabulated_prefix_is_a_construction_fault(monkeypatch, fresh_caches):
-    # (1, 1) moved before its prefix (1,)
-    gl_elements = affine.gl_elements
+def test_untabulated_prefix_is_a_construction_fault(fresh_caches, fresh_enumeration, monkeypatch):
+    # the walk's length-2 words with (1, 1) and its state moved after (1, 2):
+    # the prefix tree puts (1, 1) first among (1,)'s children
+    grown = g2._grown
 
-    def shuffled(l):
-        words = gl_elements(l)
-        words.remove((1, 1))
-        return words[:1] + [(1, 1)] + words[1:]
+    def reordered(n):
+        words, states = grown(n)
+        if n == 2:
+            words = (words[1], words[0]) + words[2:]
+            states = states[1] + states[0] + states[2:]
+        return words, states
 
-    monkeypatch.setattr(affine, "gl_elements", shuffled)
-    with pytest.raises(affine.ConstructionFault, match=r"prefix \(1,\) of \(1, 1\) is not tabulated"):
+    monkeypatch.setattr(g2, "_grown", reordered)
+    assert g2._grown(2)[0][:2] == ((1, 2), (1, 1))
+    with pytest.raises(affine.ConstructionFault,
+                       match=r"words up to length 2 are out of step with their prefix tree"):
         affine.bl_crystal(2)
 
 
@@ -775,7 +787,7 @@ def test_poisoned_involution_table_fails_the_anchor_check(fresh_caches):
 
 
 def test_weight_compatibility_reads_the_letter_weights(monkeypatch, fresh_caches):
-    # E3/E4 sums each word's letter weights through g2.weight_pair: a wrong
+    # E3/E4 sums each word's letter weights along the prefix tree: a wrong
     # <h_1, wt> of the letter 0_1 fails it, with counterexamples
     monkeypatch.setitem(g2._WT1, 7, 1)
     report = affine.verify_construction(2)["weight_compatibility"]

@@ -282,11 +282,16 @@ def test_qsuite_arithmetic_error_is_one_failed_line(monkeypatch, fresh_qsuite, c
     code, out = run_cli(["qcheck"], capsys)
     assert code == 1
     lines = out.splitlines()
-    assert lines[-1] == "construction FAILED: tensor vector is not weight homogeneous"
-    assert lines[:-1] == ["module relation weight_rows: pass",
-                          "module relation ef_commutator: pass",
-                          "module relation serre: pass",
-                          "prepolarization: pass", "crystal compatibility: pass"]
+    # the error takes the singular-vector section's place; the 15 fusion
+    # identities and 13 R-matrix checks after it still report
+    assert lines[5] == "construction FAILED: tensor vector is not weight homogeneous"
+    assert lines[:5] == ["module relation weight_rows: pass",
+                         "module relation ef_commutator: pass",
+                         "module relation serre: pass",
+                         "prepolarization: pass", "crystal compatibility: pass"]
+    assert len(lines) == 6 + 15 + 13
+    assert all(line.startswith(("fusion identity ", "rmatrix ")) and line.endswith(": pass")
+               for line in lines[6:])
 
 
 def test_verify_reports_a_wrong_enumeration_count(second_constraint_without_0_1, fresh_caches,
@@ -316,13 +321,24 @@ def test_mistranscribed_action_coefficient_fails_qcheck(monkeypatch, fresh_qsuit
     fresh_qsuite()
     code, out = run_cli(["qcheck"], capsys)
     assert code == 1
-    assert out.splitlines() == ["module relation weight_rows: pass",
-                                "module relation ef_commutator: FAIL",
-                                "module relation serre: FAIL",
-                                "construction FAILED: polarization space has dimension 0, "
-                                "expected 1"]
-    # qcheck stops before the tensor square, which reads the poisoned entry too
-    assert not rmatrix.verify_fusion_identities()["pass"]
+    # the failed prepolarization ends only its own section: the tensor square,
+    # which reads the poisoned entry too, still reports
+    rmatrix_fails = ("relation_F_family", "relation_long_family")
+    rmatrix_names = ("a_2La2_vanish", "a_3La2_vanish", "a_L1j_eq_L2j", "a_L3j_vanish",
+                     "a_Z_kernel", "phi_nonvanishing", "relation_2La2", "relation_3La2",
+                     "relation_E_family", "relation_F_family", "relation_f02_family",
+                     "relation_f0_family", "relation_long_family")
+    assert out.splitlines() == [
+        "module relation weight_rows: pass",
+        "module relation ef_commutator: FAIL",
+        "module relation serre: FAIL",
+        "construction FAILED: polarization space has dimension 0, expected 1",
+        "crystal compatibility: FAIL",
+        "singular vectors: pass",
+        *(f"fusion identity {n}: {'FAIL' if n in (1, 2, 3, 12, 13, 14, 15) else 'pass'}"
+          for n in range(1, 16)),
+        *(f"rmatrix {name}: {'FAIL' if name in rmatrix_fails else 'pass'}"
+          for name in rmatrix_names)]
 
 
 def _fresh_import(check):
