@@ -12,24 +12,30 @@ the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
 Every operator table is a list of image positions, None where undefined;
 each crystal's ``index`` dict maps an element to its position.  The model
-tabulates f_1, e_1, E_A and C_A once, and F_A from them.  B^l's words are
-a prefix tree (``g2._grown`` gives each word's children together, in letter
-order), and colors 1 and 2 grow each word's row from its prefix's by the
-tensor-product rule, each image the position of a child in that tree; the
-E3/E4 check sums the letter weights along the same tree.  ``g2.strings``,
-which folds the whole word, is the oracle of those rows.  The bijection Phi
-onto the direct sum of G2 crystals B(n*Lambda_1), n <= l, is the unique
-classical crystal isomorphism, walked breadth-first along those tables from
-the {1,2}-highest elements and kept as a permutation and its inverse; any
-conflict or gap raises a construction fault.  The elements run r innermost,
-so each f_0-string is a run of the element list: B^l's color 0, f_0
-transported through Phi, and the checks of C2 and E5 read f_0 off those
-runs.  The explicit tableau anchor formulas are kept as an independent check.
+tabulates f_1, e_1, E_A and C_A once, and F_A from them.  The elements run r
+innermost, so each f_0-string (i, k, j, p, q) is a run of the element list,
+and the f_0-string is the unit of the build: E_A sends a string's run onto
+the start of another string's run, read from one ``ea_plus`` call, and C_A
+onto the whole run of another string of its length, reversed
+(``ca_string``); f_1 finds each image from that string's first position plus
+r.  B^l's words are a prefix tree (``g2._grown`` gives each word's children
+together, in letter order), and colors 1 and 2 grow each word's row from its
+prefix's by the tensor-product rule, each image the position of a child in
+that tree; the E3/E4 check sums the letter weights along the same tree.
+``g2.strings``, which folds the whole word, is the oracle of those rows.
+The bijection Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l,
+is the unique classical crystal isomorphism, walked breadth-first along
+those tables from the {1,2}-highest elements and kept as a permutation and
+its inverse; any conflict or gap raises a construction fault.  B^l's color
+0, f_0 transported through Phi, Phi's highest elements and the checks C1-C3
+and E1-E5 walk the strings too, with phi_0 = top - r and the weight
+(k+p-2q+r, j-2p+q-2r) as ints, no element's fields read.  The explicit
+tableau anchor formulas are kept as an independent check.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 
@@ -104,6 +110,31 @@ def transition(r, q, p):
     return max(p, q - r), r + p, min(r, q - p)
 
 
+def ca_string(i, k, j, p, q):
+    """The f_0-string that C_A sends the string (i, k, j, p, q) onto, reversed:
+    C_A(i, k, j, p, q, r) = (i, j, k, k-q+p, k+j-q, j+q-2p-r)."""
+    return i, j, k, k - q + p, k + j - q
+
+
+def _strings(blocks):
+    """Each f_0-string of the model, in element order: its (i, k, j, p, q)
+    and its top, the largest r, j + q - 2p.  The elements run r innermost,
+    so each string is a run of consecutive positions, r = 0 first."""
+    for i, k, j in blocks:
+        for p in range(j + 1):
+            for q in range(p, p + k + 1):
+                yield (i, k, j, p, q), j + q - 2 * p
+
+
+def _r_phi0(blocks) -> tuple[bytes, bytes]:
+    """Per model position, r and phi_0 = top - r, joined from one run per
+    f_0-string.  A top is at most j + k <= 2l, so each fits a byte."""
+    tops = [top for _, top in _strings(blocks)]
+    ups = [bytes(range(top + 1)) for top in range(max(tops) + 1)]
+    return (b"".join(map(ups.__getitem__, tops)),
+            b"".join(ups[top][::-1] for top in tops))
+
+
 class AffineModel:
     """The model crystal A at a fixed level, with its operators."""
 
@@ -117,31 +148,57 @@ class AffineModel:
             for k in range(i, l - i + 1)
             for j in range(i, l - i + 1)
         ]
-        self.elements = [
+        self.elements = elements = [
             AParam(i, k, j, p, q, r)
             for (i, k, j) in self.blocks
             for p in range(j + 1)
             for q in range(p, p + k + 1)
             for r in range(j + q - 2 * p + 1)
         ]
-        self.index = {b: n for n, b in enumerate(self.elements)}
-        size = len(self.elements)
-        self._f1, self._e1, self._ea = [None] * size, [None] * size, [None] * size
+        self.index = {b: n for n, b in enumerate(elements)}
+        # the index's own int objects: a computed position stored in every
+        # table would be a new int for each entry
+        at = list(self.index.values())
+        size = len(at)
+        strings = list(_strings(self.blocks))
+        # the position of each string's r = 0 element, by its (i, k, j, p, q)
+        start = dict(zip((s for s, _ in strings),
+                         accumulate((top + 1 for _, top in strings), initial=0)))
+        self._f1, self._e1, self._ea = f1, e1, ea = [None] * size, [None] * size, [None] * size
         self._ca = ca = []
-        for n, b in enumerate(self.elements):
-            i, k, j, p, q, r = b
-            R, Q, P = transition(r, q, p)
-            if R < k + Q - 2 * P:
-                r2, q2, p2 = transition(R + 1, Q, P)
-                t = self._member("f_1", b, (i, k, j, p2, q2, r2))
-                self._f1[n] = t
-                self._e1[t] = n
-            base = ea_plus(l, i, k, j, p, q)
+        for (s, top), a in zip(strings, start.values()):
+            i, k, j, p, q = s
+            # f_1 moves along the block, element by element
+            for r in range(top + 1):
+                R, Q, P = transition(r, q, p)
+                if R < k + Q - 2 * P:
+                    r2, q2, p2 = transition(R + 1, Q, P)
+                    t = start.get((i, k, j, p2, q2))
+                    if t is None or not 0 <= r2 <= j + q2 - 2 * p2:
+                        raise ConstructionFault(f"f_1 left the crystal: {elements[a + r]} -> "
+                                                f"{AParam(i, k, j, p2, q2, r2)}")
+                    f1[a + r] = t = at[t + r2]
+                    e1[t] = at[a + r]
+            # E_A keeps r, so it sends the string onto the start of another,
+            # which must reach r = top
+            base = ea_plus(l, *s)
             if base is not None:
-                self._ea[n] = self._member("E_A", b, (*base, r))
-            ca.append(self._member(
-                "involution", b, (i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)))
-        ea = self._ea
+                t = start.get(base)
+                reach = -1 if t is None else base[2] + base[4] - 2 * base[3]
+                if reach < top:
+                    raise ConstructionFault(f"E_A left the crystal: {elements[a + reach + 1]} -> "
+                                            f"{AParam(*base, reach + 1)}")
+                ea[a:a + top + 1] = at[t:t + top + 1]
+            # C_A sends the string onto another of its length, reversed
+            image = ca_string(*s)
+            t = start.get(image)
+            if t is None:
+                raise ConstructionFault(
+                    f"involution left the crystal: {elements[a]} -> {AParam(*image, top)}")
+            if image[2] + image[4] - 2 * image[3] != top:
+                raise ConstructionFault(f"involution sends the f_0-string of {elements[a]} "
+                                        f"onto that of {elements[t]}, of another length")
+            ca += at[t:t + top + 1][::-1]
         self._fa = [None if (up := ea[c]) is None else ca[up] for c in ca]
 
     def f1(self, b: AParam) -> AParam | None:
@@ -181,15 +238,6 @@ class AffineModel:
         if n is None:
             raise ConstructionFault(f"involution of a non-element: {b}")
         return self.elements[self._ca[n]]
-
-    def _member(self, name, b, out):
-        """The position of ``out``, the image of ``b`` under ``name``; a fault
-        if ``out`` is not an element.  ``out`` is a plain tuple, which hashes
-        and compares equal to the ``AParam`` of the same fields."""
-        n = self.index.get(out)
-        if n is None:
-            raise ConstructionFault(f"{name} left the crystal: {b} -> {AParam(*out)}")
-        return n
 
     def FA(self, b: AParam) -> AParam | None:
         """C_A E_A C_A, tabulated."""
@@ -412,12 +460,19 @@ def build_phi(bl: BlCrystal) -> PhiTable:
         return True
 
     e1, ea = mod._e1, mod._ea
-    highest = sorted((mod.weight(b), b) for n, b in enumerate(params)
-                     if e1[n] is None and ea[n] is None)
+    # each highest element's weight (wt_1, wt_0), read off its f_0-string
+    highest = []
+    n = 0
+    for (i, k, j, p, q), top in _strings(mod.blocks):
+        for r in range(top + 1):
+            if e1[n] is None and ea[n] is None:
+                highest.append(((k + p - 2 * q + r, j - 2 * p + q - 2 * r), n))
+            n += 1
+    highest.sort()
     if [wt for wt, _ in highest] != [(n, -2 * n) for n in range(l + 1)]:
-        raise ConstructionFault(
-            f"highest elements {[b for _, b in highest]} are not one per n*Lambda_1, n <= {l}")
-    frontier = [mod.index[b] for _, b in highest]
+        raise ConstructionFault(f"highest elements {[params[b] for _, b in highest]} "
+                                f"are not one per n*Lambda_1, n <= {l}")
+    frontier = [b for _, b in highest]
     for n, b in enumerate(frontier):
         assign(b, bl.index[(1,) * n])
     f1, fa, bf1, bf2 = mod._f1, mod._fa, bl._fpos[1], bl._fpos[2]
@@ -472,17 +527,15 @@ class BlCrystal:
 
         The model's elements run r innermost, so each f_0-string is a run of
         that list: f_0 of the element at position m is the one at m + 1 while
-        phi_0 > 0, and e_0 the one at m - 1 while r > 0.
+        phi_0 > 0, and e_0 the one at m - 1 while r > 0.  Both are read off
+        the strings (``_r_phi0``), not the elements.
         """
-        elements, phi0, perm = self.model.elements, self.model.phi0, self.phi.perm
-        eps, phi, f, e = self._eps[0], self._phi[0], self._fpos[0], self._epos[0]
-        for m in self.phi.inverse:
-            b = elements[m]
-            ph0 = phi0(b)
-            eps.append(b.r)
-            phi.append(ph0)
-            f.append(perm[m + 1] if ph0 else None)
-            e.append(perm[m - 1] if b.r else None)
+        rs, phis = _r_phi0(self.model.blocks)
+        perm, inverse = self.phi.perm, self.phi.inverse
+        self._eps[0].extend(map(rs.__getitem__, inverse))
+        self._phi[0].extend(map(phis.__getitem__, inverse))
+        self._fpos[0].extend([perm[m + 1] if phis[m] else None for m in inverse])
+        self._epos[0].extend([perm[m - 1] if rs[m] else None for m in inverse])
 
     def _grow(self, letters, kind):
         """Fill colors 1 and 2 along the prefix tree, each word from its
@@ -593,30 +646,28 @@ def clear_level_caches():
 # -- exhaustive verification --------------------------------------------
 
 
-def _components(size, tables) -> list[list[int]]:
-    """Connected components of positions 0..size-1 under position tables."""
+def _components(size, tables) -> list[int]:
+    """Connected components of positions 0..size-1 under position tables:
+    per position, the root position that labels its component."""
     parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
+    # each find halves the path it walks; the loops run once per edge and
+    # once per position, so the finds are inlined
     for table in tables:
         for a, b in enumerate(table):
             if b is None:
                 continue
-            # find's path halving, inlined: this loop runs once per edge
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
                 parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
-    comps: dict[int, list] = {}
     for x in range(size):
-        comps.setdefault(find(x), []).append(x)
-    return list(comps.values())
+        root = parent[x]
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        parent[x] = root
+    return parent
 
 
 def _word_weights(l: int) -> tuple[bytearray, bytearray]:
@@ -641,9 +692,9 @@ def _word_weights(l: int) -> tuple[bytearray, bytearray]:
 def verify_construction(l: int) -> dict:
     """Check every construction axiom exhaustively; failures are data.
 
-    One pass over the model's positions reads each element's E_A, F_A, Phi
-    image and weight once for C1-C3 and E1-E5, f_0 and e_0 off the element's
-    place in its r-run, and C3 reads the E_A and F_A string depths of every
+    One pass along the model's f_0-strings reads each element's E_A, F_A and
+    Phi image once for C1-C3 and E1-E5, its weight, phi_0, f_0 and e_0 off its
+    place in its string, and C3 reads the E_A and F_A string depths of every
     element from one list each; E_A injectivity follows from C1, and its
     collisions are listed only when C1 fails; D1 runs over B^l's positions.
     Counterexamples name parameters and words, not positions.
@@ -656,50 +707,61 @@ def verify_construction(l: int) -> dict:
         "EA_injective", "zero_two_commutation", "color1_compatibility",
         "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
     ea, fa, f1, e1 = mod._ea, mod._fa, mod._f1, mod._e1
-    phi0, weight = mod.phi0, mod.weight
     elements, fwd, words = mod.elements, table.perm, bl.elements
     bf0, bf1, bf2 = bl._fpos
     be0, be1, be2 = bl._epos
     ea_depth = _depths(ea)
     fa_depth = _depths(fa)
+    phis = _r_phi0(mod.blocks)[1]
     m1s, m2s = _word_weights(l)
-    for n, b in enumerate(elements):
-        # elements run r innermost, so each f_0-string is a run of the list:
-        # f_0 is the next position while phi_0 > 0, e_0 is defined iff r > 0
-        up, dn, w, ph0 = ea[n], fa[n], fwd[n], phi0(b)
-        t = n + 1 if ph0 else None
-        w1, w0 = weight(b)
-        # (C1) mutual inverse
-        if up is not None and fa[up] != n:
-            bad["pair_mutual_inverse"].append((b, elements[up]))
-        if dn is not None and ea[dn] != n:
-            bad["pair_mutual_inverse"].append((b, elements[dn]))
-        # (C2) commutation with f_0, including definedness, plus phi_0 preservation
-        up_ph0 = None if up is None else phi0(elements[up])
-        if t is not None and ea[t] != (up + 1 if up_ph0 else None):
-            bad["affine_color_commutation"].append(b)
-        if up is not None and up_ph0 != ph0:
-            bad["affine_color_commutation"].append(b)
-        # (C3) string-length difference equals the weight functional
-        if fa_depth[n] - ea_depth[n] != -2 * w1 - w0:
-            bad["string_depth_weight"].append(b)
-        # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
-        # transported through Phi agree with the B^l tables
-        for i, name, x, img in ((1, "f1", f1[n], bf1[w]), (1, "e1", e1[n], be1[w]),
-                                (2, "FA", dn, bf2[w]), (2, "EA", up, be2[w])):
-            if (None if x is None else fwd[x]) != img:
-                bad[f"color{i}_compatibility"].append((b, name))
-        # (E3)/(E4) weight matching: the word's (m1, m2), summed from its
-        # letters along the prefix tree, not read off B^l's eps/phi tables
-        if m1s[w] - 128 != w1 or m2s[w] - 128 != -2 * w1 - w0:
-            bad["weight_compatibility"].append(b)
-        # (E5) vanishing of the affine operators matches the model
-        if (bf0[w] is None) != (t is None):
-            bad["vanishing_compatibility"].append((b, "f0"))
-        if (be0[w] is None) != (b.r == 0):
-            bad["vanishing_compatibility"].append((b, "e0"))
+    n = 0
+    for (i, k, j, p, q), top in _strings(mod.blocks):
+        # along the string r runs 0..top, wt_1 = k + p - 2q + r and
+        # wt_0 = j - 2p + q - 2r, so -2 wt_1 - wt_0 = 3q - 2k - j throughout
+        w1 = k + p - 2 * q
+        gap = 3 * q - 2 * k - j
+        for ph0 in range(top, -1, -1):
+            # f_0 is the next position while phi_0 > 0, e_0 is defined iff r > 0
+            up, dn, w = ea[n], fa[n], fwd[n]
+            t = n + 1 if ph0 else None
+            # (C1) mutual inverse
+            if up is not None and fa[up] != n:
+                bad["pair_mutual_inverse"].append((elements[n], elements[up]))
+            if dn is not None and ea[dn] != n:
+                bad["pair_mutual_inverse"].append((elements[n], elements[dn]))
+            # (C2) commutation with f_0, including definedness, plus phi_0 preservation
+            up_ph0 = None if up is None else phis[up]
+            if t is not None and ea[t] != (up + 1 if up_ph0 else None):
+                bad["affine_color_commutation"].append(elements[n])
+            if up is not None and up_ph0 != ph0:
+                bad["affine_color_commutation"].append(elements[n])
+            # (C3) string-length difference equals the weight functional
+            if fa_depth[n] - ea_depth[n] != gap:
+                bad["string_depth_weight"].append(elements[n])
+            # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
+            # transported through Phi agree with the B^l tables
+            x = f1[n]
+            if (None if x is None else fwd[x]) != bf1[w]:
+                bad["color1_compatibility"].append((elements[n], "f1"))
+            x = e1[n]
+            if (None if x is None else fwd[x]) != be1[w]:
+                bad["color1_compatibility"].append((elements[n], "e1"))
+            if (None if dn is None else fwd[dn]) != bf2[w]:
+                bad["color2_compatibility"].append((elements[n], "FA"))
+            if (None if up is None else fwd[up]) != be2[w]:
+                bad["color2_compatibility"].append((elements[n], "EA"))
+            # (E3)/(E4) weight matching: the word's (m1, m2), summed from its
+            # letters along the prefix tree, not read off B^l's eps/phi tables
+            if m1s[w] - 128 != w1 + top - ph0 or m2s[w] - 128 != gap:
+                bad["weight_compatibility"].append(elements[n])
+            # (E5) vanishing of the affine operators matches the model
+            if (bf0[w] is None) != (t is None):
+                bad["vanishing_compatibility"].append((elements[n], "f0"))
+            if (be0[w] is None) != (ph0 == top):
+                bad["vanishing_compatibility"].append((elements[n], "e0"))
+            n += 1
     # the per-element lists are not needed by the component passes below
-    del ea_depth, fa_depth, m1s, m2s
+    del ea_depth, fa_depth, phis, m1s, m2s
     # E_A injectivity where nonzero: two elements with one E_A image cannot
     # both pass C1's F_A(E_A b) = b, so only a C1 failure can hide a
     # collision, and only then is each (earlier preimage, b, image) listed
@@ -734,30 +796,33 @@ def verify_construction(l: int) -> dict:
     # restriction to the finite colors {1,2}: one component per n <= l, each
     # with one source, the word [1^n]
     eps0, eps1, eps2 = bl._eps
-    comps = _components(len(words), (bf1, bf2))
-    sizes = sorted(len(c) for c in comps)
+    roots = _components(len(words), (bf1, bf2))
+    sizes = sorted(Counter(roots).values())
     expected = sorted(g2.dim(n) for n in range(l + 1))
     ok = sizes == expected
-    sources = [[words[n] for n in comp if eps1[n] == eps2[n] == 0] for comp in comps]
-    ok = ok and all(len(s) == 1 and s[0] == (1,) * len(s[0]) for s in sources)
+    sources: dict[int, list] = {}
+    for n, (a, c) in enumerate(zip(eps1, eps2)):
+        if a == c == 0:
+            sources.setdefault(roots[n], []).append(words[n])
+    ok = ok and len(sources) == len(sizes) and all(
+        len(s) == 1 and s[0] == (1,) * len(s[0]) for s in sources.values())
     report["restriction_12"] = {"pass": ok, "sizes": sizes, "failures": 0 if ok else 1,
                                 "counterexamples": []}
 
     # restriction to the colors {1,0}: components match the model blocks,
     # by size and by the weight of the unique source of each component
     back = table.inverse
-    comps = _components(len(words), (bf1, bf0))
-    got = []
-    ok = True
-    for comp in comps:
-        srcs = [back[n] for n in comp if eps1[n] == eps0[n] == 0 and e1[back[n]] is None]
-        ok &= len(srcs) == 1
-        if srcs:
-            w1, w0 = mod.weight(elements[srcs[0]])
-            got.append((len(comp), w1, w0))
+    roots = _components(len(words), (bf1, bf0))
+    sizes = Counter(roots)
+    sources = {}
+    for n, (a, c) in enumerate(zip(eps1, eps0)):
+        if a == c == 0 and e1[back[n]] is None:
+            sources.setdefault(roots[n], []).append(back[n])
+    ok = len(sources) == len(sizes) and all(len(s) == 1 for s in sources.values())
+    got = sorted((sizes[root], *mod.weight(elements[s[0]])) for root, s in sources.items())
     expected = sorted((a2.dim(k, j), k, j) for (i, k, j) in mod.blocks)
-    ok &= sorted(got) == expected
-    report["restriction_10"] = {"pass": ok, "components": len(comps),
+    ok &= got == expected
+    report["restriction_10"] = {"pass": ok, "components": len(sizes),
                                 "failures": 0 if ok else 1,
                                 "counterexamples": []}
 

@@ -75,7 +75,7 @@ def minimal_elements(l: int) -> list[tuple[int, ...]]:
 
 
 def _self_connected(bl) -> bool:
-    return len(_components(len(bl.elements), bl._fpos)) <= 1
+    return len(set(_components(len(bl.elements), bl._fpos))) <= 1
 
 
 def _pair_step(bl, op, i, x, y):
@@ -141,7 +141,7 @@ def _square_components(bl) -> tuple[int, int, int]:
         if top is None:
             escaped += 1
         joins[c] = top
-    roots = len(_components(len(highest), [joins])) + escaped
+    roots = len(set(_components(len(highest), [joins]))) + escaped
     return len(highest), roots, size
 
 

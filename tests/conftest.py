@@ -13,11 +13,14 @@ def fresh_caches():
 
 @pytest.fixture
 def fresh_enumeration():
-    """Empty the enumeration's caches around a test that counts or poisons it."""
-    for cached in (g2._grown, g2._extensions):
+    """Empty the enumeration's caches around a test that counts or poisons it;
+    the functions cleared at set-up are those cleared at teardown, so a test
+    may patch a plain function over them."""
+    caches = (g2._grown, g2._extensions)
+    for cached in caches:
         cached.cache_clear()
     yield
-    for cached in (g2._grown, g2._extensions):
+    for cached in caches:
         cached.cache_clear()
 
 

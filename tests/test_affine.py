@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -688,15 +689,15 @@ def test_zero_two_commutation_lists_each_failure_once(fresh_caches):
 
 
 def test_verify_construction_reads_each_model_weight_once(monkeypatch):
-    # B^3: one weight per model element (365) and one per {1,0}-component
-    # source, one per block (20)
+    # B^3: the checks read each element's weight off its f_0-string, so the
+    # only weights read are one per {1,0}-component source, one per block (20)
     calls = []
     weight = affine.AffineModel.weight
     monkeypatch.setattr(affine.AffineModel, "weight", lambda self, b: calls.append(b) or weight(self, b))
     affine.bl_crystal(3)
     calls.clear()
     assert affine.verify_construction(3)["all_pass"]
-    assert len(calls) == 365 + len(affine.model(3).blocks) == 385
+    assert len(calls) == len(affine.model(3).blocks) == 20
 
 
 def test_fast_paths_match_the_model_operators():
@@ -745,22 +746,71 @@ def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):
 
 
 def test_model_values_are_computed_once(monkeypatch, fresh_caches):
-    # one involution image per element in the build, and no C_A, e_0 or f_0
-    # call in the check
+    # one involution image per f_0-string in the build; no C_A, e_0, f_0,
+    # phi_0 or weight call in B^l's build, and only the weight of each
+    # {1,0}-component source in the check
     images = []
-    member = affine.AffineModel._member
-    monkeypatch.setattr(affine.AffineModel, "_member",
-                        lambda self, name, b, out: images.append(name) or member(self, name, b, out))
+    ca_string = affine.ca_string
+    monkeypatch.setattr(affine, "ca_string", lambda *s: images.append(s) or ca_string(*s))
     mod = affine.model(3)
-    assert images.count("involution") == len(mod.elements) == 365
-    affine.bl_crystal(3)
+    assert images == [s for s, _ in affine._strings(mod.blocks)]
+    assert len(images) == 125
     calls = []
-    for name in ("CA", "e0", "f0"):
+    for name in ("CA", "e0", "f0", "phi0", "weight"):
         op = getattr(affine.AffineModel, name)
         monkeypatch.setattr(affine.AffineModel, name,
                             lambda self, b, _name=name, _op=op: calls.append(_name) or _op(self, b))
-    assert affine.verify_construction(3)["all_pass"]
+    affine.bl_crystal(3)
     assert calls == []
+    assert affine.verify_construction(3)["all_pass"]
+    assert calls == ["weight"] * len(mod.blocks)
+
+
+def test_string_built_tables_match_the_element_formulas():
+    # the per-element formulas are the oracle of the tables built per
+    # f_0-string: E_A is ea_plus with r kept, C_A the involution tuple
+    for l in range(8):
+        mod = affine.model(l)
+        index = mod.index
+        f1, e1 = [None] * len(index), [None] * len(index)
+        for n, (i, k, j, p, q, r) in enumerate(mod.elements):
+            R, Q, P = affine.transition(r, q, p)
+            if R < k + Q - 2 * P:
+                r2, q2, p2 = affine.transition(R + 1, Q, P)
+                f1[n] = index[(i, k, j, p2, q2, r2)]
+                e1[f1[n]] = n
+            base = affine.ea_plus(l, i, k, j, p, q)
+            assert mod._ea[n] == (None if base is None else index[(*base, r)]), (l, n)
+            assert mod._ca[n] == index[(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)], (l, n)
+        assert mod._f1 == f1 and mod._e1 == e1, l
+
+
+def test_ea_plus_onto_a_shorter_string_is_a_construction_fault(monkeypatch):
+    # each string with q > p sent onto (i, k, j, p, p), whose top j - p is
+    # lower: the first element past that top is named, no run is cut short
+    monkeypatch.setattr(affine, "ea_plus",
+                        lambda l, i, k, j, p, q: (i, k, j, p, p) if q > p else None)
+    with pytest.raises(affine.ConstructionFault, match=re.escape(
+            "E_A left the crystal: AParam(i=0, k=1, j=0, p=0, q=1, r=1) -> "
+            "AParam(i=0, k=1, j=0, p=0, q=0, r=1)")):
+        affine.AffineModel(2)
+
+
+@pytest.mark.parametrize("image, message", [
+    (lambda i, k, j, p, q: (i, j, k, p + 9, q),
+     "involution left the crystal: AParam(i=0, k=0, j=0, p=0, q=0, r=0) -> "
+     "AParam(i=0, k=0, j=0, p=9, q=0, r=0)"),
+    (lambda i, k, j, p, q: (i, k, j, p, p),
+     "involution sends the f_0-string of AParam(i=0, k=1, j=0, p=0, q=1, r=0) onto that of "
+     "AParam(i=0, k=1, j=0, p=0, q=0, r=0), of another length"),
+    (lambda i, k, j, p, q: (i, k, j, p, p + k),
+     "involution sends the f_0-string of AParam(i=0, k=1, j=0, p=0, q=0, r=0) onto that of "
+     "AParam(i=0, k=1, j=0, p=0, q=1, r=0), of another length"),
+], ids=["missing", "shorter", "longer"])
+def test_involution_onto_no_string_of_its_length_is_a_construction_fault(monkeypatch, image, message):
+    monkeypatch.setattr(affine, "ca_string", image)
+    with pytest.raises(affine.ConstructionFault, match=re.escape(message)):
+        affine.AffineModel(2)
 
 
 def test_shared_ea_image_is_listed_once(fresh_caches):

@@ -95,6 +95,14 @@ def test_enumeration_counts_once_per_extension_state(monkeypatch, fresh_enumerat
     assert len(calls) <= 1500
 
 
+def test_enumeration_fixture_survives_a_plain_function_patched_over_it(monkeypatch, fresh_enumeration):
+    # monkeypatch is undone after fresh_enumeration's teardown, which runs
+    # while _grown is still the plain function
+    grown = g2._grown
+    monkeypatch.setattr(g2, "_grown", lambda n: grown(n))
+    assert g2._grown(2) == grown(2)
+
+
 def test_poisoned_constraint_fails_the_dimension_check(second_constraint_without_0_1):
     with pytest.raises(RuntimeError, match=r"B\(2\*La1\) gave 79 words, expected 77"):
         g2.enumerate_tableaux(2)
