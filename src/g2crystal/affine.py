@@ -10,15 +10,18 @@ f_1 raises the outer coordinate of the (1,0,1) string, read off (p, q, r) in
 closed form.  E_A is defined case by case on the r = 0 layer and extended to
 the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
-Every operator table is a list of image positions, None where undefined;
-each crystal's ``index`` dict maps an element to its position.  The model
-tabulates f_1, e_1, E_A and C_A once, and F_A from them.  The elements run r
-innermost, so each f_0-string (i, k, j, p, q) is a run of the element list,
-and the f_0-string is the unit of the build: E_A sends a string's run onto
-the start of another string's run, read from one ``ea_plus`` call, and C_A
-onto the whole run of another string of its length, reversed
-(``ca_string``); f_1 finds each image from that string's first position plus
-r.  B^l's words are a prefix tree (``g2._grown`` gives each word's children
+Every operator table is a list of image positions, None where undefined.
+B^l's ``index`` dict maps a word to its position; the model's elements are
+positions, each (i, k, j, p, q, r) at its string's first position plus r
+(``position``, and ``param`` back), and its ``elements`` list and ``index``
+dict are built only when read.  The model tabulates f_1, e_1, E_A and C_A
+once, and F_A from them.  The elements run r innermost, so each f_0-string
+(i, k, j, p, q) is a run of positions, and the f_0-string is the unit of the
+build: E_A sends a string's run onto the start of another string's run, read
+from one ``ea_plus`` call, C_A onto the whole run of another string of its
+length, reversed (``ca_string``), and f_1 sends it in at most two runs, each
+onto a run of another string, its first image read from one ``transition``
+call.  B^l's words are a prefix tree (``g2._grown`` gives each word's children
 together, in letter order), and colors 1 and 2 grow each word's row from its
 prefix's by the tensor-product rule, each image the position of a child in
 that tree; the E3/E4 check sums the letter weights along the same tree.
@@ -35,6 +38,7 @@ tableau anchor formulas are kept as an independent check.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice
@@ -136,7 +140,13 @@ def _r_phi0(blocks) -> tuple[bytes, bytes]:
 
 
 class AffineModel:
-    """The model crystal A at a fixed level, with its operators."""
+    """The model crystal A at a fixed level, with its operators.
+
+    An element is a position: the elements run in string order, and
+    ``position`` and ``param`` convert between a position and its
+    ``AParam``.  The list ``elements`` and the dict ``index`` are built on
+    first read; no table needs them.
+    """
 
     def __init__(self, l: int):
         if l < 0:
@@ -148,37 +158,40 @@ class AffineModel:
             for k in range(i, l - i + 1)
             for j in range(i, l - i + 1)
         ]
-        self.elements = elements = [
-            AParam(i, k, j, p, q, r)
-            for (i, k, j) in self.blocks
-            for p in range(j + 1)
-            for q in range(p, p + k + 1)
-            for r in range(j + q - 2 * p + 1)
-        ]
-        self.index = {b: n for n, b in enumerate(elements)}
-        # the index's own int objects: a computed position stored in every
-        # table would be a new int for each entry
-        at = list(self.index.values())
-        size = len(at)
         strings = list(_strings(self.blocks))
-        # the position of each string's r = 0 element, by its (i, k, j, p, q)
-        start = dict(zip((s for s, _ in strings),
-                         accumulate((top + 1 for _, top in strings), initial=0)))
+        # each string's (i, k, j, p, q), and the position of its r = 0 element
+        self._keys = [s for s, _ in strings]
+        self._starts = list(accumulate((top + 1 for _, top in strings), initial=0))
+        self._size = size = self._starts.pop()
+        self._start = start = dict(zip(self._keys, self._starts))
+        # one int object per position, shared by every table: a computed
+        # position stored in every table would be a new int for each entry
+        at = list(range(size))
         self._f1, self._e1, self._ea = f1, e1, ea = [None] * size, [None] * size, [None] * size
         self._ca = ca = []
-        for (s, top), a in zip(strings, start.values()):
+        for (s, top), a in zip(strings, self._starts):
             i, k, j, p, q = s
-            # f_1 moves along the block, element by element
-            for r in range(top + 1):
-                R, Q, P = transition(r, q, p)
-                if R < k + Q - 2 * P:
-                    r2, q2, p2 = transition(R + 1, Q, P)
-                    t = start.get((i, k, j, p2, q2))
-                    if t is None or not 0 <= r2 <= j + q2 - 2 * p2:
-                        raise ConstructionFault(f"f_1 left the crystal: {elements[a + r]} -> "
-                                                f"{AParam(i, k, j, p2, q2, r2)}")
-                    f1[a + r] = t = at[t + r2]
-                    e1[t] = at[a + r]
+            # f_1 sends the string in two runs, each onto a run of another
+            # string: r <= q - p while q < k + p, and r > 2q - 2p - k past
+            # that; each run's first element lo, in transition's coordinates
+            # (R, Q, P) = transition(lo, q, p), is read in closed form, and
+            # transition gives its image
+            mid = max(q - p, 2 * q - 2 * p - k) + 1
+            for lo, hi, R, Q, P in ((0, q - p if q < k + p else -1, q, p, 0),
+                                    (mid, top, p, mid + p, q - p)):
+                if lo > hi:
+                    continue
+                r2, q2, p2 = transition(R + 1, Q, P)
+                t = start.get((i, k, j, p2, q2))
+                # how far past its first image the target string reaches
+                reach = -1 if t is None or r2 < 0 else j + q2 - 2 * p2 - r2
+                if reach < hi - lo:
+                    bad = max(reach + 1, 0)
+                    raise ConstructionFault(f"f_1 left the crystal: {AParam(*s, lo + bad)} -> "
+                                            f"{AParam(i, k, j, p2, q2, r2 + bad)}")
+                t += r2
+                f1[a + lo:a + hi + 1] = at[t:t + hi - lo + 1]
+                e1[t:t + hi - lo + 1] = at[a + lo:a + hi + 1]
             # E_A keeps r, so it sends the string onto the start of another,
             # which must reach r = top
             base = ea_plus(l, *s)
@@ -186,7 +199,7 @@ class AffineModel:
                 t = start.get(base)
                 reach = -1 if t is None else base[2] + base[4] - 2 * base[3]
                 if reach < top:
-                    raise ConstructionFault(f"E_A left the crystal: {elements[a + reach + 1]} -> "
+                    raise ConstructionFault(f"E_A left the crystal: {AParam(*s, reach + 1)} -> "
                                             f"{AParam(*base, reach + 1)}")
                 ea[a:a + top + 1] = at[t:t + top + 1]
             # C_A sends the string onto another of its length, reversed
@@ -194,18 +207,63 @@ class AffineModel:
             t = start.get(image)
             if t is None:
                 raise ConstructionFault(
-                    f"involution left the crystal: {elements[a]} -> {AParam(*image, top)}")
+                    f"involution left the crystal: {AParam(*s, 0)} -> {AParam(*image, top)}")
             if image[2] + image[4] - 2 * image[3] != top:
-                raise ConstructionFault(f"involution sends the f_0-string of {elements[a]} "
-                                        f"onto that of {elements[t]}, of another length")
+                raise ConstructionFault(f"involution sends the f_0-string of {AParam(*s, 0)} "
+                                        f"onto that of {AParam(*image, 0)}, of another length")
             ca += at[t:t + top + 1][::-1]
         self._fa = [None if (up := ea[c]) is None else ca[up] for c in ca]
 
+    def __len__(self):
+        return self._size
+
+    def position(self, b) -> int | None:
+        """The position of element ``b``, None if ``b`` is no element: what
+        ``index.get(b)`` gives, from its string's start plus r."""
+        if not isinstance(b, tuple) or len(b) != 6:
+            return None
+        t = self._start.get(b[:5])
+        if t is None:
+            return None
+        i, k, j, p, q, r = b
+        return t + r if r in range(j + q - 2 * p + 1) else None
+
+    def param(self, n: int) -> AParam:
+        """The element at position ``n``, found by its string's start."""
+        if not 0 <= n < self._size:
+            raise IndexError(f"no model position {n}")
+        s = bisect_right(self._starts, n) - 1
+        return AParam(*self._keys[s], n - self._starts[s])
+
+    def iter_elements(self):
+        """Each element in position order, made as it is read."""
+        return (AParam(*s, r) for s, top in _strings(self.blocks) for r in range(top + 1))
+
+    @cached_property
+    def elements(self) -> list[AParam]:
+        return list(self.iter_elements())
+
+    @cached_property
+    def index(self) -> dict[AParam, int]:
+        return {b: n for n, b in enumerate(self.elements)}
+
+    @cached_property
+    def r_phi0(self) -> tuple[bytes, bytes]:
+        """Per position, r and phi_0 (``_r_phi0``), made once for B^l's
+        colour 0 and the checks."""
+        return _r_phi0(self.blocks)
+
+    def _move(self, table, b):
+        """``table``'s image of element ``b``, or None."""
+        n = self.position(b)
+        t = None if n is None else table[n]
+        return None if t is None else self.param(t)
+
     def f1(self, b: AParam) -> AParam | None:
-        return _image(self, self._f1, b)
+        return self._move(self._f1, b)
 
     def e1(self, b: AParam) -> AParam | None:
-        return _image(self, self._e1, b)
+        return self._move(self._e1, b)
 
     def f0(self, b: AParam) -> AParam | None:
         i, k, j, p, q, r = b
@@ -230,18 +288,18 @@ class AffineModel:
 
     def EA(self, b: AParam) -> AParam | None:
         """The raising counterpart of the extra color; commutes with f_0."""
-        return _image(self, self._ea, b)
+        return self._move(self._ea, b)
 
     def CA(self, b: AParam) -> AParam:
         """The involution, tabulated; a non-element is a fault."""
-        n = self.index.get(b)
+        n = self.position(b)
         if n is None:
             raise ConstructionFault(f"involution of a non-element: {b}")
-        return self.elements[self._ca[n]]
+        return self.param(self._ca[n])
 
     def FA(self, b: AParam) -> AParam | None:
         """C_A E_A C_A, tabulated."""
-        return _image(self, self._fa, b)
+        return self._move(self._fa, b)
 
 
 def _image(crystal, table, x):
@@ -402,7 +460,7 @@ def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
     counts = dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0)
     mod, perm, words = model(l), phi.perm, phi.words
     for rule, b, w in _anchor_cases(l):
-        n = mod.index.get(b)
+        n = mod.position(b)
         counts[rule] += n is None or words[perm[n]] != w
     counts["R8/R9"] = sum(g2.involution(words[perm[c]]) != words[perm[n]]
                           for n, c in enumerate(mod._ca))
@@ -412,13 +470,17 @@ def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
 class PhiTable:
     """Phi at one level: ``words[perm[n]]`` is Phi(``params[n]``), ``inverse``
     inverts ``perm``, and the dicts ``forward``/``backward`` are built on first
-    read and kept."""
+    read and kept; ``params`` is the model's element list, read on demand."""
 
-    def __init__(self, perm, inverse, params, words):
-        self.perm, self.inverse, self.params, self.words = perm, inverse, params, words
+    def __init__(self, perm, inverse, model, words):
+        self.perm, self.inverse, self.model, self.words = perm, inverse, model, words
 
     def __len__(self):
         return len(self.perm)
+
+    @property
+    def params(self) -> list[AParam]:
+        return self.model.elements
 
     @cached_property
     def forward(self) -> dict[AParam, tuple[int, ...]]:
@@ -441,20 +503,20 @@ def build_phi(bl: BlCrystal) -> PhiTable:
     a construction fault.
     """
     l, mod = bl.l, bl.model
-    params, words = mod.elements, bl.elements
-    perm = [None] * len(params)
+    param, words = mod.param, bl.elements
+    perm = [None] * len(mod)
     inverse = [None] * len(words)
 
     def assign(b, w):
         old = perm[b]
         if old is not None:
             if old != w:
-                raise ConstructionFault(f"conflict at {params[b]}: {words[old]} vs {words[w]}")
+                raise ConstructionFault(f"conflict at {param(b)}: {words[old]} vs {words[w]}")
             return False
         owner = inverse[w]
         if owner is not None:
             raise ConstructionFault(
-                f"word {words[w]} already assigned to {params[owner]}, not {params[b]}")
+                f"word {words[w]} already assigned to {param(owner)}, not {param(b)}")
         perm[b] = w
         inverse[w] = b
         return True
@@ -470,7 +532,7 @@ def build_phi(bl: BlCrystal) -> PhiTable:
             n += 1
     highest.sort()
     if [wt for wt, _ in highest] != [(n, -2 * n) for n in range(l + 1)]:
-        raise ConstructionFault(f"highest elements {[params[b] for _, b in highest]} "
+        raise ConstructionFault(f"highest elements {[param(b) for _, b in highest]} "
                                 f"are not one per n*Lambda_1, n <= {l}")
     frontier = [b for _, b in highest]
     for n, b in enumerate(frontier):
@@ -483,17 +545,17 @@ def build_phi(bl: BlCrystal) -> PhiTable:
             for t, img in ((f1[b], bf1[w]), (fa[b], bf2[w])):
                 if (t is None) != (img is None):
                     raise ConstructionFault(
-                        f"lowering edge at {params[b]} ~ {words[w]} exists on one side only")
+                        f"lowering edge at {param(b)} ~ {words[w]} exists on one side only")
                 if t is not None and assign(t, img):
                     nxt.append(t)
         frontier = nxt
-    missing = [b for b, w in zip(params, perm) if w is None][:5]
+    missing = [param(b) for b, w in enumerate(perm) if w is None][:5]
     if missing:
         raise ConstructionFault(f"gap: unassigned parameters remain, e.g. {missing}")
     # every image is an element of bl and assign is injective
     if None in inverse:
         raise ConstructionFault("assignment is not onto the word set")
-    return PhiTable(perm, inverse, params, words)
+    return PhiTable(perm, inverse, mod, words)
 
 
 def phi_table(l: int) -> PhiTable:
@@ -518,7 +580,9 @@ class BlCrystal:
         self._fpos, self._epos = ([], [], []), ([], [], [])
         self._eps = ([], [], [])
         self._phi = ([], [], [])
-        self._grow(*_prefix_tree(l))
+        # the prefix tree, kept for the E3/E4 check's letter weights
+        self._tree = _prefix_tree(l)
+        self._grow(*self._tree)
         self.phi = build_phi(self)
         self._zero()
 
@@ -528,9 +592,9 @@ class BlCrystal:
         The model's elements run r innermost, so each f_0-string is a run of
         that list: f_0 of the element at position m is the one at m + 1 while
         phi_0 > 0, and e_0 the one at m - 1 while r > 0.  Both are read off
-        the strings (``_r_phi0``), not the elements.
+        the strings (``AffineModel.r_phi0``), not the elements.
         """
-        rs, phis = _r_phi0(self.model.blocks)
+        rs, phis = self.model.r_phi0
         perm, inverse = self.phi.perm, self.phi.inverse
         self._eps[0].extend(map(rs.__getitem__, inverse))
         self._phi[0].extend(map(phis.__getitem__, inverse))
@@ -670,13 +734,13 @@ def _components(size, tables) -> list[int]:
     return parent
 
 
-def _word_weights(l: int) -> tuple[bytearray, bytearray]:
+def _word_weights(letters, kind) -> tuple[bytearray, bytearray]:
     """(m1, m2) of each of B^l's words, in element order, plus 128: the sums
     of its letters' weights, ``g2._WT1`` and ``g2._WT2`` read now, each grown
     along the prefix tree as its prefix's sums plus its last letter's.  A
     letter weighs at most 3, so |m| <= 3l fits a byte with that offset, and
-    the sums take two bytes a word, where two lists of ints take sixteen."""
-    letters, kind = _prefix_tree(l)
+    the sums take two bytes a word, where two lists of ints take sixteen.
+    ``letters`` and ``kind`` are the prefix tree (``_prefix_tree``)."""
     wt1, wt2 = g2._WT1, g2._WT2
     steps = [tuple((wt1[a], wt2[a]) for a in kids) for kids in letters]
     m1s, m2s = bytearray([128]), bytearray([128])
@@ -707,13 +771,13 @@ def verify_construction(l: int) -> dict:
         "EA_injective", "zero_two_commutation", "color1_compatibility",
         "color2_compatibility", "weight_compatibility", "vanishing_compatibility")}
     ea, fa, f1, e1 = mod._ea, mod._fa, mod._f1, mod._e1
-    elements, fwd, words = mod.elements, table.perm, bl.elements
+    param, fwd, words = mod.param, table.perm, bl.elements
     bf0, bf1, bf2 = bl._fpos
     be0, be1, be2 = bl._epos
     ea_depth = _depths(ea)
     fa_depth = _depths(fa)
-    phis = _r_phi0(mod.blocks)[1]
-    m1s, m2s = _word_weights(l)
+    phis = mod.r_phi0[1]
+    m1s, m2s = _word_weights(*bl._tree)
     n = 0
     for (i, k, j, p, q), top in _strings(mod.blocks):
         # along the string r runs 0..top, wt_1 = k + p - 2q + r and
@@ -726,39 +790,39 @@ def verify_construction(l: int) -> dict:
             t = n + 1 if ph0 else None
             # (C1) mutual inverse
             if up is not None and fa[up] != n:
-                bad["pair_mutual_inverse"].append((elements[n], elements[up]))
+                bad["pair_mutual_inverse"].append((param(n), param(up)))
             if dn is not None and ea[dn] != n:
-                bad["pair_mutual_inverse"].append((elements[n], elements[dn]))
+                bad["pair_mutual_inverse"].append((param(n), param(dn)))
             # (C2) commutation with f_0, including definedness, plus phi_0 preservation
             up_ph0 = None if up is None else phis[up]
             if t is not None and ea[t] != (up + 1 if up_ph0 else None):
-                bad["affine_color_commutation"].append(elements[n])
+                bad["affine_color_commutation"].append(param(n))
             if up is not None and up_ph0 != ph0:
-                bad["affine_color_commutation"].append(elements[n])
+                bad["affine_color_commutation"].append(param(n))
             # (C3) string-length difference equals the weight functional
             if fa_depth[n] - ea_depth[n] != gap:
-                bad["string_depth_weight"].append(elements[n])
+                bad["string_depth_weight"].append(param(n))
             # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
             # transported through Phi agree with the B^l tables
             x = f1[n]
             if (None if x is None else fwd[x]) != bf1[w]:
-                bad["color1_compatibility"].append((elements[n], "f1"))
+                bad["color1_compatibility"].append((param(n), "f1"))
             x = e1[n]
             if (None if x is None else fwd[x]) != be1[w]:
-                bad["color1_compatibility"].append((elements[n], "e1"))
+                bad["color1_compatibility"].append((param(n), "e1"))
             if (None if dn is None else fwd[dn]) != bf2[w]:
-                bad["color2_compatibility"].append((elements[n], "FA"))
+                bad["color2_compatibility"].append((param(n), "FA"))
             if (None if up is None else fwd[up]) != be2[w]:
-                bad["color2_compatibility"].append((elements[n], "EA"))
+                bad["color2_compatibility"].append((param(n), "EA"))
             # (E3)/(E4) weight matching: the word's (m1, m2), summed from its
             # letters along the prefix tree, not read off B^l's eps/phi tables
             if m1s[w] - 128 != w1 + top - ph0 or m2s[w] - 128 != gap:
-                bad["weight_compatibility"].append(elements[n])
+                bad["weight_compatibility"].append(param(n))
             # (E5) vanishing of the affine operators matches the model
             if (bf0[w] is None) != (t is None):
-                bad["vanishing_compatibility"].append((elements[n], "f0"))
+                bad["vanishing_compatibility"].append((param(n), "f0"))
             if (be0[w] is None) != (ph0 == top):
-                bad["vanishing_compatibility"].append((elements[n], "e0"))
+                bad["vanishing_compatibility"].append((param(n), "e0"))
             n += 1
     # the per-element lists are not needed by the component passes below
     del ea_depth, fa_depth, phis, m1s, m2s
@@ -770,7 +834,7 @@ def verify_construction(l: int) -> dict:
         for n, up in enumerate(ea):
             if up is not None:
                 if up in preimage:
-                    bad["EA_injective"].append((elements[preimage[up]], elements[n], elements[up]))
+                    bad["EA_injective"].append((param(preimage[up]), param(n), param(up)))
                 preimage[up] = n
 
     # (D1) the affine operator commutes with the extra finite color
@@ -819,7 +883,7 @@ def verify_construction(l: int) -> dict:
         if a == c == 0 and e1[back[n]] is None:
             sources.setdefault(roots[n], []).append(back[n])
     ok = len(sources) == len(sizes) and all(len(s) == 1 for s in sources.values())
-    got = sorted((sizes[root], *mod.weight(elements[s[0]])) for root, s in sources.items())
+    got = sorted((sizes[root], *mod.weight(param(s[0]))) for root, s in sources.items())
     expected = sorted((a2.dim(k, j), k, j) for (i, k, j) in mod.blocks)
     ok &= got == expected
     report["restriction_10"] = {"pass": ok, "components": len(sizes),

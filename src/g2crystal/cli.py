@@ -46,7 +46,7 @@ def cmd_dims(args, out) -> int:
             # as in verify: no level reads another's model
             clear_level_caches()
         total = gl_count(l)
-        match = total == len(model(l).elements)
+        match = total == len(model(l))
         ok &= match
         _emit(f"level {l}: total dimension {total}  "
               f"A-model count matches: {'yes' if match else 'NO'}", out)
@@ -135,9 +135,9 @@ def cmd_minimal(args, out) -> int:
 
 def cmd_phi(args, out) -> int:
     table = phi_table(args.level)
-    # the model's elements, and so the params, run in sorted order
+    # the model's elements run in sorted order, each made as it is written
     _write_list(({"param": b.to_json(), "tableau": g2.word_to_json(table.words[n])}
-                 for b, n in zip(table.params, table.perm)), out)
+                 for b, n in zip(table.model.iter_elements(), table.perm)), out)
     out.write("\n")
     return 0
 

@@ -731,13 +731,18 @@ def test_aparam_is_its_field_tuple():
 
 
 def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):
-    # the f_1, E_A and involution images are looked up as plain tuples
+    # the build works on positions, each image found from its string's
+    # start plus r; the AParams are made on the first read of elements only
     made = []
     new = AParam.__new__
     monkeypatch.setattr(AParam, "__new__",
                         staticmethod(lambda cls, *args: made.append(args) or new(cls, *args)))
     mod = affine.AffineModel(4)
-    assert len(made) == len(mod.elements) == 1113
+    assert made == []
+    assert len(mod.elements) == 1113
+    assert len(made) == 1113
+    assert len(mod.elements) == len(mod.index) == 1113
+    assert len(made) == 1113
     # a fault message still names both elements as AParams
     monkeypatch.setattr(affine, "ea_plus", lambda l, i, k, j, p, q: (i, k, j, p + 9, q))
     with pytest.raises(affine.ConstructionFault,
@@ -842,3 +847,83 @@ def test_weight_compatibility_reads_the_letter_weights(monkeypatch, fresh_caches
     monkeypatch.setitem(g2._WT1, 7, 1)
     report = affine.verify_construction(2)["weight_compatibility"]
     assert not report["pass"] and report["counterexamples"]
+
+
+def test_positions_and_params_round_trip():
+    # position and param, computed from the string starts, against the
+    # element list and its dict
+    for l in range(8):
+        mod = affine.model(l)
+        assert len(mod) == len(mod.elements) == len(mod.index)
+        for n, b in enumerate(mod.elements):
+            assert mod.position(b) == mod.index[b] == n, (l, b)
+            got = mod.param(n)
+            assert got == b and type(got) is AParam, (l, n)
+        for n in (-1, len(mod)):
+            with pytest.raises(IndexError):
+                mod.param(n)
+
+
+def test_position_of_a_non_element_is_what_the_index_gives():
+    mod = affine.model(3)
+    top = AParam(0, 2, 1, 0, 0, 1)  # j + q - 2p = 1
+    cases = [top, top._replace(r=2), top._replace(r=-1), top._replace(r="1"),
+             AParam(0, 2, 1, 2, 2, 0),  # p > j
+             AParam(1, 0, 1, 0, 0, 0),  # i > k: no such block
+             AParam(0, 4, 1, 0, 0, 0),  # k > l - i
+             (0, 2, 1, 0, 0), (0, 2, 1, 0, 0, 1, 0), tuple(top), None, 7, "abcdef"]
+    for b in cases:
+        assert mod.position(b) == mod.index.get(b), b
+    assert [mod.position(b) for b in cases[:3]] == [mod.index[top], None, None]
+    assert mod.position(tuple(top)) == mod.index[top]
+
+
+@pytest.mark.parametrize("argv, models", [(["verify", "--level", "4"], 4),
+                                          (["dims", "--max-level", "4"], 5),
+                                          (["phi", "--level", "4"], 1)])
+def test_commands_build_no_model_element_list(monkeypatch, fresh_caches, capsys, argv, models):
+    # every model a cold command builds keeps its positions only: the list
+    # elements and the dict index are never made
+    built = []
+    init = affine.AffineModel.__init__
+    monkeypatch.setattr(affine.AffineModel, "__init__",
+                        lambda self, l: built.append(self) or init(self, l))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == models
+    for mod in built:
+        assert not {"elements", "index"} & set(vars(mod)), mod.l
+
+
+def test_derived_tables_are_made_once_per_level(monkeypatch, fresh_caches):
+    # the prefix tree and the per-position (r, phi_0) tables serve both the
+    # build and the check
+    calls = Counter()
+    for name in ("_prefix_tree", "_r_phi0"):
+        fn = getattr(affine, name)
+        monkeypatch.setattr(affine, name,
+                            lambda *a, _fn=fn, _name=name: calls.update([_name]) or _fn(*a))
+    affine.bl_crystal(3)
+    assert affine.verify_construction(3)["all_pass"]
+    assert calls == {"_prefix_tree": 1, "_r_phi0": 1}
+
+
+@pytest.mark.parametrize("shift, message", [
+    # the target string is missing
+    (lambda R, Q, P: (0, 0, 9),
+     "AParam(i=0, k=0, j=1, p=0, q=0, r=1) -> AParam(i=0, k=0, j=1, p=10, q=1, r=0)"),
+    # the run's first image is past the target's top
+    (lambda R, Q, P: (1, 0, 0),
+     "AParam(i=0, k=0, j=1, p=0, q=0, r=1) -> AParam(i=0, k=0, j=1, p=1, q=1, r=1)"),
+    # the run's second image is past the target's top: the first element of
+    # the run that leaves the crystal is named
+    (lambda R, Q, P: (2 * (R > Q + 1), 0, 0),
+     "AParam(i=0, k=2, j=0, p=0, q=1, r=1) -> AParam(i=0, k=2, j=0, p=0, q=2, r=3)"),
+], ids=["missing", "past-top", "run-past-top"])
+def test_f1_run_onto_no_string_long_enough_is_a_construction_fault(monkeypatch, shift, message):
+    transition = affine.transition
+    monkeypatch.setattr(affine, "transition", lambda R, Q, P: tuple(
+        a + d for a, d in zip(transition(R, Q, P), shift(R, Q, P))))
+    with pytest.raises(affine.ConstructionFault,
+                       match=re.escape(f"f_1 left the crystal: {message}")):
+        affine.AffineModel(2)
