@@ -92,10 +92,6 @@ def highest(m: int, n: int) -> A2Tableau:
     return A2Tableau(m, n, (1,) * (m + n), (2,) * n)
 
 
-def lowest(m: int, n: int) -> A2Tableau:
-    return A2Tableau(m, n, (2,) * n + (3,) * m, (3,) * n)
-
-
 def _from_factors(m, n, factors) -> A2Tableau:
     row1 = [0] * (m + n)
     row2 = [0] * n
@@ -123,14 +119,6 @@ def apply(op: str, color: str, t: A2Tableau) -> A2Tableau | None:
     if not out.is_valid():
         raise RuntimeError(f"operator produced an invalid tableau: {out!r}")
     return out
-
-
-def apply_power(op, color, t, k):
-    for _ in range(k):
-        if t is None:
-            return None
-        t = apply(op, color, t)
-    return t
 
 
 def eps(color: str, t: A2Tableau) -> int:

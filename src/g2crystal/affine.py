@@ -13,12 +13,12 @@ involution, and the mutual-inverse property is verified rather than assumed.
 Every operator table is a list of image positions, None where undefined.
 B^l's ``index`` dict maps a word to its position; the model's elements are
 positions, each (i, k, j, p, q, r) at its string's first position plus r
-(``position``, and ``param`` back), and its ``elements`` list and ``index``
-dict are built only when read.  The model tabulates f_1, e_1, E_A and C_A
-once, and F_A from them.  The elements run r innermost, so each f_0-string
-(i, k, j, p, q) is a run of positions, and the f_0-string is the unit of the
-build: E_A sends a string's run onto the start of another string's run, read
-from one ``ea_plus`` call, C_A onto the whole run of another string of its
+(``position``, and ``param`` back), and its ``elements`` list is built only
+when read.  The model tabulates f_1, e_1, E_A and C_A once, and F_A from
+them.  The elements run r innermost, so each f_0-string (i, k, j, p, q) is
+a run of positions, and the f_0-string is the unit of the build: E_A sends
+a string's run onto the start of another string's run, read from one
+``ea_plus`` call, C_A onto the whole run of another string of its
 length, reversed (``ca_string``), and f_1 sends it in at most two runs, each
 onto a run of another string, its first image read from one ``transition``
 call.  B^l's words are a prefix tree (``g2._grown`` gives each word's children
@@ -144,8 +144,8 @@ class AffineModel:
 
     An element is a position: the elements run in string order, and
     ``position`` and ``param`` convert between a position and its
-    ``AParam``.  The list ``elements`` and the dict ``index`` are built on
-    first read; no table needs them.
+    ``AParam``.  The list ``elements`` is built on first read; no table
+    needs it.
     """
 
     def __init__(self, l: int):
@@ -244,10 +244,6 @@ class AffineModel:
         return list(self.iter_elements())
 
     @cached_property
-    def index(self) -> dict[AParam, int]:
-        return {b: n for n, b in enumerate(self.elements)}
-
-    @cached_property
     def r_phi0(self) -> tuple[bytes, bytes]:
         """Per position, r and phi_0 (``_r_phi0``), made once for B^l's
         colour 0 and the checks."""
@@ -258,27 +254,6 @@ class AffineModel:
         n = self.position(b)
         t = None if n is None else table[n]
         return None if t is None else self.param(t)
-
-    def f1(self, b: AParam) -> AParam | None:
-        return self._move(self._f1, b)
-
-    def e1(self, b: AParam) -> AParam | None:
-        return self._move(self._e1, b)
-
-    def f0(self, b: AParam) -> AParam | None:
-        i, k, j, p, q, r = b
-        if r >= j + q - 2 * p:
-            return None
-        return AParam(i, k, j, p, q, r + 1)
-
-    def e0(self, b: AParam) -> AParam | None:
-        i, k, j, p, q, r = b
-        if r == 0:
-            return None
-        return AParam(i, k, j, p, q, r - 1)
-
-    def phi0(self, b: AParam) -> int:
-        return b.j + b.q - 2 * b.p - b.r
 
     def weight(self, b: AParam) -> tuple[int, int]:
         """(wt_1, wt_0) of the element."""
@@ -468,9 +443,9 @@ def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
 
 
 class PhiTable:
-    """Phi at one level: ``words[perm[n]]`` is Phi(``params[n]``), ``inverse``
-    inverts ``perm``, and the dicts ``forward``/``backward`` are built on first
-    read and kept; ``params`` is the model's element list, read on demand."""
+    """Phi at one level: ``words[perm[n]]`` is Phi of the model's element at
+    position n, ``inverse`` inverts ``perm``, and the dict ``forward`` is
+    built on first read and kept."""
 
     def __init__(self, perm, inverse, model, words):
         self.perm, self.inverse, self.model, self.words = perm, inverse, model, words
@@ -478,17 +453,9 @@ class PhiTable:
     def __len__(self):
         return len(self.perm)
 
-    @property
-    def params(self) -> list[AParam]:
-        return self.model.elements
-
     @cached_property
     def forward(self) -> dict[AParam, tuple[int, ...]]:
-        return dict(zip(self.params, map(self.words.__getitem__, self.perm)))
-
-    @cached_property
-    def backward(self) -> dict[tuple[int, ...], AParam]:
-        return dict(zip(self.words, map(self.params.__getitem__, self.inverse)))
+        return dict(zip(self.model.elements, map(self.words.__getitem__, self.perm)))
 
 
 def build_phi(bl: BlCrystal) -> PhiTable:
@@ -606,9 +573,9 @@ class BlCrystal:
         prefix's row, in element order.
 
         A word p + (a,) is the tensor product a (x) p (Kashiwara's rule): f_i
-        acts on a iff phi_i(a) > eps_i(p), e_i iff phi_i(a) >= eps_i(p)
-        (``signature.acts_on_first``).  Colors 1 and 2 keep a word's length,
-        so each image is a child in the tree: the sibling p + (step(a),) or
+        acts on a iff phi_i(a) > eps_i(p), e_i iff phi_i(a) >= eps_i(p), the
+        two-factor case of ``signature.bracket``.  Colors 1 and 2 keep a
+        word's length, so each image is a child in the tree: the sibling p + (step(a),) or
         the child of f_i p (e_i p) by a, found at its parent's first child
         plus the letter's rank among that parent's children.  No word is
         sliced, joined or hashed.  A step the rule needs that is undefined,
@@ -683,12 +650,6 @@ class BlCrystal:
 
     def weight(self, w) -> ClassicalWeight:
         return g2.weight(w)
-
-    def eps_weight(self, w) -> ClassicalWeight:
-        return ClassicalWeight(self.eps(0, w), self.eps(1, w), self.eps(2, w))
-
-    def phi_weight(self, w) -> ClassicalWeight:
-        return ClassicalWeight(self.phi_i(0, w), self.phi_i(1, w), self.phi_i(2, w))
 
 
 @lru_cache(maxsize=None)

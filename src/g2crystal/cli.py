@@ -1,6 +1,9 @@
 """Command-line front-end: dimension tables, enumeration, verification.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error or
+an ``--out`` file that cannot be opened, written or closed, 141 stdout
+closed by its reader (as a process stopped by SIGPIPE; nothing is printed
+on stderr).
 Identical inputs produce byte-identical output; elements are ordered by
 length and then lexicographically in the fixed letter order.
 """
@@ -9,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import g2, perfect
@@ -120,17 +124,10 @@ def _verify_level(l, out) -> str | None:
 
 
 def cmd_minimal(args, out) -> int:
-    bl = bl_crystal(args.level)
-    rows = []
-    for w in perfect.minimal_elements(args.level):
-        rows.append({
-            "element": g2.word_to_json(w),
-            "eps": bl.eps_weight(w).to_json(),
-            "phi": bl.phi_weight(w).to_json(),
-        })
+    rows = [{"element": g2.word_to_json(w), "eps": eps.to_json(), "phi": phi.to_json()}
+            for w, eps, phi in perfect.minimal_rows(args.level)]
     _emit(json.dumps(rows), out)
-    dom = dominant_weights(args.level)
-    return 0 if len(rows) == len(dom) else 1
+    return 0 if len(rows) == len(dominant_weights(args.level)) else 1
 
 
 def cmd_phi(args, out) -> int:
@@ -206,10 +203,10 @@ def cmd_qcheck(args, out) -> int:
     return 0 if ok else 1
 
 
-# the largest level any command builds: cold, in one process, on a shared
-# 2-core Xeon host with Python 3.11, verify --level 10 takes 3.7-5.9 s and
-# 65 MB, and every other command at l = 10 (graph in each format) at most
-# 4.3 s and 62 MB
+# the largest level any command builds: cold, one fresh process per run
+# (wall time and the process's peak RSS), on a shared 2-core Xeon host with
+# Python 3.11, verify --level 10 takes 1.6-2.3 s and 51 MB, and every other
+# command at l = 10 (graph in each format) at most 3.5 s and 51 MB
 MAX_LEVEL = 10
 
 
@@ -260,14 +257,21 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     path = getattr(args, "out", None)
     if not path:
-        return _run(args, sys.stdout)
+        try:
+            code = _run(args, sys.stdout)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader has gone: point stdout at devnull, so that the flush
+            # at shutdown is silent, and end as SIGPIPE would end the process
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     try:
-        fh = open(path, "w")
-    except OSError as exc:
+        with open(path, "w") as fh:
+            return _run(args, fh)
+    except OSError as exc:  # opening, writing or closing the file
         print(f"g2crystal: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 2
-    with fh:
-        return _run(args, fh)
 
 
 def _run(args, out) -> int:

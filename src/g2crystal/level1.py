@@ -1,11 +1,12 @@
 """The 15-dimensional level-1 module over exact q-arithmetic.
 
 Basis labels are the 14 letters plus 9 for the extra one-dimensional piece.
-The action table is stored in resolved form: the generator rows with
-secondary terms are fixed by the defining relations (the commutator of the
-color-1 generators forces the bracket on the 6 / 0_2 / barred-6 string to be
-the color-1 bracket, and pins every secondary coefficient); the resolution
-is frozen here and re-verified relation by relation.
+The lowering table is stored in resolved form, and the raising table is its
+bar image: the generator rows with secondary terms are fixed by the defining
+relations (the commutator of the color-1 generators forces the bracket on
+the 6 / 0_2 / barred-6 string to be the color-1 bracket, and pins every
+secondary coefficient); the resolution is frozen here and re-verified
+relation by relation.
 
 Tensor vectors carry coefficients that are Laurent polynomials in the two
 spectral variables x, y over the exact rational-function field.
@@ -65,23 +66,11 @@ F_TABLE = {
     },
 }
 
-# Raising table, bar-symmetric to the lowering one.
-E_TABLE = {
-    0: {
-        6: [(-2, _ONE)], 4: [(-3, _ONE)], 3: [(-4, _ONE)], 2: [(-6, _ONE)],
-        1: [(9, _ONE), (8, _B21.inv())], 9: [(-1, _B21)],
-    },
-    1: {
-        -1: [(-2, _ONE)], -4: [(-5, _ONE)],
-        -6: [(8, _ONE), (7, _B22.inv()), (9, _B21.inv())],
-        8: [(6, _B21)], 5: [(4, _ONE)], 2: [(1, _ONE)],
-    },
-    2: {
-        -2: [(-3, _ONE)], -3: [(-4, _B22)], -4: [(-6, _B32)],
-        -5: [(7, _ONE), (8, _B32_B21)], 7: [(5, _B22)],
-        6: [(4, _ONE)], 4: [(3, _B22)], 3: [(2, _B32)],
-    },
-}
+# Raising table: the bar image of the lowering one, e_i(bar a) = bar f_i(a),
+# with the label 9 its own bar.
+_BAR = {**g2._BAR, 9: 9}
+E_TABLE = {i: {_BAR[a]: [(_BAR[b], c) for b, c in row] for a, row in rows.items()}
+           for i, rows in F_TABLE.items()}
 
 
 # -- vectors on the module itself ----------------------------------------

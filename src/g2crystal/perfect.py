@@ -10,9 +10,9 @@ the fusion construction and is not represented here.
 The square B^l (x) B^l is proved connected over its classical {1,2}-
 components (``_square_components``): one highest element names each, and
 one e_0 probe from it, raised, joins it to another.  The flat BFS over all
-|B^l|^2 states is its reference in the tests.  Both walk pairs of
-positions through B^l's own position tables, one step at a time by
-``signature.acts_on_first`` (``_pair_step``).
+|B^l|^2 states is its reference in the tests, and applies the two-factor
+rule itself; the proof raises pairs of positions through B^l's own
+position tables, one e_i step at a time (``_pair_step``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from collections import Counter
 
 from .affine import ConstructionFault, _components, bl_crystal
 from .cartan import ClassicalWeight, dominant_weights, simple_root, weyl_dim
-from .signature import acts_on_first
 
 
 class PerfectReport:
@@ -68,20 +67,29 @@ class PerfectReport:
         }
 
 
-def minimal_elements(l: int) -> list[tuple[int, ...]]:
-    """Elements whose raising-distance weight has level exactly l."""
+def minimal_rows(l: int) -> list[tuple[tuple[int, ...], ClassicalWeight, ClassicalWeight]]:
+    """(word, eps, phi) of each element whose raising-distance weight eps
+    has level exactly l, in element order."""
     bl = bl_crystal(l)
-    return [w for w, e0, e1, e2 in zip(bl.elements, *bl._eps) if e0 + 2 * e1 + e2 == l]
+    return [(w, ClassicalWeight(e0, e1, e2), ClassicalWeight(p0, p1, p2))
+            for w, e0, e1, e2, p0, p1, p2 in zip(bl.elements, *bl._eps, *bl._phi)
+            if e0 + 2 * e1 + e2 == l]
+
+
+def minimal_elements(l: int) -> list[tuple[int, ...]]:
+    """The words of ``minimal_rows``."""
+    return [w for w, _, _ in minimal_rows(l)]
 
 
 def _self_connected(bl) -> bool:
     return len(set(_components(len(bl.elements), bl._fpos))) <= 1
 
 
-def _pair_step(bl, op, i, x, y):
-    """f_i ('f') or e_i ('e') of x (x) y as a position pair, or None."""
-    img = (bl._fpos if op == "f" else bl._epos)[i]
-    if acts_on_first(op, bl._phi[i][x], bl._eps[i][y]):
+def _pair_step(bl, i, x, y):
+    """e_i of x (x) y as a position pair, or None: e_i acts on x iff
+    phi_i(x) >= eps_i(y) (Kashiwara's rule), and on y otherwise."""
+    img = bl._epos[i]
+    if bl._phi[i][x] >= bl._eps[i][y]:
         t = img[x]
         return None if t is None else (t, y)
     t = img[y]
@@ -97,7 +105,7 @@ def _greedy(bl, pair):
     limit = 2 * len(bl.elements)
     for _ in range(limit):
         for i in (1, 2):
-            nxt = _pair_step(bl, "e", i, *pair)
+            nxt = _pair_step(bl, i, *pair)
             if nxt is not None:
                 pair = nxt
                 break
@@ -134,7 +142,7 @@ def _square_components(bl) -> tuple[int, int, int]:
         x, y = h
         size += weyl_dim(phi[2][x] - eps[2][x] + phi[2][y] - eps[2][y],
                           phi[1][x] - eps[1][x] + phi[1][y] - eps[1][y])
-        img = _pair_step(bl, "e", 0, *h)
+        img = _pair_step(bl, 0, *h)
         if img is None:
             continue
         top = comp.get(_greedy(bl, img))
@@ -154,18 +162,15 @@ def check_perfect(l: int) -> PerfectReport:
     rep.cond_connected_square = (rep.square_roots == 1
                                  and rep.square_size == len(bl.elements) ** 2)
 
-    # one pass over B^l's tables, in ints: the weights phi - eps, the level
-    # <c, eps> against l and the minimal elements; a ClassicalWeight is built
-    # only per distinct weight and per minimal element
+    # the minimal elements, then one pass over B^l's tables in ints: the
+    # weights phi - eps and the level <c, eps> against l; a ClassicalWeight
+    # is built only per distinct weight and per minimal element
+    rep.minimal = minimal_rows(l)
     counts: Counter[tuple[int, int, int]] = Counter()
     below = False
-    for w, e0, e1, e2, p0, p1, p2 in zip(bl.elements, *bl._eps, *bl._phi):
+    for e0, e1, e2, p0, p1, p2 in zip(*bl._eps, *bl._phi):
         counts[p0 - e0, p1 - e1, p2 - e2] += 1
-        lev = e0 + 2 * e1 + e2
-        if lev == l:
-            rep.minimal.append((w, ClassicalWeight(e0, e1, e2), ClassicalWeight(p0, p1, p2)))
-        elif lev < l:
-            below = True
+        below |= e0 + 2 * e1 + e2 < l
     rep.cond_level_bound = not below
     weights = {ClassicalWeight(*k): n for k, n in counts.items()}
 

@@ -338,16 +338,6 @@ class QRat:
             raise ValueError("zero has no valuation")
         return min(self.num)
 
-    def value_at_zero(self):
-        """Limit at q = 0 for values regular there, as a Fraction."""
-        from fractions import Fraction
-
-        if not self.num:
-            return Fraction(0)
-        if self.order_at_zero() < 0:
-            raise ValueError("pole at q = 0")
-        return Fraction(self.num.get(0, 0), self.den.get(0))
-
     def __repr__(self):
         return f"QRat({self})"
 

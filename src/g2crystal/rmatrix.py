@@ -328,18 +328,6 @@ STR_14 = (("f", 0, 2), ("f", 1, 1), ("f", 2, 3), ("f", 1, 2), ("f", 2, 3))
 # transcribed coefficient exactly
 STR_15 = (("f", 0, 2), ("f", 1, 1), ("f", 2, 3), ("f", 1, 1), ("f", 2, 1))
 
-RESOLUTIONS = {
-    6: "coefficient resolved to [2]_1([2]_1+[2]_2)(x-q^6 y)(x+y); the transcribed "
-       "value omits the (x+y) factor and misprints the scalar, and fails the "
-       "intertwiner consistency relation that the resolved value satisfies",
-    12: "extremal target normalized as the plain lowest tensor pair; the "
-        "transcribed coefficient carries an extra (xy)^4 from the twisted string "
-        "normalization of the target",
-    13: "same normalization as item 12",
-    15: "operator string reconstructed by weight bookkeeping (final lowering "
-        "power 1, not 2); the transcribed string annihilates the source",
-}
-
 
 def extract_multiple(u, target) -> XY | None:
     """Coefficient of the pure tensor ``target``; None if anything strays."""
@@ -367,6 +355,9 @@ def fusion_items() -> dict:
             XY.monomial(-2, -2, b21 * _Q(-6))),
         4: (STR_E, "u_La1_1", (1, 1), Y.scale(b21) * (X + Y)),
         5: (STR_E, "u_La1_2", (1, 1), X.scale(b21 * _Q(-6)) * (X + Y)),
+        # resolved to [2]_1([2]_1+[2]_2)(x-q^6 y)(x+y): the transcribed value
+        # omits the (x+y) factor and misprints the scalar, and fails the
+        # intertwiner consistency relation that the resolved value satisfies
         6: (STR_E, "u_La1_3", (1, 1),
             ((X - Y.scale(_Q(6))) * (X + Y)).scale(b21 * (b21 + b22))),
         7: (STR_F0, "u_La1_1", (1, 1), XY.monomial(0, -1, b21 * _Q(-6))),
@@ -375,9 +366,13 @@ def fusion_items() -> dict:
         10: (STR_F02, "u_0_1", (1, 1), XY.monomial(-1, -1, b21 * b21 * _Q(-3))),
         11: (STR_F02, "u_0_2", (1, 1),
              (x2 + y2.scale(_Q(30))) * XY.monomial(-2, -2, _Q(-12))),
+        # the extremal target normalized as the plain lowest tensor pair: the
+        # transcribed coefficient carries an extra (xy)^4 from the twisted
+        # string normalization of the target
         12: (STR_LONG, "u_0_1", (-1, -1),
              ((y2.scale(_Q(6)) + x2)
               * xy.scale(b21 * b21 * (_Q(4) + _Q(2) + _ONE) * _Q(-8))).shift(-4, -4)),
+        # the same normalization as item 12
         13: (STR_LONG, "u_0_2", (-1, -1),
              ((y2.scale(_Q(22) + _Q(18))
                + xy.scale((_Q(6) + _ONE) * (_Q(16) - _Q(14) + _Q(12) - 2 * _Q(10)

@@ -9,8 +9,9 @@ surviving minus.
 
 ``bracket`` is the one bracketing rule the program runs: the tensor-product
 operators and the string lengths of the G2 and A2 tableau crystals all call
-it, and ``acts_on_first`` is its two-factor closed form.  ``unmatched``, the
-positional form behind word reduction, and ``reduce_brute`` are its oracles.
+it, and B^l's tables and the square proof apply its two-factor case in
+closed form.  ``unmatched``, the positional form behind word reduction, and
+``reduce_brute`` are its oracles.
 """
 
 from __future__ import annotations
@@ -127,12 +128,6 @@ def act_factor(op: str, ep_list) -> int | None:
     if op == "e":
         return bracket(ep_list)[3]
     raise ValueError(f"unknown operator {op!r}")
-
-
-def acts_on_first(op: str, phi_x: int, eps_y: int) -> bool:
-    """``act_factor`` on x (x) y in closed form: f ('f') acts on x iff
-    phi_x > eps_y, e ('e') iff phi_x >= eps_y, and each on y otherwise."""
-    return phi_x > eps_y if op == "f" else phi_x >= eps_y
 
 
 def tensor_apply(op: str, factors, uword_fn, apply_fn):

@@ -1,6 +1,19 @@
 from g2crystal import a2
 
 
+def apply_power(op, color, t, k):
+    """``a2.apply`` k times; None once a step is undefined."""
+    for _ in range(k):
+        if t is None:
+            return None
+        t = a2.apply(op, color, t)
+    return t
+
+
+def lowest(m, n):
+    return a2.A2Tableau(m, n, (2,) * n + (3,) * m, (3,) * n)
+
+
 def test_counts():
     assert len(a2.enumerate_tableaux(1, 0)) == 3
     assert len(a2.enumerate_tableaux(0, 0)) == 1
@@ -69,11 +82,11 @@ def test_string_coords_roundtrip_and_ranges():
 def _string_coords_walk(t):
     """(p, q, r) by the raising walk, and the element the walk ends at."""
     r = a2.eps("b", t)
-    t2 = a2.apply_power("e", "b", t, r)
+    t2 = apply_power("e", "b", t, r)
     q = a2.eps("a", t2)
-    t3 = a2.apply_power("e", "a", t2, q)
+    t3 = apply_power("e", "a", t2, q)
     p = a2.eps("b", t3)
-    return (p, q, r), a2.apply_power("e", "b", t3, p)
+    return (p, q, r), apply_power("e", "b", t3, p)
 
 
 def test_string_coords_are_the_raising_walk():
@@ -94,9 +107,9 @@ def test_highest_roundtrip():
 def test_lowest_to_highest_relation():
     # highest = e_b^n e_a^(m+n) e_b^m (lowest), in particular for (2, 1)
     for m, n in [(2, 1), (1, 2), (3, 3), (0, 2), (2, 0)]:
-        t = a2.apply_power("e", "b", a2.lowest(m, n), m)
-        t = a2.apply_power("e", "a", t, m + n)
-        t = a2.apply_power("e", "b", t, n)
+        t = apply_power("e", "b", lowest(m, n), m)
+        t = apply_power("e", "a", t, m + n)
+        t = apply_power("e", "b", t, n)
         assert t == a2.highest(m, n)
 
 
@@ -108,10 +121,10 @@ def test_commutation_on_low_wedge():
             hw = a2.highest(m, n)
             for p in range(n + 1):
                 for q in range(p):
-                    t = a2.apply_power("f", "b", hw, p)
-                    t = a2.apply_power("f", "a", t, q)
-                    ab = a2.apply_power("f", "a", a2.apply_power("f", "b", t, 1), 1)
-                    ba = a2.apply_power("f", "b", a2.apply_power("f", "a", t, 1), 1)
+                    t = apply_power("f", "b", hw, p)
+                    t = apply_power("f", "a", t, q)
+                    ab = apply_power("f", "a", apply_power("f", "b", t, 1), 1)
+                    ba = apply_power("f", "b", apply_power("f", "a", t, 1), 1)
                     assert ab == ba
                     nonzero += ab is not None
     assert nonzero > 20
@@ -125,28 +138,27 @@ def test_kakan_ladder_relations():
             hw = a2.highest(m, n)
             for p in range(n + 1):
                 for s in range(m + 1):
-                    base = a2.apply_power("f", "b", hw, p)
-                    t1 = a2.apply_power("f", "a", base, p + s + 1)
+                    base = apply_power("f", "b", hw, p)
+                    t1 = apply_power("f", "a", base, p + s + 1)
                     if t1 is None:
                         continue
-                    t1 = a2.apply_power("f", "b", t1, s)
+                    t1 = apply_power("f", "b", t1, s)
                     if t1 is None:
                         continue
                     lhs = a2.apply("e", "a", t1)
-                    rhs = a2.apply_power("f", "b", a2.apply_power("f", "a", base, p + s), s)
+                    rhs = apply_power("f", "b", apply_power("f", "a", base, p + s), s)
                     assert lhs == rhs
                     if p >= 1:
-                        base2 = a2.apply_power("f", "b", hw, p - 1)
-                        t2 = a2.apply_power("f", "b",
-                                            a2.apply_power("f", "a", base2, p + s), s + 2)
+                        base2 = apply_power("f", "b", hw, p - 1)
+                        t2 = apply_power("f", "b", apply_power("f", "a", base2, p + s), s + 2)
                         lhs2 = a2.apply("e", "a",
-                                        a2.apply_power("f", "b",
-                                                       a2.apply_power("f", "a", base, p + s + 1),
-                                                       s + 1))
+                                        apply_power("f", "b",
+                                                    apply_power("f", "a", base, p + s + 1),
+                                                    s + 1))
                         if lhs2 is not None and t2 is not None:
                             assert lhs2 == t2
-                            assert t2 != a2.apply_power(
-                                "f", "b", a2.apply_power("f", "a", base, p + s), s + 1)
+                            assert t2 != apply_power(
+                                "f", "b", apply_power("f", "a", base, p + s), s + 1)
 
 
 def test_boundary_string_characters():
@@ -160,17 +172,17 @@ def test_boundary_string_characters():
             for j in range(i, l - i + 1):
                 m, n = i + j, l
                 hw = a2.highest(m, n)
-                t = a2.apply_power("f", "a", a2.apply_power("f", "b", hw, l), l + j)
+                t = apply_power("f", "a", apply_power("f", "b", hw, l), l + j)
                 assert a2.eps("b", t) == 0
                 assert a2.phi("b", t) == j
                 for p in range(j + 1):
-                    lhs = a2.apply_power("f", "b", t, p)
-                    rhs = a2.apply_power("f", "a", hw, p)
-                    rhs = a2.apply_power("f", "b", rhs, l + p)
-                    rhs = a2.apply_power("f", "a", rhs, l + j - p)
+                    lhs = apply_power("f", "b", t, p)
+                    rhs = apply_power("f", "a", hw, p)
+                    rhs = apply_power("f", "b", rhs, l + p)
+                    rhs = apply_power("f", "a", rhs, l + j - p)
                     assert lhs is not None and lhs == rhs
-                    low = a2.apply_power("e", "b", a2.lowest(m, n), i + j - p)
-                    low = a2.apply_power("e", "a", low, i)
+                    low = apply_power("e", "b", lowest(m, n), i + j - p)
+                    low = apply_power("e", "a", low, i)
                     assert lhs == low
 
 

@@ -21,11 +21,28 @@ def _depth(table, n):
 
 
 def ea_depth(mod, b):
-    return _depth(mod._ea, mod.index[b])
+    return _depth(mod._ea, mod.position(b))
 
 
 def fa_depth(mod, b):
-    return _depth(mod._fa, mod.index[b])
+    return _depth(mod._fa, mod.position(b))
+
+
+# the model's colour 0 in closed form: f_0 and e_0 move along the f_0-string
+# (i, k, j, p, q), r from 0 to its top j + q - 2p, and phi_0 = top - r.  The
+# oracle of the string runs (``affine._r_phi0``) and of B^l's colour 0
+# (``BlCrystal._zero``).
+def f0(b):
+    i, k, j, p, q, r = b
+    return None if r >= j + q - 2 * p else AParam(i, k, j, p, q, r + 1)
+
+
+def e0(b):
+    return None if b.r == 0 else b._replace(r=b.r - 1)
+
+
+def phi0(b):
+    return b.j + b.q - 2 * b.p - b.r
 
 
 def y_of(mod, i, j):
@@ -132,12 +149,12 @@ def test_EA_f0_commutation_and_phi0():
         mod = affine.model(l)
         for b in mod.elements:
             up = mod.EA(b)
-            t = mod.f0(b)
+            t = f0(b)
             lhs = None if t is None else mod.EA(t)
-            rhs = None if (up is None or t is None) else mod.f0(up)
+            rhs = None if (up is None or t is None) else f0(up)
             assert lhs == rhs
             if up is not None:
-                assert mod.phi0(up) == mod.phi0(b)
+                assert phi0(up) == phi0(b)
 
 
 def test_EA_injective():
@@ -311,14 +328,14 @@ def _block_shells(mod, i, k, j):
         for q in range(p + k + 1):
             assert x is not None
             top.add(x)
-            x = mod.f1(x)
+            x = mod._move(mod._f1, x)
     bottom = set()
     for p in range(k):
         x = AParam(i, k, j, j, j + k, k - p)
         for q in range(p + j + 1):
             assert x is not None
             bottom.add(x)
-            x = mod.e1(x)
+            x = mod._move(mod._e1, x)
     return top, bottom
 
 
@@ -394,7 +411,7 @@ def test_phi_bijective():
         table = affine.phi_table(l)
         mod = affine.model(l)
         assert len(table.forward) == len(mod.elements)
-        assert len(table.backward) == len(set(table.forward.values()))
+        assert len(set(table.forward.values())) == len(mod.elements)
         words = {w for n in range(l + 1) for w in g2.enumerate_tableaux(n)}
         assert set(table.forward.values()) == words
 
@@ -494,7 +511,7 @@ def test_closed_form_f1_matches_the_tableau_walk():
             to_tab, to_coords = a2._coord_tables(m, n)
             for c, t in to_tab.items():
                 b = AParam(0, m, n, *c)
-                for op, got in (("f", mod.f1(b)), ("e", mod.e1(b))):
+                for op, got in (("f", mod._move(mod._f1, b)), ("e", mod._move(mod._e1, b))):
                     img = a2.apply(op, "a", t)
                     want = None if img is None else AParam(0, m, n, *to_coords[img])
                     assert got == want, (op, b)
@@ -705,19 +722,20 @@ def test_fast_paths_match_the_model_operators():
     # and F_A off its table; the operators themselves are the oracle
     for l in range(7):
         mod, bl, table = affine.model(l), affine.bl_crystal(l), affine.phi_table(l)
-        elements, fwd, back = mod.elements, table.forward, table.backward
+        elements, fwd = mod.elements, table.forward
+        back = {w: b for b, w in fwd.items()}
         for n, b in enumerate(elements):
-            assert mod.f0(b) == (elements[n + 1] if mod.phi0(b) else None), b
-            assert mod.e0(b) == (elements[n - 1] if b.r else None), b
+            assert f0(b) == (elements[n + 1] if phi0(b) else None), b
+            assert e0(b) == (elements[n - 1] if b.r else None), b
             i, k, j, p, q, r = b
             assert elements[mod._ca[n]] == AParam(i, j, k, k - q + p, k + j - q, j + q - 2 * p - r)
             up = mod.EA(mod.CA(b))
             assert mod.FA(b) == (None if up is None else mod.CA(up)), b
         # B^l's color 0, tabulated from the same runs, is f_0/e_0 through Phi
-        assert bl._f[0] == {fwd[b]: fwd[t] for b in elements if (t := mod.f0(b)) is not None}
-        assert bl._e[0] == {fwd[b]: fwd[t] for b in elements if (t := mod.e0(b)) is not None}
+        assert bl._f[0] == {fwd[b]: fwd[t] for b in elements if (t := f0(b)) is not None}
+        assert bl._e[0] == {fwd[b]: fwd[t] for b in elements if (t := e0(b)) is not None}
         assert bl._eps[0] == [back[w].r for w in bl.elements]
-        assert bl._phi[0] == [mod.phi0(back[w]) for w in bl.elements]
+        assert bl._phi[0] == [phi0(back[w]) for w in bl.elements]
 
 
 def test_aparam_is_its_field_tuple():
@@ -741,7 +759,8 @@ def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):
     assert made == []
     assert len(mod.elements) == 1113
     assert len(made) == 1113
-    assert len(mod.elements) == len(mod.index) == 1113
+    # a second read makes none
+    assert len(mod.elements) == 1113
     assert len(made) == 1113
     # a fault message still names both elements as AParams
     monkeypatch.setattr(affine, "ea_plus", lambda l, i, k, j, p, q: (i, k, j, p + 9, q))
@@ -751,9 +770,9 @@ def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):
 
 
 def test_model_values_are_computed_once(monkeypatch, fresh_caches):
-    # one involution image per f_0-string in the build; no C_A, e_0, f_0,
-    # phi_0 or weight call in B^l's build, and only the weight of each
-    # {1,0}-component source in the check
+    # one involution image per f_0-string in the build; no C_A or weight call
+    # in B^l's build, and only the weight of each {1,0}-component source in
+    # the check
     images = []
     ca_string = affine.ca_string
     monkeypatch.setattr(affine, "ca_string", lambda *s: images.append(s) or ca_string(*s))
@@ -761,7 +780,7 @@ def test_model_values_are_computed_once(monkeypatch, fresh_caches):
     assert images == [s for s, _ in affine._strings(mod.blocks)]
     assert len(images) == 125
     calls = []
-    for name in ("CA", "e0", "f0", "phi0", "weight"):
+    for name in ("CA", "weight"):
         op = getattr(affine.AffineModel, name)
         monkeypatch.setattr(affine.AffineModel, name,
                             lambda self, b, _name=name, _op=op: calls.append(_name) or _op(self, b))
@@ -776,7 +795,7 @@ def test_string_built_tables_match_the_element_formulas():
     # f_0-string: E_A is ea_plus with r kept, C_A the involution tuple
     for l in range(8):
         mod = affine.model(l)
-        index = mod.index
+        index = {b: n for n, b in enumerate(mod.elements)}
         f1, e1 = [None] * len(index), [None] * len(index)
         for n, (i, k, j, p, q, r) in enumerate(mod.elements):
             R, Q, P = affine.transition(r, q, p)
@@ -851,12 +870,12 @@ def test_weight_compatibility_reads_the_letter_weights(monkeypatch, fresh_caches
 
 def test_positions_and_params_round_trip():
     # position and param, computed from the string starts, against the
-    # element list and its dict
+    # element list
     for l in range(8):
         mod = affine.model(l)
-        assert len(mod) == len(mod.elements) == len(mod.index)
+        assert len(mod) == len(mod.elements)
         for n, b in enumerate(mod.elements):
-            assert mod.position(b) == mod.index[b] == n, (l, b)
+            assert mod.position(b) == n, (l, b)
             got = mod.param(n)
             assert got == b and type(got) is AParam, (l, n)
         for n in (-1, len(mod)):
@@ -866,6 +885,7 @@ def test_positions_and_params_round_trip():
 
 def test_position_of_a_non_element_is_what_the_index_gives():
     mod = affine.model(3)
+    index = {b: n for n, b in enumerate(mod.elements)}
     top = AParam(0, 2, 1, 0, 0, 1)  # j + q - 2p = 1
     cases = [top, top._replace(r=2), top._replace(r=-1), top._replace(r="1"),
              AParam(0, 2, 1, 2, 2, 0),  # p > j
@@ -873,9 +893,9 @@ def test_position_of_a_non_element_is_what_the_index_gives():
              AParam(0, 4, 1, 0, 0, 0),  # k > l - i
              (0, 2, 1, 0, 0), (0, 2, 1, 0, 0, 1, 0), tuple(top), None, 7, "abcdef"]
     for b in cases:
-        assert mod.position(b) == mod.index.get(b), b
-    assert [mod.position(b) for b in cases[:3]] == [mod.index[top], None, None]
-    assert mod.position(tuple(top)) == mod.index[top]
+        assert mod.position(b) == index.get(b), b
+    assert [mod.position(b) for b in cases[:3]] == [index[top], None, None]
+    assert mod.position(tuple(top)) == index[top]
 
 
 @pytest.mark.parametrize("argv, models", [(["verify", "--level", "4"], 4),
@@ -883,7 +903,7 @@ def test_position_of_a_non_element_is_what_the_index_gives():
                                           (["phi", "--level", "4"], 1)])
 def test_commands_build_no_model_element_list(monkeypatch, fresh_caches, capsys, argv, models):
     # every model a cold command builds keeps its positions only: the list
-    # elements and the dict index are never made
+    # elements is never made
     built = []
     init = affine.AffineModel.__init__
     monkeypatch.setattr(affine.AffineModel, "__init__",
@@ -892,7 +912,7 @@ def test_commands_build_no_model_element_list(monkeypatch, fresh_caches, capsys,
     capsys.readouterr()
     assert len(built) == models
     for mod in built:
-        assert not {"elements", "index"} & set(vars(mod)), mod.l
+        assert "elements" not in vars(mod), mod.l
 
 
 def test_derived_tables_are_made_once_per_level(monkeypatch, fresh_caches):

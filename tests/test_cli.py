@@ -189,6 +189,26 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and str(path) in err
 
 
+def test_unwritable_out_device_is_usage_error(capsys):
+    # /dev/full accepts the open and fails the write (or the close)
+    assert main(["enumerate", "--level", "2", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["g2crystal: cannot write /dev/full: No space left on device"]
+
+
+def test_closed_stdout_ends_quietly_as_sigpipe():
+    # the reader takes a few bytes of a 200 kB document and closes the pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "g2crystal.cli", "enumerate", "--level", "6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.read(16) == b'[[], ["1"], ["2"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141 and err == b""
+
+
 def test_verify_reports_construction_fault(monkeypatch, fresh_caches, capsys):
     monkeypatch.setitem(g2.F1_STEP, 4, 6)
     code, out = run_cli(["verify", "--level", "2"], capsys)

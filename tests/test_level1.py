@@ -127,7 +127,7 @@ def test_kashiwara_spot_values():
     assert img == {2: QRat.one()}
     img = L.kashiwara("f", 0, L.vec(9))
     # leading term is the next letter of the level-1 affine table
-    assert img[1].value_at_zero() == 1
+    assert img[1] == 1
 
 
 def test_string_coordinates_are_solved_once_per_color(monkeypatch):

@@ -1,4 +1,5 @@
-from collections import Counter, deque
+from collections import Counter
+from operator import ge, gt
 
 import pytest
 
@@ -7,30 +8,59 @@ from g2crystal.affine import bl_crystal, gl_count
 from g2crystal.cartan import ClassicalWeight, dominant_weights, level, simple_root
 
 
+def eps_weight(bl, w):
+    return ClassicalWeight(*(bl.eps(i, w) for i in (0, 1, 2)))
+
+
+def phi_weight(bl, w):
+    return ClassicalWeight(*(bl.phi_i(i, w) for i in (0, 1, 2)))
+
+
+def square_rule(bl):
+    """Kashiwara's two-factor rule on x (x) y, per colour i: phi_i, eps_i
+    and, for f_i and then e_i, its position table and the test on
+    (phi_i(x), eps_i(y)) under which it acts on x, not on y: f_i iff
+    phi_i(x) > eps_i(y), e_i iff phi_i(x) >= eps_i(y)."""
+    return [(bl._phi[i], bl._eps[i], ((bl._fpos[i], gt), (bl._epos[i], ge))) for i in (0, 1, 2)]
+
+
 def square_connected(bl):
     """(states reached from () (x) (), all states) of the tensor square x (x) y.
 
-    The flat BFS over all |B^l|^2 states: the reference for
-    ``perfect._square_components``.
+    The flat BFS over all |B^l|^2 states, each coded x*n + y, stepping by
+    ``square_rule``: the reference for ``perfect._square_components``.
     """
     n = len(bl.elements)
-    start = bl.index[()]
+    s = bl.index[()]
+    start = s * n + s
     seen = bytearray(n * n)
-    seen[start * n + start] = 1
-    frontier = deque([(start, start)])
+    seen[start] = 1
+    frontier = [start]
     count = 1
+    rule = square_rule(bl)
     while frontier:
-        pair = frontier.popleft()
-        for i in (0, 1, 2):
-            for op in ("f", "e"):
-                nxt = perfect._pair_step(bl, op, i, *pair)
-                if nxt is None:
-                    continue
-                code = nxt[0] * n + nxt[1]
-                if not seen[code]:
-                    seen[code] = 1
-                    count += 1
-                    frontier.append(nxt)
+        nxt = []
+        for code in frontier:
+            x = code // n
+            y = code - x * n
+            for phi, eps, ops in rule:
+                px, ey = phi[x], eps[y]
+                for img, on_x in ops:
+                    if on_x(px, ey):
+                        t = img[x]
+                        if t is None:
+                            continue
+                        step = t * n + y
+                    else:
+                        t = img[y]
+                        if t is None:
+                            continue
+                        step = x * n + t
+                    if not seen[step]:
+                        seen[step] = 1
+                        nxt.append(step)
+        count += len(nxt)
+        frontier = nxt
     return count, n * n
 
 
@@ -43,8 +73,8 @@ EXPECTED_MINIMAL = {
 
 def test_empty_word_distances_level1():
     bl = bl_crystal(1)
-    assert bl.eps_weight(()) == ClassicalWeight(1, 0, 0)
-    assert bl.phi_weight(()) == ClassicalWeight(1, 0, 0)
+    assert eps_weight(bl, ()) == ClassicalWeight(1, 0, 0)
+    assert phi_weight(bl, ()) == ClassicalWeight(1, 0, 0)
 
 
 def test_highest_word_eps1():
@@ -57,7 +87,7 @@ def test_weight_is_phi_minus_eps():
     for l in (1, 2, 3):
         bl = bl_crystal(l)
         for w in bl.elements:
-            assert bl.weight(w) == bl.phi_weight(w) - bl.eps_weight(w)
+            assert bl.weight(w) == phi_weight(bl, w) - eps_weight(bl, w)
 
 
 def test_minimal_elements_lists():
@@ -66,11 +96,14 @@ def test_minimal_elements_lists():
 
 
 def test_minimal_elements_are_the_level_l_eps_weights():
-    # the eps table read directly, against ClassicalWeight and cartan.level
+    # the eps and phi tables read directly, against ClassicalWeight and
+    # cartan.level; minimal_elements lists the words of minimal_rows
     for l in range(1, 7):
         bl = bl_crystal(l)
-        assert perfect.minimal_elements(l) == [w for w in bl.elements
-                                               if level(bl.eps_weight(w)) == l]
+        rows = [(w, eps_weight(bl, w), phi_weight(bl, w)) for w in bl.elements
+                if level(eps_weight(bl, w)) == l]
+        assert perfect.minimal_rows(l) == rows
+        assert perfect.minimal_elements(l) == [w for w, _, _ in rows]
 
 
 def test_minimal_stability():
@@ -93,7 +126,7 @@ def test_check_perfect_small_levels():
 def test_level_bound_strict_above_minimal():
     bl = bl_crystal(2)
     for w in bl.elements:
-        assert level(bl.eps_weight(w)) >= 2
+        assert level(eps_weight(bl, w)) >= 2
 
 
 def test_eps_phi_bijective_onto_dominant():
@@ -145,29 +178,30 @@ def test_self_connected_detects_two_components():
 
 
 def test_square_rule_matches_act_factor():
-    # the two-factor closed form of _pair_step, and _pair_step itself, on
-    # every pair x (x) y of B^2, against the general bracketing rule
+    # the flat BFS's two-factor rule, f and e, and the raising-only
+    # _pair_step, on every pair x (x) y of B^2, against the general
+    # bracketing rule
     from g2crystal.signature import act_factor
 
     bl = bl_crystal(2)
     idx = bl.index
-    for i in (0, 1, 2):
-        eps, phi = bl._eps[i], bl._phi[i]
-        for x in bl.elements:
-            nx = idx[x]
-            for y in bl.elements:
-                ny = idx[y]
+    for i, (phi, eps, ops) in enumerate(square_rule(bl)):
+        for x, nx in idx.items():
+            for y, ny in idx.items():
                 ep = [(eps[nx], phi[nx]), (eps[ny], phi[ny])]
-                for op, step, left_wins in (("f", bl.f, phi[nx] > eps[ny]),
-                                            ("e", bl.e, phi[nx] >= eps[ny])):
+                for (op, step), (img, on_x) in zip((("f", bl.f), ("e", bl.e)), ops):
                     k = act_factor(op, ep)
-                    if left_wins:
+                    if on_x(phi[nx], eps[ny]):
                         assert k == (0 if step(i, x) is not None else None)
+                        got = None if img[nx] is None else (img[nx], ny)
                     else:
                         assert k == (1 if step(i, y) is not None else None)
+                        got = None if img[ny] is None else (nx, img[ny])
                     expect = (None if k is None else
                               (idx[step(i, x)], ny) if k == 0 else (nx, idx[step(i, y)]))
-                    assert perfect._pair_step(bl, op, i, nx, ny) == expect
+                    assert got == expect
+                    if op == "e":
+                        assert perfect._pair_step(bl, i, nx, ny) == expect
 
 
 def _sl2():

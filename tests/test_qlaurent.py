@@ -109,9 +109,6 @@ def test_field_axioms_fuzz():
 def test_order_and_value_at_zero():
     assert (q(2) + q(3)).order_at_zero() == 2
     assert ((q(1) + 1) / q(2)).order_at_zero() == -2
-    assert (QRat(1) + q(1)).value_at_zero() == 1
-    x = QRat({0: 1, 1: 5}, {0: 2})
-    assert x.value_at_zero() == Fraction(1, 2)
 
 
 def test_power_and_subs():

@@ -123,10 +123,6 @@ def test_fusion_strings_are_applied_once(monkeypatch):
     assert len(calls) == 15
 
 
-def test_resolutions_documented():
-    assert set(R.RESOLUTIONS) == {6, 12, 13, 15}
-
-
 def test_rmatrix_relations_and_kernel():
     rep = R.rmatrix_checks()
     assert rep["pass"], {k: v for k, v in rep.items()

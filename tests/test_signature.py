@@ -193,14 +193,14 @@ def test_a2_string_lengths_match_bruteforce():
 
 
 def test_two_factor_side_rule_matches_act_factor():
-    # acts_on_first is act_factor on two factors, wherever either acts
-    from g2crystal.signature import acts_on_first
-
+    # the two-factor closed form that B^l's tables and the square proof
+    # apply is act_factor on two factors, wherever either acts: f acts on
+    # x iff phi_x > eps_y, e iff phi_x >= eps_y
     for ex, px, ey, py in product(range(3), repeat=4):
-        for op in ("f", "e"):
+        for op, on_x in (("f", px > ey), ("e", px >= ey)):
             k = act_factor(op, [(ex, px), (ey, py)])
             if k is not None:
-                assert (k == 0) == acts_on_first(op, px, ey), (op, ex, px, ey, py)
+                assert (k == 0) == on_x, (op, ex, px, ey, py)
 
 
 def test_bracket_matches_unmatched_exhaustively():
