@@ -19,21 +19,21 @@ them.  The elements run r innermost, so each f_0-string (i, k, j, p, q) is
 a run of positions, and the f_0-string is the unit of the build: E_A sends
 a string's run onto the start of another string's run, read from one
 ``ea_plus`` call, C_A onto the whole run of another string of its
-length, reversed (``ca_string``), and f_1 sends it in at most two runs, each
-onto a run of another string, its first image read from one ``transition``
-call.  B^l's words are a prefix tree (``g2._grown`` gives each word's children
-together, in letter order), and colors 1 and 2 grow each word's row from its
-prefix's by the tensor-product rule, each image the position of a child in
-that tree; the E3/E4 check sums the letter weights along the same tree.
-``g2.strings``, which folds the whole word, is the oracle of those rows.
+length, reversed (``ca_string``), and f_1 by the A2 string rule in at most
+two slices, each inside its target string.  B^l's words are a prefix tree
+(``g2._grown`` gives each word's children together, in letter order), and
+colors 1 and 2 grow each word's row from its prefix's by the tensor-product
+rule, each image the position of a child in that tree; the E3/E4 check sums
+the letter weights along the same tree.  ``g2.strings``, which folds the
+whole word, is the oracle of those rows.
 The bijection Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l,
 is the unique classical crystal isomorphism, walked breadth-first along
 those tables from the {1,2}-highest elements and kept as a permutation and
 its inverse; any conflict or gap raises a construction fault.  B^l's color
-0, f_0 transported through Phi, Phi's highest elements and the checks C1-C3
-and E1-E5 walk the strings too, with phi_0 = top - r and the weight
-(k+p-2q+r, j-2p+q-2r) as ints, no element's fields read.  The explicit
-tableau anchor formulas are kept as an independent check.
+0, f_0 transported through Phi, and the checks C1-C3 and E1-E5 walk the
+strings too, with phi_0 = top - r and the weight (k+p-2q+r, j-2p+q-2r) as
+ints, no element's fields read.  The explicit tableau anchor formulas are
+kept as an independent check.
 """
 
 from __future__ import annotations
@@ -105,15 +105,6 @@ def ea_plus(l, i, k, j, p, q):
     return (i - 1, k + 1, j - 1, p, q + 1)
 
 
-def transition(r, q, p):
-    """(r', q', p') with f_b^r f_a^q f_b^p = f_a^r' f_b^q' f_a^p' on an A2 highest element.
-
-    Its own inverse (Littelmann, Transform. Groups 3 (1998); Berenstein-Zelevinsky,
-    Invent. Math. 143 (2001)).
-    """
-    return max(p, q - r), r + p, min(r, q - p)
-
-
 def ca_string(i, k, j, p, q):
     """The f_0-string that C_A sends the string (i, k, j, p, q) onto, reversed:
     C_A(i, k, j, p, q, r) = (i, j, k, k-q+p, k+j-q, j+q-2p-r)."""
@@ -171,27 +162,22 @@ class AffineModel:
         self._ca = ca = []
         for (s, top), a in zip(strings, self._starts):
             i, k, j, p, q = s
-            # f_1 sends the string in two runs, each onto a run of another
-            # string: r <= q - p while q < k + p, and r > 2q - 2p - k past
-            # that; each run's first element lo, in transition's coordinates
-            # (R, Q, P) = transition(lo, q, p), is read in closed form, and
-            # transition gives its image
-            mid = max(q - p, 2 * q - 2 * p - k) + 1
-            for lo, hi, R, Q, P in ((0, q - p if q < k + p else -1, q, p, 0),
-                                    (mid, top, p, mid + p, q - p)):
-                if lo > hi:
-                    continue
-                r2, q2, p2 = transition(R + 1, Q, P)
-                t = start.get((i, k, j, p2, q2))
-                # how far past its first image the target string reaches
-                reach = -1 if t is None or r2 < 0 else j + q2 - 2 * p2 - r2
-                if reach < hi - lo:
-                    bad = max(reach + 1, 0)
-                    raise ConstructionFault(f"f_1 left the crystal: {AParam(*s, lo + bad)} -> "
-                                            f"{AParam(i, k, j, p2, q2, r2 + bad)}")
-                t += r2
-                f1[a + lo:a + hi + 1] = at[t:t + hi - lo + 1]
-                e1[t:t + hi - lo + 1] = at[a + lo:a + hi + 1]
+            # f_1 by the A2 string rule sends the string in two runs, and
+            # leaves every other r without an image.  While q < k + p, r =
+            # 0..q-p goes to (p, q+1, r): that string exists, as q+1 <= p+k,
+            # and its top is top + 1.  With lo = max(q-p, 2q-2p-k) + 1, r =
+            # lo..top goes to (p+1, q+1, r-1): a run only if lo <= top, which
+            # forces p < j, so that string exists, and its top is top - 1.
+            # Each run lies inside its target, so no image leaves the crystal.
+            if q < k + p:
+                t, n = start[i, k, j, p, q + 1], q - p + 1
+                f1[a:a + n] = at[t:t + n]
+                e1[t:t + n] = at[a:a + n]
+            lo = max(q - p, 2 * q - 2 * p - k) + 1
+            if lo <= top:
+                t, n = start[i, k, j, p + 1, q + 1] + lo - 1, top - lo + 1
+                f1[a + lo:a + top + 1] = at[t:t + n]
+                e1[t:t + n] = at[a + lo:a + top + 1]
             # E_A keeps r, so it sends the string onto the start of another,
             # which must reach r = top
             base = ea_plus(l, *s)
@@ -489,15 +475,8 @@ def build_phi(bl: BlCrystal) -> PhiTable:
         return True
 
     e1, ea = mod._e1, mod._ea
-    # each highest element's weight (wt_1, wt_0), read off its f_0-string
-    highest = []
-    n = 0
-    for (i, k, j, p, q), top in _strings(mod.blocks):
-        for r in range(top + 1):
-            if e1[n] is None and ea[n] is None:
-                highest.append(((k + p - 2 * q + r, j - 2 * p + q - 2 * r), n))
-            n += 1
-    highest.sort()
+    highest = sorted((mod.weight(param(b)), b) for b in range(len(mod))
+                     if e1[b] is None and ea[b] is None)
     if [wt for wt, _ in highest] != [(n, -2 * n) for n in range(l + 1)]:
         raise ConstructionFault(f"highest elements {[param(b) for _, b in highest]} "
                                 f"are not one per n*Lambda_1, n <= {l}")
@@ -764,7 +743,8 @@ def verify_construction(l: int) -> dict:
             if fa_depth[n] - ea_depth[n] != gap:
                 bad["string_depth_weight"].append(param(n))
             # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
-            # transported through Phi agree with the B^l tables
+            # transported through Phi agree with the B^l tables; the f1 half follows
+            # from a successful build_phi, which walks every f_1 edge; the e1 half does not
             x = f1[n]
             if (None if x is None else fwd[x]) != bf1[w]:
                 bad["color1_compatibility"].append((param(n), "f1"))

@@ -1,9 +1,9 @@
 """Command-line front-end: dimension tables, enumeration, verification.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error or
-an ``--out`` file that cannot be opened, written or closed, 141 stdout
-closed by its reader (as a process stopped by SIGPIPE; nothing is printed
-on stderr).
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
+an ``--out`` file that cannot be opened, written or closed, or a stdout
+that cannot be written, 141 stdout closed by its reader (as a process
+stopped by SIGPIPE; nothing is printed on stderr).
 Identical inputs produce byte-identical output; elements are ordered by
 length and then lexicographically in the fixed letter order.
 """
@@ -266,6 +266,10 @@ def main(argv=None) -> int:
             # at shutdown is silent, and end as SIGPIPE would end the process
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 141
+        except OSError as exc:  # a full or failing device: silence the shutdown flush too
+            print(f"g2crystal: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 2
     try:
         with open(path, "w") as fh:
             return _run(args, fh)

@@ -45,6 +45,15 @@ def phi0(b):
     return b.j + b.q - 2 * b.p - b.r
 
 
+def transition(r, q, p):
+    """(r', q', p') with f_b^r f_a^q f_b^p = f_a^r' f_b^q' f_a^p' on an A2 highest element.
+
+    Its own inverse (Littelmann, Transform. Groups 3 (1998); Berenstein-Zelevinsky,
+    Invent. Math. 143 (2001)).  The oracle of the model's f_1 slices.
+    """
+    return max(p, q - r), r + p, min(r, q - p)
+
+
 def y_of(mod, i, j):
     return (mod.l - i - j) // 3
 
@@ -657,16 +666,35 @@ def test_non_letter_in_an_anchor_fails_its_rule(monkeypatch, fresh_caches, capsy
     assert [rule for rule, n in counts.items() if n] == ["R5", "R6"]
 
 
-def test_injected_transition_is_a_construction_fault(monkeypatch, fresh_caches, capsys):
-    # the last coordinate of the closed-form transition off by one
-    def transition(r, q, p):
-        return max(p, q - r), r + p, min(r, q - p + 1)
+def test_moved_f1_image_is_a_construction_fault(monkeypatch, fresh_caches, capsys):
+    # the first f_1 image moved one position on, before B^l is built: the
+    # walk that builds Phi meets it, and verify stops at its first level
+    init = affine.AffineModel.__init__
 
-    monkeypatch.setattr(affine, "transition", transition)
+    def moved(self, l):
+        init(self, l)
+        n = next(n for n, t in enumerate(self._f1) if t is not None)
+        self._f1[n] += 1
+
+    monkeypatch.setattr(affine.AffineModel, "__init__", moved)
     with pytest.raises(affine.ConstructionFault):
         affine.phi_table(2)
     assert main(["verify", "--level", "2"]) == 1
-    assert capsys.readouterr().out.count("construction FAILED: ") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("construction FAILED" in line for line in lines) == 1
+
+
+def test_poisoned_e1_entry_fails_color1_compatibility(fresh_caches):
+    # build_phi walks f_1 only, so an e_1 entry poisoned after the build is
+    # caught by E1 alone
+    affine.bl_crystal(2)
+    mod = affine.model(2)
+    n = next(n for n, t in enumerate(mod._e1) if t is not None)
+    mod._e1[n] = n
+    rep = affine.verify_construction(2)
+    assert rep["color1_compatibility"]["counterexamples"] == [(mod.param(n), "e1")]
+    assert [name for name, v in rep.items() if isinstance(v, dict) and not v["pass"]] == [
+        "color1_compatibility"]
 
 
 def test_injected_letter_step_is_a_construction_fault(monkeypatch, fresh_caches):
@@ -770,9 +798,9 @@ def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):
 
 
 def test_model_values_are_computed_once(monkeypatch, fresh_caches):
-    # one involution image per f_0-string in the build; no C_A or weight call
-    # in B^l's build, and only the weight of each {1,0}-component source in
-    # the check
+    # one involution image per f_0-string in the build; no C_A call and one
+    # weight per {1,2}-highest element in B^l's build, and only the weight of
+    # each {1,0}-component source in the check
     images = []
     ca_string = affine.ca_string
     monkeypatch.setattr(affine, "ca_string", lambda *s: images.append(s) or ca_string(*s))
@@ -785,7 +813,8 @@ def test_model_values_are_computed_once(monkeypatch, fresh_caches):
         monkeypatch.setattr(affine.AffineModel, name,
                             lambda self, b, _name=name, _op=op: calls.append(_name) or _op(self, b))
     affine.bl_crystal(3)
-    assert calls == []
+    assert calls == ["weight"] * 4
+    calls.clear()
     assert affine.verify_construction(3)["all_pass"]
     assert calls == ["weight"] * len(mod.blocks)
 
@@ -798,9 +827,9 @@ def test_string_built_tables_match_the_element_formulas():
         index = {b: n for n, b in enumerate(mod.elements)}
         f1, e1 = [None] * len(index), [None] * len(index)
         for n, (i, k, j, p, q, r) in enumerate(mod.elements):
-            R, Q, P = affine.transition(r, q, p)
+            R, Q, P = transition(r, q, p)
             if R < k + Q - 2 * P:
-                r2, q2, p2 = affine.transition(R + 1, Q, P)
+                r2, q2, p2 = transition(R + 1, Q, P)
                 f1[n] = index[(i, k, j, p2, q2, r2)]
                 e1[f1[n]] = n
             base = affine.ea_plus(l, i, k, j, p, q)
@@ -926,24 +955,3 @@ def test_derived_tables_are_made_once_per_level(monkeypatch, fresh_caches):
     affine.bl_crystal(3)
     assert affine.verify_construction(3)["all_pass"]
     assert calls == {"_prefix_tree": 1, "_r_phi0": 1}
-
-
-@pytest.mark.parametrize("shift, message", [
-    # the target string is missing
-    (lambda R, Q, P: (0, 0, 9),
-     "AParam(i=0, k=0, j=1, p=0, q=0, r=1) -> AParam(i=0, k=0, j=1, p=10, q=1, r=0)"),
-    # the run's first image is past the target's top
-    (lambda R, Q, P: (1, 0, 0),
-     "AParam(i=0, k=0, j=1, p=0, q=0, r=1) -> AParam(i=0, k=0, j=1, p=1, q=1, r=1)"),
-    # the run's second image is past the target's top: the first element of
-    # the run that leaves the crystal is named
-    (lambda R, Q, P: (2 * (R > Q + 1), 0, 0),
-     "AParam(i=0, k=2, j=0, p=0, q=1, r=1) -> AParam(i=0, k=2, j=0, p=0, q=2, r=3)"),
-], ids=["missing", "past-top", "run-past-top"])
-def test_f1_run_onto_no_string_long_enough_is_a_construction_fault(monkeypatch, shift, message):
-    transition = affine.transition
-    monkeypatch.setattr(affine, "transition", lambda R, Q, P: tuple(
-        a + d for a, d in zip(transition(R, Q, P), shift(R, Q, P))))
-    with pytest.raises(affine.ConstructionFault,
-                       match=re.escape(f"f_1 left the crystal: {message}")):
-        affine.AffineModel(2)

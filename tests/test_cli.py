@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from g2crystal import affine, g2, level1, perfect, rmatrix
 from g2crystal.affine import ConstructionFault
 from g2crystal.cli import _word_id, main
@@ -207,6 +209,19 @@ def test_closed_stdout_ends_quietly_as_sigpipe():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 141 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_unwritable_stdout_is_usage_error():
+    # stdout on /dev/full: the first flush fails with ENOSPC
+    src = Path(__file__).resolve().parents[1] / "src"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "g2crystal.cli", "enumerate", "--level", "2"],
+                              stdout=full, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "g2crystal: cannot write stdout: No space left on device"]
 
 
 def test_verify_reports_construction_fault(monkeypatch, fresh_caches, capsys):
