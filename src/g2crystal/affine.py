@@ -33,7 +33,8 @@ its inverse; any conflict or gap raises a construction fault.  B^l's color
 0, f_0 transported through Phi, and the checks C1-C3 and E1-E5 walk the
 strings too, with phi_0 = top - r and the weight (k+p-2q+r, j-2p+q-2r) as
 ints, no element's fields read.  The explicit tableau anchor formulas are
-kept as an independent check.
+kept as an independent check; its involution law finds each word's
+involution as a position grown along the prefix tree, with no word built.
 """
 
 from __future__ import annotations
@@ -322,6 +323,17 @@ def _prefix_tree(l: int) -> tuple[list[tuple[int, ...]], bytes]:
             bytes(map(number.__getitem__, states)))
 
 
+def _tree_places(letters, kind, at) -> tuple[list[dict[int, int]], list[int]]:
+    """Where the prefix tree puts each child: per tuple of child letters,
+    each letter's rank among them, and per word shorter than l, its first
+    child's position, one of ``at``'s int objects.  The child of the word at
+    position p by the letter a is at ``at[first[p] + ranks[kind[p]][a]]``."""
+    ranks = [{a: r for r, a in enumerate(kids)} for kids in letters]
+    first = list(map(at.__getitem__, islice(
+        accumulate(map(len, map(letters.__getitem__, kind)), initial=1), len(kind))))
+    return ranks, first
+
+
 def gl_count(l: int) -> int:
     return sum(g2.dim(n) for n in range(l + 1))
 
@@ -423,9 +435,53 @@ def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
     for rule, b, w in _anchor_cases(l):
         n = mod.position(b)
         counts[rule] += n is None or words[perm[n]] != w
-    counts["R8/R9"] = sum(g2.involution(words[perm[c]]) != words[perm[n]]
-                          for n, c in enumerate(mod._ca))
+    # on positions: the involution of Phi(C_A b) must sit where Phi(b) does
+    inv = _involution_positions(bl_crystal(l))
+    images = list(map(inv.__getitem__, map(perm.__getitem__, mod._ca)))
+    if images != perm:
+        counts["R8/R9"] = sum(x != y for x, y in zip(images, perm))
     return counts
+
+
+def _involution_positions(bl) -> list[int | None]:
+    """The position of each of B^l's words' involution (``g2.involution``),
+    in element order, grown along the prefix tree with no word built: for
+    w = p + (a,), w[1:] is the child of p[1:] by a, and inv(w) is the child
+    of inv(w[1:]) by the bar of w[0].  None where the involution, or the
+    suffix it is grown from, has no place in the tree."""
+    letters, kind = bl._tree
+    at = list(bl.index.values())
+    ranks, first = _tree_places(letters, kind, at)
+    bar, code, letter = g2._BAR, g2.ORDER_INDEX, g2.LETTERS
+    short = len(kind)
+    # per word shorter than l only: the position of w[1:], and w[0] as its
+    # place in g2.LETTERS; the empty word has neither
+    inv, suf, firsts = [at[0]], [None], bytearray(1)
+    # the words (a,): the empty word is their suffix, (bar a,) their involution
+    for a in letters[kind[0]] if short else ():
+        r = ranks[kind[0]].get(bar[a])
+        inv.append(None if r is None else at[first[0] + r])
+        if short > 1:
+            suf.append(at[0])
+            firsts.append(code[a])
+    for p in range(1, short):
+        s, fa = suf[p], firsts[p]
+        b, grow = bar[letter[fa]], first[p] < short  # grow: p's children are shorter than l
+        base, rank = (None, None) if s is None else (first[s], ranks[kind[s]])
+        for a in letters[kind[p]]:
+            try:
+                t = at[base + rank[a]]
+            except (TypeError, KeyError):  # s is None, or w[1:] is no child of it
+                t = None
+            try:
+                x = inv[t]
+                inv.append(at[first[x] + ranks[kind[x]][b]])
+            except (TypeError, KeyError):  # inv(w[1:]) is None, or inv(w) no child of it
+                inv.append(None)
+            if grow:
+                suf.append(t)
+                firsts.append(fa)
+    return inv
 
 
 class PhiTable:
@@ -563,10 +619,7 @@ class BlCrystal:
         # the index's own int objects: a computed position stored in every
         # table would be a new int for each entry
         at = list(self.index.values())
-        ranks = [{a: r for r, a in enumerate(kids)} for kids in letters]
-        # the position of each parent's first child
-        first = list(map(at.__getitem__, islice(
-            accumulate(map(len, map(letters.__getitem__, kind)), initial=1), len(kind))))
+        ranks, first = _tree_places(letters, kind, at)
 
         def sibling(rank, step):
             """The rank of the sibling by ``step``: None where the step is

@@ -1,5 +1,12 @@
 """Command-line front-end: dimension tables, enumeration, verification.
 
+The grammar is one table, ``GRAMMAR``.  A plain line, a command followed
+only by its options spelt out in full, each once and with its value as the
+next word, is parsed straight from it (``parse_plain``); every other line
+(help, abbreviations, ``--level=3``, repeats, errors) goes to the argparse
+parser built from the same table, which is imported only then.  Only the
+commands that write JSON import ``json``.
+
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 an ``--out`` file that cannot be opened, written or closed, or a stdout
 that cannot be written, 141 stdout closed by its reader (as a process
@@ -10,10 +17,9 @@ length and then lexicographically in the fixed letter order.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import g2, perfect
 from .affine import (ConstructionFault, bl_crystal, clear_level_caches, gl_count, model,
@@ -35,6 +41,8 @@ def _emit(text, out):
 def _write_list(items, out):
     """Write ``json.dumps(list(items))`` one item at a time, so that no
     command holds a whole document (at l = 10, up to 478 MB for graph)."""
+    import json
+
     out.write("[")
     for n, item in enumerate(items):
         if n:
@@ -124,6 +132,8 @@ def _verify_level(l, out) -> str | None:
 
 
 def cmd_minimal(args, out) -> int:
+    import json
+
     rows = [{"element": g2.word_to_json(w), "eps": eps.to_json(), "phi": phi.to_json()}
             for w, eps, phi in perfect.minimal_rows(args.level)]
     _emit(json.dumps(rows), out)
@@ -140,6 +150,8 @@ def cmd_phi(args, out) -> int:
 
 
 def cmd_connectivity(args, out) -> int:
+    import json
+
     bl = bl_crystal(args.level)
     rep = perfect.check_perfect(args.level)
     _emit(json.dumps({
@@ -184,6 +196,8 @@ def cmd_qcheck(args, out) -> int:
                  if isinstance(rm[n], dict)], rm["pass"])
 
     def dump():
+        import json
+
         dump = {name: {str(k): repr(v) for k, v in vec.items()}
                 for name, vec in rmatrix.singular_vectors().items()}
         return [json.dumps(dump)], True
@@ -209,52 +223,113 @@ def cmd_qcheck(args, out) -> int:
 # command at l = 10 (graph in each format) at most 3.5 s and 51 MB
 MAX_LEVEL = 10
 
+# per command: its function, its help line (None for none) and its options
+# in help order, each flag with the kind of its value and its default.  The
+# kind is an int for a level from that int to MAX_LEVEL (required where the
+# default is None), a tuple of choices, str for a word (a path), or bool for
+# a flag that takes no value.  A flag's attribute is argparse's: --max-level
+# sets max_level.
+_LEVEL, _OUT = (0, None), (str, None)
+GRAMMAR = {
+    "dims": (cmd_dims, "dimension table and model-count identity",
+             {"--max-level": (0, 4), "--out": _OUT}),
+    "enumerate": (cmd_enumerate, None, {"--level": _LEVEL, "--out": _OUT}),
+    "graph": (cmd_graph, None, {"--level": _LEVEL, "--out": _OUT,
+                                "--format": (("json", "dot", "text"), "json")}),
+    "verify": (cmd_verify, None, {"--level": (1, None), "--out": _OUT}),
+    "minimal": (cmd_minimal, None, {"--level": _LEVEL, "--out": _OUT}),
+    "phi": (cmd_phi, None, {"--level": _LEVEL, "--out": _OUT}),
+    "connectivity": (cmd_connectivity, None, {"--level": _LEVEL, "--out": _OUT}),
+    "qcheck": (cmd_qcheck, "exact q-arithmetic suites for the level-1 module",
+               {"--dump": (bool, False), "--out": _OUT}),
+}
 
-def _level(lo):
-    """An argparse type: an integer from lo to MAX_LEVEL."""
-    def level(text):
-        value = int(text)
-        if not lo <= value <= MAX_LEVEL:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {lo} and at most {MAX_LEVEL}, got {value}")
-        return value
-    return level
+# a level as a plain line spells it: its decimal digits, with no sign, space
+# or leading zero; argparse reads every other spelling
+_LEVEL_WORDS = {str(n): n for n in range(MAX_LEVEL + 1)}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _plain_value(kind, word):
+    """The value of an option of that kind spelt as word, or None where a
+    plain line cannot hold it (no word, or one that argparse must read)."""
+    if word is None:
+        return None
+    if kind is str:
+        return None if word.startswith("-") else word
+    if type(kind) is tuple:
+        return word if word in kind else None
+    level = _LEVEL_WORDS.get(word)
+    return level if level is not None and level >= kind else None
+
+
+def parse_plain(argv):
+    """The namespace argparse gives a plain line, or None for any other
+    line: argparse then parses it, and reports its errors."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    fn, _, options = GRAMMAR[argv[0]]
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in options or flag in given:
+            return None
+        kind = options[flag][0]
+        given[flag] = True if kind is bool else _plain_value(kind, next(words, None))
+        if given[flag] is None:
+            return None
+    names = {}
+    for flag, (kind, default) in options.items():
+        value = given.get(flag, default)
+        if value is None and type(kind) is int:  # a required level left out
+            return None
+        names[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(command=argv[0], fn=fn, **names)
+
+
+def build_parser():
+    """The argparse parser of ``GRAMMAR``: the reference for every line."""
+    import argparse
+
+    def level_type(lo):
+        """An argparse type: an integer from lo to MAX_LEVEL.  Its errors
+        name the function, "invalid level value"."""
+        def level(text):
+            value = int(text)
+            if not lo <= value <= MAX_LEVEL:
+                raise argparse.ArgumentTypeError(
+                    f"must be at least {lo} and at most {MAX_LEVEL}, got {value}")
+            return value
+        return level
+
     parser = argparse.ArgumentParser(
         prog="g2crystal",
         description="Level-l perfect crystals of affine G2: build, export, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="dimension table and model-count identity")
-    p.add_argument("--max-level", type=_level(0), default=4)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_dims)
-
-    for name, fn in (("enumerate", cmd_enumerate), ("graph", cmd_graph),
-                     ("verify", cmd_verify), ("minimal", cmd_minimal),
-                     ("phi", cmd_phi), ("connectivity", cmd_connectivity)):
-        p = sub.add_parser(name)
-        p.add_argument("--level", type=_level(1 if name == "verify" else 0), required=True)
-        p.add_argument("--out")
-        if name == "graph":
-            p.add_argument("--format", choices=("json", "dot", "text"), default="json")
+    for name, (fn, text, options) in GRAMMAR.items():
+        # help=None would still list the command, on a line of its own
+        p = sub.add_parser(name, **({"help": text} if text else {}))
+        for flag, (kind, default) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            elif kind is str:
+                p.add_argument(flag)
+            elif type(kind) is tuple:
+                p.add_argument(flag, choices=kind, default=default)
+            else:
+                p.add_argument(flag, type=level_type(kind), default=default, required=default is None)
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("qcheck", help="exact q-arithmetic suites for the level-1 module")
-    p.add_argument("--dump", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_qcheck)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     path = getattr(args, "out", None)
     if not path:
         try:

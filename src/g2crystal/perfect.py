@@ -18,6 +18,7 @@ position tables, one e_i step at a time (``_pair_step``).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 
 from .affine import ConstructionFault, _components, bl_crystal
 from .cartan import ClassicalWeight, dominant_weights, simple_root, weyl_dim
@@ -114,6 +115,30 @@ def _greedy(bl, pair):
     raise ConstructionFault(f"e_1/e_2 walk from {pair} does not end in {limit} steps")
 
 
+def _highest_pairs(bl) -> list[tuple[int, int]]:
+    """The {1,2}-highest pairs (x, y) of B^l (x) B^l as positions, x then y
+    ascending: eps_i(x) = 0 and eps_i(y) <= phi_i(x) for i = 1, 2."""
+    eps, phi = bl._eps, bl._phi
+    # the y by (eps_1(y), eps_2(y)), each group in position order: a top x
+    # reads only the groups under (phi_1(x), phi_2(x)), sorted back together
+    groups = {}
+    for y, key in enumerate(zip(eps[1], eps[2])):
+        if key in groups:
+            groups[key].append(y)
+        else:
+            groups[key] = [y]
+    highest = []
+    for x in groups.get((0, 0), ()):
+        p1, p2 = phi[1][x], phi[2][x]
+        ys = []
+        for (e1, e2), group in groups.items():
+            if e1 <= p1 and e2 <= p2:
+                ys += group
+        ys.sort()
+        highest += zip(repeat(x), ys)
+    return highest
+
+
 def _square_components(bl) -> tuple[int, int, int]:
     """(K, roots, size) of B^l (x) B^l over its K {1,2}-components.
 
@@ -130,10 +155,7 @@ def _square_components(bl) -> tuple[int, int, int]:
     probes could only read FAIL, never a false pass.
     """
     eps, phi = bl._eps, bl._phi
-    n = len(bl.elements)
-    tops = [x for x in range(n) if eps[1][x] == 0 and eps[2][x] == 0]
-    highest = [(x, y) for x in tops for y in range(n)
-               if eps[1][y] <= phi[1][x] and eps[2][y] <= phi[2][x]]
+    highest = _highest_pairs(bl)
     comp = {h: c for c, h in enumerate(highest)}
     # per highest element, the one its e_0 probe raises to
     joins = [None] * len(highest)

@@ -889,6 +889,32 @@ def test_poisoned_involution_table_fails_the_anchor_check(fresh_caches):
     assert entry["counterexamples"] == ["R8/R9"]
 
 
+def test_involution_positions_are_the_involution_words():
+    # g2.involution, which builds each word, is the oracle of the positions
+    # grown along the prefix tree
+    for l in range(9):
+        bl = affine.bl_crystal(l)
+        assert affine._involution_positions(bl) == [bl.index.get(g2.involution(w))
+                                                     for w in bl.elements], l
+
+
+def test_involution_off_the_tree_is_a_failure_not_an_exception(monkeypatch, fresh_caches):
+    # with bar(1) = 5, (1, 1) goes to (5, 5), no tableau: each such image
+    # counts as its element's R8/R9 failure, as the word-built count does
+    table = affine.phi_table(2)
+    bl, mod = affine.bl_crystal(2), affine.model(2)
+    monkeypatch.setitem(g2._BAR, 1, 5)
+    inv = affine._involution_positions(bl)
+    assert inv == [bl.index.get(g2.involution(w)) for w in bl.elements]
+    assert inv[bl.index[(1, 1)]] is None
+    words, perm = table.words, table.perm
+    expected = sum(g2.involution(words[perm[c]]) != words[perm[n]]
+                   for n, c in enumerate(mod._ca))
+    assert affine.verify_anchors(2, table)["R8/R9"] == expected > 0
+    entry = affine.verify_construction(2)["anchor_formulas"]
+    assert entry["counterexamples"] == ["R8/R9"]
+
+
 def test_weight_compatibility_reads_the_letter_weights(monkeypatch, fresh_caches):
     # E3/E4 sums each word's letter weights along the prefix tree: a wrong
     # <h_1, wt> of the letter 0_1 fails it, with counterexamples

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain, permutations, product
 from pathlib import Path
 
 import pytest
 
-from g2crystal import affine, g2, level1, perfect, rmatrix
+from g2crystal import affine, cli, g2, level1, perfect, rmatrix
 from g2crystal.affine import ConstructionFault
-from g2crystal.cli import _word_id, main
+from g2crystal.cli import _word_id, build_parser, main, parse_plain
 
 
 def run_cli(argv, capsys):
@@ -125,9 +126,111 @@ def test_streamed_documents_are_the_whole_documents(capsys):
             assert out == document + "\n", (l, command, rest)
 
 
+def _plain_words(flag, kind):
+    """The spellings of one option in the plain-line corpus."""
+    if kind is bool:
+        return [(flag,)]
+    if kind is str:
+        return [(flag, path) for path in ("out.txt", "", "a b", "verify", "x=1")]
+    if type(kind) is tuple:
+        return [(flag, choice) for choice in kind]
+    return [(flag, str(level)) for level in (kind, kind + 1, cli.MAX_LEVEL)]
+
+
+def _plain_lines():
+    """Every command with its options in each order, each subset of them
+    that keeps a required level, and each spelling of their values."""
+    for command, (_, _, options) in cli.GRAMMAR.items():
+        for k in range(len(options) + 1):
+            for flags in permutations(options, k):
+                if "--level" in options and "--level" not in flags:
+                    continue
+                for words in product(*(_plain_words(f, options[f][0]) for f in flags)):
+                    yield [command, *chain.from_iterable(words)]
+
+
+def test_plain_lines_parse_as_argparse_parses_them():
+    lines = list(_plain_lines())
+    assert {argv[0] for argv in lines} == set(cli.GRAMMAR) and len(lines) > 500
+    parser = build_parser()
+    for argv in lines:
+        assert vars(parse_plain(argv)) == vars(parser.parse_args(argv)), argv
+    # the defaults
+    assert vars(parse_plain(["dims"])) == {"command": "dims", "fn": cli.cmd_dims,
+                                           "max_level": 4, "out": None}
+    assert vars(parse_plain(["graph", "--level", "2"])) == {
+        "command": "graph", "fn": cli.cmd_graph, "level": 2, "out": None, "format": "json"}
+    assert vars(parse_plain(["qcheck"])) == {"command": "qcheck", "fn": cli.cmd_qcheck,
+                                             "dump": False, "out": None}
+
+
+# lines that argparse ends, each with a part of what it prints: help on
+# stdout, or a usage error on stderr
+ARGPARSE_ENDS = [
+    ([], "the following arguments are required: command"),
+    (["-h"], "usage: g2crystal [-h]"),
+    (["--help"], "usage: g2crystal [-h]"),
+    (["verify", "-h"], "usage: g2crystal verify [-h] --level LEVEL [--out OUT]"),
+    (["dims", "--help"], "usage: g2crystal dims [-h] [--max-level MAX_LEVEL] [--out OUT]"),
+    (["graph", "-h"], "--format {json,dot,text}"),
+    (["qcheck", "-h"], "usage: g2crystal qcheck [-h] [--dump] [--out OUT]"),
+    (["graph"], "the following arguments are required: --level"),
+    (["verify", "--out", "v.txt"], "the following arguments are required: --level"),
+    (["verify", "--out", "-"], "the following arguments are required: --level"),
+    (["verify", "--level", "1", "--out", "-x"], "argument --out: expected one argument"),
+    (["verify", "--level"], "argument --level: expected one argument"),
+    (["graph", "--level", "1", "--format"], "argument --format: expected one argument"),
+    (["graph", "--level", "1", "--format", "yaml"], "argument --format: invalid choice: "),
+    (["verify", "--level", ""], "argument --level: invalid level value: ''"),
+    (["dims", "--max-level", "x"], "argument --max-level: invalid level value: 'x'"),
+    (["qcheck", "--dump", "yes"], "unrecognized arguments: yes"),
+    (["verify", "--level", "1", "extra"], "unrecognized arguments: extra"),
+    (["unknown"], "argument command: invalid choice: 'unknown'"),
+    (["--out", "x", "verify", "--level", "1"], "argument command: invalid choice: 'x'"),
+]
+
+
+def _argparse_end(argv, capsys):
+    """(exit code, stdout, stderr) of the argparse parser alone on a line it ends."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    return (2 if exc.value.code else 0), *capsys.readouterr()
+
+
 def test_usage_error_exit_code(capsys):
-    assert main(["graph"]) == 2
-    capsys.readouterr()
+    # the plain parser leaves each line to argparse, which prints what it
+    # prints alone and ends with 0 for help and 2 for an error
+    for argv, text in ARGPARSE_ENDS:
+        assert parse_plain(argv) is None, argv
+        got = main(argv), *capsys.readouterr()
+        assert got == _argparse_end(argv, capsys), argv
+        code, out, err = got
+        assert text in (err if code else out), argv
+        assert (out if code else err) == "", argv
+
+
+# lines that argparse reads but a plain line cannot spell, each with the
+# plain line of the same namespace
+SPELLINGS = [
+    (["verify", "--level=1"], ["verify", "--level", "1"]),
+    (["verify", "--lev", "1"], ["verify", "--level", "1"]),
+    (["verify", "--level", "+1"], ["verify", "--level", "1"]),
+    (["verify", "--level", " 1"], ["verify", "--level", "1"]),
+    (["verify", "--level", "\u0661"], ["verify", "--level", "1"]),  # an Arabic-Indic 1
+    (["enumerate", "--level", "0_1"], ["enumerate", "--level", "1"]),
+    (["enumerate", "--level", "01"], ["enumerate", "--level", "1"]),
+    (["enumerate", "--level", "3", "--level", "1"], ["enumerate", "--level", "1"]),
+    (["graph", "--level", "1", "--format=dot"], ["graph", "--level", "1", "--format", "dot"]),
+    (["graph", "--level", "1", "--form", "text"], ["graph", "--level", "1", "--format", "text"]),
+    (["dims", "--max-level", "1", "--max-level", "1"], ["dims", "--max-level", "1"]),
+]
+
+
+def test_other_spellings_run_as_their_plain_line(capsys):
+    for argv, plain in SPELLINGS:
+        assert parse_plain(argv) is None, argv
+        assert vars(build_parser().parse_args(argv)) == vars(parse_plain(plain)), argv
+        assert run_cli(argv, capsys) == run_cli(plain, capsys), argv
 
 
 def test_output_digests(capsys):
@@ -175,13 +278,18 @@ def test_dims_keeps_one_level_alive(fresh_caches, capsys):
 
 
 def test_negative_max_level_is_usage_error(capsys):
+    assert parse_plain(["dims", "--max-level", "-1"]) is None
     assert main(["dims", "--max-level", "-1"]) == 2
     assert capsys.readouterr().out == ""
 
 
 def test_verify_level_zero_is_usage_error(capsys):
+    assert parse_plain(["verify", "--level", "0"]) is None
     assert main(["verify", "--level", "0"]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "g2crystal verify: error: argument --level: must be at least 1 and at most 10, got 0")
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
@@ -288,6 +396,7 @@ def test_tensor_square_level_bound_is_usage_error(fresh_caches, capsys):
                  ["enumerate", "--level", "11"], ["graph", "--level", "11"],
                  ["phi", "--level", "11"], ["minimal", "--level", "11"],
                  ["dims", "--max-level", "11"]):
+        assert parse_plain(argv) is None, argv
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -389,9 +498,23 @@ def _fresh_import(check):
 
 
 def test_cold_import_loads_no_unused_stdlib():
-    assert _fresh_import(
-        "print(sorted({'dataclasses', 'typing', 'fractions', 'inspect'} & set(sys.modules)))"
-    ) == "[]\n"
+    unused = ("{'dataclasses', 'typing', 'fractions', 'inspect', "
+              "'argparse', 'json', 're', 'enum', 'gettext', 'locale', 'shutil'}")
+    assert _fresh_import(f"print(sorted({unused} & set(sys.modules)))") == "[]\n"
+    # a plain verify line runs without argparse or json; enumerate writes
+    # JSON, so it loads json, and still not argparse
+    out = _fresh_import(
+        "import io\n"
+        "from g2crystal.cli import main\n"
+        "stdout = sys.stdout\n"
+        "for argv in (['verify', '--level', '1'], ['enumerate', '--level', '1']):\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    code = main(argv)\n"
+        "    sys.stdout = stdout\n"
+        f"    print(code, sorted({unused} & set(sys.modules)))\n")
+    verify, enumerate_ = out.splitlines()
+    assert verify == "0 []"
+    assert enumerate_.startswith("0 [") and "'json'" in enumerate_ and "argparse" not in enumerate_
 
 
 def test_cold_import_fills_no_cache():

@@ -268,6 +268,16 @@ def test_square_proof_makes_one_probe_per_component(monkeypatch):
     assert calls["greedy"] <= components and calls["step"] <= 5 * components
 
 
+def test_highest_pairs_are_the_scan_of_every_pair():
+    # grouping y by (eps_1, eps_2) gives the scan's list, in its order
+    for bl in [_sl2()] + [bl_crystal(l) for l in range(9)]:
+        eps, phi = bl._eps, bl._phi
+        n = len(bl.elements)
+        scan = [(x, y) for x in range(n) if eps[1][x] == 0 and eps[2][x] == 0
+                for y in range(n) if eps[1][y] <= phi[1][x] and eps[2][y] <= phi[2][x]]
+        assert perfect._highest_pairs(bl) == scan
+
+
 def test_square_proof_matches_the_flat_bfs():
     for l in (1, 2, 3, 4):
         bl = bl_crystal(l)
