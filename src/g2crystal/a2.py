@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .signature import act_factor, bracket
+from .signature import bracket, tensor_apply
 
 # (eps, phi) of each letter for color a and color b.
 _EP_A = {1: (0, 1), 2: (1, 0), 3: (0, 0)}
@@ -84,9 +84,6 @@ class A2Tableau:
         c3 = letters.count(3)
         return (c1 - c2, c2 - c3)
 
-    def to_json(self):
-        return {"shape": [self.m, self.n], "word": list(self.row1) + list(self.row2)}
-
 
 def highest(m: int, n: int) -> A2Tableau:
     return A2Tableau(m, n, (1,) * (m + n), (2,) * n)
@@ -109,12 +106,10 @@ def _from_factors(m, n, factors) -> A2Tableau:
 def apply(op: str, color: str, t: A2Tableau) -> A2Tableau | None:
     """Kashiwara operator via the signature rule; returns None at string ends."""
     ep = _EP_A if color == "a" else _EP_B
-    facs = t.factors()
-    k = act_factor(op, map(ep.__getitem__, facs))
-    if k is None:
-        return None
     step = _F_STEP[color] if op == "f" else _E_STEP[color]
-    facs[k] = step[facs[k]]
+    facs = tensor_apply(op, t.factors(), ep.__getitem__, lambda _, a: step.get(a))
+    if facs is None:
+        return None
     out = _from_factors(t.m, t.n, facs)
     if not out.is_valid():
         raise RuntimeError(f"operator produced an invalid tableau: {out!r}")

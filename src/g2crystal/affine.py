@@ -49,13 +49,8 @@ from .cartan import ClassicalWeight
 from .g2 import ConstructionFault
 
 
-class AParam(namedtuple("AParam", "i k j p q r")):
-    """A model element: block (i, k, j) and string coordinates (p, q, r)."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        return self._asdict()
+# a model element: block (i, k, j) and string coordinates (p, q, r)
+AParam = namedtuple("AParam", "i k j p q r")
 
 
 def ea_plus(l, i, k, j, p, q):

@@ -41,19 +41,11 @@ class ClassicalWeight(namedtuple("ClassicalWeight", "m0 m1 m2")):
     def __neg__(self) -> "ClassicalWeight":
         return ClassicalWeight(-self.m0, -self.m1, -self.m2)
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def weyl_dim(a: int, b: int) -> int:
     """Dimension of the G2 module of highest weight a*Lambda_2 + b*Lambda_1."""
     return ((a + 1) * (b + 1) * (a + b + 2) * (a + 2 * b + 3) * (a + 3 * b + 4)
             * (2 * a + 3 * b + 5)) // 120
-
-
-def level(w: ClassicalWeight) -> int:
-    """<c, w> with c = h_0 + 2 h_1 + h_2."""
-    return w.m0 + 2 * w.m1 + w.m2
 
 
 def simple_root(j: int) -> ClassicalWeight:

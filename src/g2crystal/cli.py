@@ -134,7 +134,7 @@ def _verify_level(l, out) -> str | None:
 def cmd_minimal(args, out) -> int:
     import json
 
-    rows = [{"element": g2.word_to_json(w), "eps": eps.to_json(), "phi": phi.to_json()}
+    rows = [{"element": g2.word_to_json(w), "eps": eps._asdict(), "phi": phi._asdict()}
             for w, eps, phi in perfect.minimal_rows(args.level)]
     _emit(json.dumps(rows), out)
     return 0 if len(rows) == len(dominant_weights(args.level)) else 1
@@ -143,7 +143,7 @@ def cmd_minimal(args, out) -> int:
 def cmd_phi(args, out) -> int:
     table = phi_table(args.level)
     # the model's elements run in sorted order, each made as it is written
-    _write_list(({"param": b.to_json(), "tableau": g2.word_to_json(table.words[n])}
+    _write_list(({"param": b._asdict(), "tableau": g2.word_to_json(table.words[n])}
                  for b, n in zip(table.model.iter_elements(), table.perm)), out)
     out.write("\n")
     return 0
@@ -291,9 +291,12 @@ def build_parser():
     import argparse
 
     def level_type(lo):
-        """An argparse type: an integer from lo to MAX_LEVEL.  Its errors
-        name the function, "invalid level value"."""
+        """An argparse type: an integer from lo to MAX_LEVEL, in ASCII digits
+        after at most one leading minus.  Its errors name the function,
+        "invalid level value"."""
         def level(text):
+            if not (text.isascii() and text.removeprefix("-").isdigit()):
+                raise ValueError(text)
             value = int(text)
             if not lo <= value <= MAX_LEVEL:
                 raise argparse.ArgumentTypeError(
@@ -331,7 +334,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     path = getattr(args, "out", None)
-    if not path:
+    if not path or path == "-":  # as Unix tools read it, - is stdout
         try:
             code = _run(args, sys.stdout)
             sys.stdout.flush()

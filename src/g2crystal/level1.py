@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import g2
 from .cartan import CARTAN_MATRIX, ROOT_NORMS
-from .qlaurent import QRat, clear_memo, put, qbracket, qfactorial, vadd, vscale, vsub
+from .qlaurent import ONE, ZERO, QRat, clear_memo, put, qbracket, qfactorial, vadd, vscale, vsub
 
 BASIS = g2.LETTERS + (9,)
 
@@ -41,7 +41,6 @@ def weight_pairing(i: int, a: int) -> int:
     return (m1, m2)[i - 1]
 
 
-_ONE = QRat.one()
 _B21 = qbracket(2, 3)
 _B22 = qbracket(2, 1)
 _B32 = qbracket(3, 1)
@@ -51,18 +50,18 @@ clear_memo()  # import leaves the gcd memo empty, as it leaves every cache
 # Lowering table: F[i][a] = [(target, coefficient), ...]
 F_TABLE = {
     0: {
-        -6: [(2, _ONE)], -4: [(3, _ONE)], -3: [(4, _ONE)], -2: [(6, _ONE)],
-        -1: [(9, _ONE), (8, _B21.inv())], 9: [(1, _B21)],
+        -6: [(2, ONE)], -4: [(3, ONE)], -3: [(4, ONE)], -2: [(6, ONE)],
+        -1: [(9, ONE), (8, _B21.inv())], 9: [(1, _B21)],
     },
     1: {
-        1: [(2, _ONE)], 4: [(5, _ONE)],
-        6: [(8, _ONE), (7, _B22.inv()), (9, _B21.inv())],
-        8: [(-6, _B21)], -5: [(-4, _ONE)], -2: [(-1, _ONE)],
+        1: [(2, ONE)], 4: [(5, ONE)],
+        6: [(8, ONE), (7, _B22.inv()), (9, _B21.inv())],
+        8: [(-6, _B21)], -5: [(-4, ONE)], -2: [(-1, ONE)],
     },
     2: {
-        2: [(3, _ONE)], 3: [(4, _B22)], 4: [(6, _B32)],
-        5: [(7, _ONE), (8, _B32_B21)], 7: [(-5, _B22)],
-        -6: [(-4, _ONE)], -4: [(-3, _B22)], -3: [(-2, _B32)],
+        2: [(3, ONE)], 3: [(4, _B22)], 4: [(6, _B32)],
+        5: [(7, ONE), (8, _B32_B21)], 7: [(-5, _B22)],
+        -6: [(-4, ONE)], -4: [(-3, _B22)], -3: [(-2, _B32)],
     },
 }
 
@@ -77,7 +76,7 @@ E_TABLE = {i: {_BAR[a]: [(_BAR[b], c) for b, c in row] for a, row in rows.items(
 
 
 def vec(a: int):
-    return {a: _ONE}
+    return {a: ONE}
 
 
 def v1_apply(gen, u):
@@ -106,10 +105,6 @@ def v1_divided(kind, i, k, u):
     for _ in range(k):
         u = v1_apply((kind, i), u)
     return vscale(qfactorial(k, NORMS[i]).inv(), u)
-
-
-def _serre_exponent(i, j):
-    return 1 - CARTAN_MATRIX[i][j]
 
 
 def verify_module_relations() -> dict:
@@ -146,7 +141,7 @@ def verify_module_relations() -> dict:
                 lhs = vsub(v1_apply(("e", i), v1_apply(("f", j), u)),
                            v1_apply(("f", j), v1_apply(("e", i), u)))
                 if i == j:
-                    rhs = vscale(qbracket_eig(i, a), u)
+                    rhs = vscale(qbracket(weight_pairing(i, a), NORMS[i]), u)
                 else:
                     rhs = {}
                 if lhs != rhs:
@@ -159,7 +154,7 @@ def verify_module_relations() -> dict:
         for j in range(3):
             if i == j:
                 continue
-            b = _serre_exponent(i, j)
+            b = 1 - CARTAN_MATRIX[i][j]
             for kind in ("e", "f"):
                 for a in BASIS:
                     acc = {}
@@ -176,11 +171,6 @@ def verify_module_relations() -> dict:
     return report
 
 
-def qbracket_eig(i, a) -> QRat:
-    """(q_i^m - q_i^-m) / (q_i - q_i^-1) for the h_i-eigenvalue m of label a."""
-    return qbracket(weight_pairing(i, a), NORMS[i])
-
-
 # -- linear algebra over the exact field ----------------------------------
 
 
@@ -192,7 +182,7 @@ def nullspace(rows, ncols):
     for col in range(ncols):
         piv = None
         for r in range(rank, len(mat)):
-            if not mat[r][col].is_zero():
+            if mat[r][col]:
                 piv = r
                 break
         if piv is None:
@@ -201,7 +191,7 @@ def nullspace(rows, ncols):
         inv = mat[rank][col].inv()
         mat[rank] = [x * inv for x in mat[rank]]
         for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero():
+            if r != rank and mat[r][col]:
                 f = mat[r][col]
                 mat[r] = [x - f * y if y else x for x, y in zip(mat[r], mat[rank])]
         pivots.append(col)
@@ -211,8 +201,8 @@ def nullspace(rows, ncols):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [QRat.zero()] * ncols
-        v[fc] = _ONE
+        v = [ZERO] * ncols
+        v[fc] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -mat[r][fc]
         basis.append(v)
@@ -245,7 +235,7 @@ def polarization_gram() -> dict:
     for i in range(3):
         for a in BASIS:
             for b in BASIS:
-                row = [QRat.zero()] * len(pairs)
+                row = [ZERO] * len(pairs)
                 nontrivial = False
                 for a2, c in E_TABLE[i].get(a, ()):
                     k = gidx(a2, b)
@@ -271,12 +261,12 @@ def polarization_gram() -> dict:
 def gram(a, b) -> QRat:
     g = polarization_gram()
     key = (a, b) if a <= b else (b, a)
-    return g.get(key, QRat.zero())
+    return g.get(key, ZERO)
 
 
 def vec_pair(u, v) -> QRat:
     """(u, v); the form is weight-diagonal, so most basis pairs read zero."""
-    out = QRat.zero()
+    out = ZERO
     for a, c in u.items():
         for b, d in v.items():
             g = gram(a, b)
@@ -323,9 +313,9 @@ def _string_basis(i: int):
     for labels in classes.values():
         images = {b: v1_apply(("e", i), vec(b)) for b in labels}
         targets = sorted({a for img in images.values() for a in img}, key=str)
-        mat = [[images[b].get(t, QRat.zero()) for b in labels] for t in targets]
+        mat = [[images[b].get(t, ZERO) for b in labels] for t in targets]
         for coeffs in nullspace(mat, len(labels)):
-            w = {a: c for a, c in zip(labels, coeffs) if not c.is_zero()}
+            w = {a: c for a, c in zip(labels, coeffs) if c}
             m = weight_pairing(i, next(iter(w)))
             for k in range(m + 1):
                 chains.append((k, v1_divided("f", i, k, w)))
@@ -343,10 +333,10 @@ def _label_coords(i: int) -> dict:
     """
     chains = _string_basis(i)
     n = len(chains)
-    rows = [[ch.get(a, QRat.zero()) for _, ch in chains]
-            + [-_ONE if b == a else QRat.zero() for b in BASIS] for a in BASIS]
+    rows = [[ch.get(a, ZERO) for _, ch in chains]
+            + [-ONE if b == a else ZERO for b in BASIS] for a in BASIS]
     kernel = nullspace(rows, n + len(BASIS))
-    if len(kernel) != len(BASIS) or any(v[n + m].is_zero() for m, v in enumerate(kernel)):
+    if len(kernel) != len(BASIS) or any(not v[n + m] for m, v in enumerate(kernel)):
         raise ArithmeticError(f"the color-{i} string chains are not a basis")
     return {a: v[:n] for a, v in zip(BASIS, kernel)}
 
@@ -363,7 +353,7 @@ def kashiwara(kind: str, i: int, u):
     out = {}
     for a, ua in u.items():
         for n, (c, (k, _)) in enumerate(zip(coords[a], chains)):
-            if not c.is_zero() and 0 <= n + step < len(chains) and chains[n + step][0] == k + step:
+            if c and 0 <= n + step < len(chains) and chains[n + step][0] == k + step:
                 out = vadd(out, vscale(ua * c, chains[n + step][1]))
     return out
 

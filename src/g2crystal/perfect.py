@@ -63,7 +63,7 @@ class PerfectReport:
             "square_size": self.square_size,
             "square_components": self.square_components,
             "square_roots": self.square_roots,
-            "top_weight": self.top_weight.to_json() if self.top_weight else None,
+            "top_weight": self.top_weight._asdict() if self.top_weight else None,
             "minimal_count": len(self.minimal),
         }
 

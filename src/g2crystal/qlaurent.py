@@ -18,7 +18,7 @@ against b, not b*b; a/b + c/k for a constant k is coprime already, as
 gcd(a*k + c*b, b) = gcd(a*k, b) = 1; any other sum is reduced in full.
 Values never mutate their dicts, so they may share them.
 
-Two products need no cancel at all: by ``_ONE``, which returns the other
+Two products need no cancel at all: by ``ONE``, which returns the other
 operand, and of two values over 1, whose product a*c over 1 is already
 canonical (a nonzero polynomial over the positive unit denominator 1).
 ``_cancel`` memoises each gcd and its two quotients (Michie's memo
@@ -211,7 +211,7 @@ class QRat:
         """Canonical num/den, for den of valuation zero sharing no polynomial
         factor with num: a positive constant term, unit integer content."""
         if not num:
-            return _ZERO
+            return ZERO
         if den[0] < 0:
             num, den = vscale(-1, num), vscale(-1, den)
         # dividing by a primitive polynomial and flipping signs keep the
@@ -223,24 +223,13 @@ class QRat:
                 den = {e: c // g for e, c in den.items()}
         return cls._canonical(num, den)
 
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return _ZERO
-
-    @staticmethod
-    def one():
-        return _ONE
+    # -- constructor ---------------------------------------------------
 
     @staticmethod
     def q_power(k: int):
         return QRat._canonical({k: 1}, {0: 1})
 
     # -- predicates ------------------------------------------------------
-
-    def is_zero(self):
-        return not self.num
 
     def __bool__(self):
         return bool(self.num)
@@ -292,10 +281,10 @@ class QRat:
         if isinstance(other, int):
             other = QRat(other)
         if not self.num or not other.num:
-            return _ZERO
-        if self is _ONE:
+            return ZERO
+        if self is ONE:
             return other
-        if other is _ONE:
+        if other is ONE:
             return self
         if self.den == {0: 1} == other.den:
             # a product of nonzero polynomials over 1 is canonical as it is
@@ -321,7 +310,7 @@ class QRat:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        out = _ONE
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -368,8 +357,8 @@ def _poly_str(d):
     return s[1:] if s.startswith("+") else s
 
 
-_ZERO = QRat._canonical({}, {0: 1})
-_ONE = QRat._canonical({0: 1}, {0: 1})
+ZERO = QRat._canonical({}, {0: 1})
+ONE = QRat._canonical({0: 1}, {0: 1})
 
 
 def qbracket(m: int, norm: int) -> QRat:
@@ -381,7 +370,7 @@ def qbracket(m: int, norm: int) -> QRat:
 
 @lru_cache(maxsize=None)
 def qfactorial(k: int, norm: int) -> QRat:
-    out = _ONE
+    out = ONE
     for m in range(2, k + 1):
         out = out * qbracket(m, norm)
     return out

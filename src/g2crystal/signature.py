@@ -116,20 +116,6 @@ def reduce_brute(word: UWord) -> UWord:
             return UWord(syms, poss)
 
 
-def act_factor(op: str, ep_list) -> int | None:
-    """Index of the factor an operator acts on, or None.
-
-    ``ep_list`` holds one (eps_i, phi_i) pair per tensor factor, in tensor
-    order (first factor leftmost).  'f' acts at the leftmost surviving plus,
-    'e' at the rightmost surviving minus.
-    """
-    if op == "f":
-        return bracket(ep_list)[2]
-    if op == "e":
-        return bracket(ep_list)[3]
-    raise ValueError(f"unknown operator {op!r}")
-
-
 def tensor_apply(op: str, factors, uword_fn, apply_fn):
     """Apply a Kashiwara operator to a tensor product of crystal elements.
 
@@ -140,7 +126,9 @@ def tensor_apply(op: str, factors, uword_fn, apply_fn):
     sl2 string (apply_fn returning None where the signature demanded a
     step) is a contract violation and raises.
     """
-    k = act_factor(op, map(uword_fn, factors))
+    if op not in ("f", "e"):
+        raise ValueError(f"unknown operator {op!r}")
+    k = bracket(map(uword_fn, factors))[2 if op == "f" else 3]
     if k is None:
         return None
     image = apply_fn(op, factors[k])

@@ -210,8 +210,3 @@ def test_r_layer_weight():
             for t in a2.enumerate_tableaux(m, n):
                 p, q, r = a2.string_coords(t)
                 assert t.weight() == (m + p - 2 * q + r, n - 2 * p + q - 2 * r)
-
-
-def test_json_shape():
-    t = a2.highest(2, 1)
-    assert t.to_json() == {"shape": [2, 1], "word": [1, 1, 1, 2]}

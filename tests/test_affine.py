@@ -773,7 +773,7 @@ def test_aparam_is_its_field_tuple():
     assert repr(b) == "AParam(i=0, k=2, j=1, p=0, q=0, r=3)"
     assert not hasattr(b, "__dict__")
     assert type(b._replace(r=0)) is AParam
-    assert b.to_json() == {"i": 0, "k": 2, "j": 1, "p": 0, "q": 0, "r": 3}
+    assert b._asdict() == {"i": 0, "k": 2, "j": 1, "p": 0, "q": 0, "r": 3}
 
 
 def test_model_build_makes_no_aparam_beyond_its_elements(monkeypatch):

@@ -28,6 +28,22 @@ def test_dims(capsys):
         assert f"level {l}: total dimension {total}  A-model count matches: yes" in lines[l]
 
 
+def test_level_zero_outputs(capsys):
+    # the smallest level each command accepts: B^0 is the empty word alone
+    zero = '{"m0": 0, "m1": 0, "m2": 0}'
+    for argv, expected in (
+            (["enumerate", "--level", "0"], "[[]]\n"),
+            (["graph", "--level", "0", "--format", "dot"], 'digraph B0 {\n  "9";\n}\n'),
+            (["phi", "--level", "0"], '[{"param": {"i": 0, "k": 0, "j": 0, "p": 0, "q": 0, '
+                                      '"r": 0}, "tableau": []}]\n'),
+            (["minimal", "--level", "0"], f'[{{"element": [], "eps": {zero}, "phi": {zero}}}]\n'),
+            (["connectivity", "--level", "0"], '{"level": 0, "size": 1, "self_connected": '
+                                               'true, "square_size": 1, "square_connected": true}\n'),
+            (["dims", "--max-level", "0"],
+             "level 0: total dimension 1  A-model count matches: yes\n")):
+        assert run_cli(argv, capsys) == (0, expected), argv
+
+
 def test_graph_dot_level1(capsys):
     code, out = run_cli(["graph", "--level", "1", "--format", "dot"], capsys)
     assert code == 0
@@ -117,7 +133,7 @@ def test_streamed_documents_are_the_whole_documents(capsys):
                 {"color": i, "from": g2.word_to_json(w), "to": g2.word_to_json(img)}
                 for i, w, img in edges]}),
             ("graph", "--format", "dot"): "\n".join(dot),
-            ("phi",): json.dumps([{"param": b.to_json(), "tableau": g2.word_to_json(w)}
+            ("phi",): json.dumps([{"param": b._asdict(), "tableau": g2.word_to_json(w)}
                                   for b, w in sorted(affine.phi_table(l).forward.items())]),
         }
         for (command, *rest), document in documents.items():
@@ -183,6 +199,10 @@ ARGPARSE_ENDS = [
     (["graph", "--level", "1", "--format", "yaml"], "argument --format: invalid choice: "),
     (["verify", "--level", ""], "argument --level: invalid level value: ''"),
     (["dims", "--max-level", "x"], "argument --max-level: invalid level value: 'x'"),
+    (["verify", "--level", "+1"], "argument --level: invalid level value: '+1'"),
+    (["verify", "--level", " 1"], "argument --level: invalid level value: ' 1'"),
+    (["verify", "--level", "\u0661"], "argument --level: invalid level value: '\u0661'"),
+    (["enumerate", "--level", "0_1"], "argument --level: invalid level value: '0_1'"),
     (["qcheck", "--dump", "yes"], "unrecognized arguments: yes"),
     (["verify", "--level", "1", "extra"], "unrecognized arguments: extra"),
     (["unknown"], "argument command: invalid choice: 'unknown'"),
@@ -214,10 +234,6 @@ def test_usage_error_exit_code(capsys):
 SPELLINGS = [
     (["verify", "--level=1"], ["verify", "--level", "1"]),
     (["verify", "--lev", "1"], ["verify", "--level", "1"]),
-    (["verify", "--level", "+1"], ["verify", "--level", "1"]),
-    (["verify", "--level", " 1"], ["verify", "--level", "1"]),
-    (["verify", "--level", "\u0661"], ["verify", "--level", "1"]),  # an Arabic-Indic 1
-    (["enumerate", "--level", "0_1"], ["enumerate", "--level", "1"]),
     (["enumerate", "--level", "01"], ["enumerate", "--level", "1"]),
     (["enumerate", "--level", "3", "--level", "1"], ["enumerate", "--level", "1"]),
     (["graph", "--level", "1", "--format=dot"], ["graph", "--level", "1", "--format", "dot"]),
@@ -304,6 +320,14 @@ def test_unwritable_out_device_is_usage_error(capsys):
     assert main(["enumerate", "--level", "2", "--out", "/dev/full"]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["g2crystal: cannot write /dev/full: No space left on device"]
+
+
+def test_out_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    # as Unix tools read it; the file name "-" is never made
+    monkeypatch.chdir(tmp_path)
+    plain = run_cli(["dims", "--max-level", "1"], capsys)
+    assert run_cli(["dims", "--max-level", "1", "--out", "-"], capsys) == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_ends_quietly_as_sigpipe():

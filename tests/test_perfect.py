@@ -5,7 +5,12 @@ import pytest
 
 from g2crystal import affine, perfect
 from g2crystal.affine import bl_crystal, gl_count
-from g2crystal.cartan import ClassicalWeight, dominant_weights, level, simple_root
+from g2crystal.cartan import ClassicalWeight, dominant_weights, simple_root
+
+
+def level(w):
+    """<c, w> with c = h_0 + 2 h_1 + h_2."""
+    return w.m0 + 2 * w.m1 + w.m2
 
 
 def eps_weight(bl, w):
@@ -97,7 +102,7 @@ def test_minimal_elements_lists():
 
 def test_minimal_elements_are_the_level_l_eps_weights():
     # the eps and phi tables read directly, against ClassicalWeight and
-    # cartan.level; minimal_elements lists the words of minimal_rows
+    # this module's level; minimal_elements lists the words of minimal_rows
     for l in range(1, 7):
         bl = bl_crystal(l)
         rows = [(w, eps_weight(bl, w), phi_weight(bl, w)) for w in bl.elements
@@ -180,8 +185,8 @@ def test_self_connected_detects_two_components():
 def test_square_rule_matches_act_factor():
     # the flat BFS's two-factor rule, f and e, and the raising-only
     # _pair_step, on every pair x (x) y of B^2, against the general
-    # bracketing rule
-    from g2crystal.signature import act_factor
+    # bracketing rule: bracket's f_at and e_at fields
+    from g2crystal.signature import bracket
 
     bl = bl_crystal(2)
     idx = bl.index
@@ -190,7 +195,7 @@ def test_square_rule_matches_act_factor():
             for y, ny in idx.items():
                 ep = [(eps[nx], phi[nx]), (eps[ny], phi[ny])]
                 for (op, step), (img, on_x) in zip((("f", bl.f), ("e", bl.e)), ops):
-                    k = act_factor(op, ep)
+                    k = bracket(ep)[2 if op == "f" else 3]
                     if on_x(phi[nx], eps[ny]):
                         assert k == (0 if step(i, x) is not None else None)
                         got = None if img[nx] is None else (img[nx], ny)

@@ -1,9 +1,8 @@
 from g2crystal import rmatrix as R
 from g2crystal.level1 import BASIS, E_TABLE, F_TABLE, NORMS, qint, weight_pairing
-from g2crystal.qlaurent import QRat, put
+from g2crystal.qlaurent import ONE, QRat, put
 
 q = QRat.q_power
-ONE = QRat.one()
 
 
 def test_tensor_lowering_comultiplication():
@@ -123,6 +122,22 @@ def test_fusion_strings_are_applied_once(monkeypatch):
     assert len(calls) == 15
 
 
+def test_stray_term_beside_the_target_is_no_coefficient(monkeypatch, fresh_qsuite):
+    # one stray pure tensor beside the target makes the coefficient None,
+    # which fails the item and every row of its family
+    string = R._string
+
+    def stray(ops, u):
+        img = string(ops, u)
+        return {**img, (2, 1): R.XY.const(ONE)} if ops is R.STR_F0 else img
+
+    monkeypatch.setattr(R, "_string", stray)
+    assert [n for n, (got, _) in R.fusion_values().items() if got is None] == [7, 8, 9]
+    items = R.verify_fusion_identities()["items"]
+    assert [n for n in items if not items[n]["pass"]] == [7, 8, 9]
+    assert R.rmatrix_checks()["relation_f0_family"] == {"pass": False, "failures": [1, 2, 3]}
+
+
 def test_rmatrix_relations_and_kernel():
     rep = R.rmatrix_checks()
     assert rep["pass"], {k: v for k, v in rep.items()
@@ -132,11 +147,11 @@ def test_rmatrix_relations_and_kernel():
 def test_top_scalar_nonvanishing_at_fusion_points():
     a = R.a_polynomials()
     for k in range(1, 6):
-        assert not R._zeval(a["2La1"], q(6 * k)).is_zero()
+        assert R._zeval(a["2La1"], q(6 * k))
     # but the shifted components do vanish at the first point
-    assert R._zeval(a["3La2"], q(6)).is_zero()
-    assert R._zeval(a["2La2"], q(6)).is_zero()
-    assert R._zeval(a["L33"], q(6)).is_zero()
+    assert not R._zeval(a["3La2"], q(6))
+    assert not R._zeval(a["2La2"], q(6))
+    assert not R._zeval(a["L33"], q(6))
 
 
 def test_proportionality_relation_in_z():

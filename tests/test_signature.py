@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 from g2crystal.signature import (
-    MINUS, PLUS, UWord, ZERO, act_factor, bracket, reduce_brute, reduce_word,
+    MINUS, PLUS, UWord, ZERO, bracket, reduce_brute, reduce_word,
     tensor_apply, unmatched,
 )
 
@@ -21,8 +21,8 @@ def test_worked_example():
     assert red.positions == (1, 1, 3)
     # lowering acts at the leftmost surviving plus: factor 1
     ep = [(1, 2), (0, 0), (1, 1)]
-    assert act_factor("f", ep) == 0
-    assert act_factor("e", ep) == 0
+    # bracket's f_at and e_at: both act on factor 0
+    assert bracket(ep)[2:] == (0, 0)
 
 
 def test_empty():
@@ -117,9 +117,8 @@ def test_tensor_rule_matches_two_factor_recursion():
         letters = [rng.randint(1, 3) for _ in range(n)]
         color = rng.choice(("a", "b"))
         ep = lambda x: ep_tables[color][x]
-        for op in ("f", "e"):
-            assert act_factor(op, [ep(x) for x in letters]) == \
-                _two_factor_rule(op, letters, ep)
+        assert bracket([ep(x) for x in letters])[2:] == \
+            tuple(_two_factor_rule(op, letters, ep) for op in ("f", "e"))
 
 
 def test_tensor_apply_replaces_single_factor():
@@ -149,6 +148,17 @@ def test_tensor_apply_contract_violation():
         tensor_apply("f", [1], uword, bad_step)
 
 
+def test_unknown_operator_is_a_value_error():
+    import pytest
+
+    from g2crystal import a2
+
+    with pytest.raises(ValueError, match="unknown operator 'x'"):
+        tensor_apply("x", [1], lambda b: (0, 1), lambda op, b: b)
+    with pytest.raises(ValueError, match="unknown operator 'x'"):
+        a2.apply("x", "a", a2.highest(1, 0))
+
+
 def _brute(ep_list):
     """reduce_brute on the expanded word: factor k is eps minuses, then phi pluses."""
     syms, poss = [], []
@@ -167,8 +177,7 @@ def test_unmatched_matches_bruteforce():
         ep = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(0, 8))]
         minus, plus = _brute(ep)
         assert unmatched(ep) == (minus, plus)
-        assert act_factor("f", ep) == (plus[0] if plus else None)
-        assert act_factor("e", ep) == (minus[-1] if minus else None)
+        assert bracket(ep)[2:] == (plus[0] if plus else None, minus[-1] if minus else None)
 
 
 def test_g2_string_lengths_match_bruteforce():
@@ -194,11 +203,11 @@ def test_a2_string_lengths_match_bruteforce():
 
 def test_two_factor_side_rule_matches_act_factor():
     # the two-factor closed form that B^l's tables and the square proof
-    # apply is act_factor on two factors, wherever either acts: f acts on
-    # x iff phi_x > eps_y, e iff phi_x >= eps_y
+    # apply is bracket's f_at and e_at on two factors, wherever either
+    # acts: f acts on x iff phi_x > eps_y, e iff phi_x >= eps_y
     for ex, px, ey, py in product(range(3), repeat=4):
         for op, on_x in (("f", px > ey), ("e", px >= ey)):
-            k = act_factor(op, [(ex, px), (ey, py)])
+            k = bracket([(ex, px), (ey, py)])[2 if op == "f" else 3]
             if k is not None:
                 assert (k == 0) == on_x, (op, ex, px, ey, py)
 
