@@ -11,20 +11,23 @@ closed form.  E_A is defined case by case on the r = 0 layer and extended to
 the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
 Every operator table is a list of image positions, None where undefined.
-B^l's ``index`` dict maps a word to its position; the model's elements are
-positions, each (i, k, j, p, q, r) at its string's first position plus r
-(``position``, and ``param`` back), and its ``elements`` list is built only
-when read.  The model tabulates f_1, e_1, E_A and C_A once, and F_A from
-them.  The elements run r innermost, so each f_0-string (i, k, j, p, q) is
-a run of positions, and the f_0-string is the unit of the build: E_A sends
-a string's run onto the start of another string's run, read from one
-``ea_plus`` call, C_A onto the whole run of another string of its
-length, reversed (``ca_string``), and f_1 by the A2 string rule in at most
-two slices, each inside its target string.  B^l's words are a prefix tree
-(``g2._grown`` gives each word's children together, in letter order), and
-colors 1 and 2 grow each word's row from its prefix's by the tensor-product
-rule, each image the position of a child in that tree; the E3/E4 check sums
-the letter weights along the same tree.  ``g2.strings``, which folds the
+The model's elements are positions, each (i, k, j, p, q, r) at its string's
+first position plus r (``position``, and ``param`` back), and its
+``elements`` list is built only when read.  B^l's ``index`` dict maps a word
+to its position: its values, and every entry of every table, the model's,
+B^l's and Phi's, are the model's own position ints (``_at``).  The model
+tabulates f_1, e_1, E_A and C_A once, and F_A from them.  The elements run
+r innermost, so each f_0-string (i, k, j, p, q) is a run of positions, and
+the f_0-string is the unit of the build: E_A sends a string's run onto the
+start of another string's run, read from one ``ea_plus`` call, C_A onto the
+whole run of another string of its length, reversed (``ca_string``), and
+f_1 by the A2 string rule in at most two slices, each inside its target
+string.  B^l's words are a prefix tree (``g2._grown`` gives each word's
+children together, in letter order) that carries its places, each word's
+first child and each letter's rank, and colors 1 and 2 grow each word's row
+from its prefix's by the tensor-product rule, each image the position of a
+child in that tree; the E3/E4 check sums the letter weights along the same
+tree.  ``g2.strings``, which folds the
 whole word, is the oracle of those rows.
 The bijection Phi onto the direct sum of G2 crystals B(n*Lambda_1), n <= l,
 is the unique classical crystal isomorphism, walked breadth-first along
@@ -151,29 +154,30 @@ class AffineModel:
         self._starts = list(accumulate((top + 1 for _, top in strings), initial=0))
         self._size = size = self._starts.pop()
         self._start = start = dict(zip(self._keys, self._starts))
-        # one int object per position, shared by every table: a computed
-        # position stored in every table would be a new int for each entry
-        at = list(range(size))
+        # one int object per position, shared by every table and by B^l's: a
+        # computed position stored in every table would be a new int per entry
+        self._at = at = list(range(size))
         self._f1, self._e1, self._ea = f1, e1, ea = [None] * size, [None] * size, [None] * size
         self._ca = ca = []
         for (s, top), a in zip(strings, self._starts):
             i, k, j, p, q = s
             # f_1 by the A2 string rule sends the string in two runs, and
             # leaves every other r without an image.  While q < k + p, r =
-            # 0..q-p goes to (p, q+1, r): that string exists, as q+1 <= p+k,
-            # and its top is top + 1.  With lo = max(q-p, 2q-2p-k) + 1, r =
-            # lo..top goes to (p+1, q+1, r-1): a run only if lo <= top, which
-            # forces p < j, so that string exists, and its top is top - 1.
-            # Each run lies inside its target, so no image leaves the crystal.
-            if q < k + p:
-                t, n = start[i, k, j, p, q + 1], q - p + 1
-                f1[a:a + n] = at[t:t + n]
-                e1[t:t + n] = at[a:a + n]
-            lo = max(q - p, 2 * q - 2 * p - k) + 1
-            if lo <= top:
-                t, n = start[i, k, j, p + 1, q + 1] + lo - 1, top - lo + 1
-                f1[a + lo:a + top + 1] = at[t:t + n]
-                e1[t:t + n] = at[a + lo:a + top + 1]
+            # 0..q-p goes to (p, q+1, r); with lo = q-p+1, r = lo..top goes to
+            # (p+1, q+1, r-1).  The rule's max(q-p, 2q-2p-k) + 1 is lo, as q <=
+            # p + k gives 2q-2p-k <= q-p.  A target that is no string, or a
+            # run that ends past its target's top, is a fault.
+            lo = q - p + 1
+            for b, r0, r1 in (((i, k, j, p, q + 1), 0, lo if q < k + p else 0),
+                              ((i, k, j, p + 1, q + 1), lo, top + 1)):
+                if r0 < r1:
+                    d, t = b[3] - p, start.get(b)
+                    if t is None or r1 - 1 - d > b[2] + b[4] - 2 * b[3]:
+                        raise ConstructionFault(f"f_1 left the crystal: {AParam(*s, r1 - 1)} -> "
+                                                f"{AParam(*b, r1 - 1 - d)}")
+                    t += r0 - d
+                    f1[a + r0:a + r1] = at[t:t + r1 - r0]
+                    e1[t:t + r1 - r0] = at[a + r0:a + r1]
             # E_A keeps r, so it sends the string onto the start of another,
             # which must reach r = top
             base = ea_plus(l, *s)
@@ -194,6 +198,10 @@ class AffineModel:
                 raise ConstructionFault(f"involution sends the f_0-string of {AParam(*s, 0)} "
                                         f"onto that of {AParam(*image, 0)}, of another length")
             ca += at[t:t + top + 1][::-1]
+        # a slice of the wrong length moves every later position
+        if {len(f1), len(e1), len(ea), len(ca)} != {size}:
+            raise ConstructionFault(f"the level-{l} operator tables do not cover the "
+                                    f"{size} elements once each")
         self._fa = [None if (up := ea[c]) is None else ca[up] for c in ca]
 
     def __len__(self):
@@ -291,10 +299,13 @@ def model(l: int) -> AffineModel:
     return AffineModel(l)
 
 
-def _prefix_tree(l: int) -> tuple[list[tuple[int, ...]], bytes]:
-    """B^l's words as a prefix tree: the distinct tuples of child letters,
-    and for each word shorter than l, in element order, the number of its
-    tuple in that list.
+def _prefix_tree(l: int, at) -> tuple[list[tuple[int, ...]], bytes, list[dict], list[int]]:
+    """B^l's words as a prefix tree, with its places: the distinct tuples of
+    child letters; for each word shorter than l, in element order, the
+    number of its tuple in that list; per tuple, each letter's rank among
+    them; and per word shorter than l, its first child's position, one of
+    ``at``'s int objects.  The child of the word at position p by the letter
+    a is at ``at[first[p] + ranks[kind[p]][a]]``.
 
     ``g2._grown`` extends each word of length n - 1, in order, by the
     letters ``g2._extensions`` gives its state, so the elements are the
@@ -314,19 +325,11 @@ def _prefix_tree(l: int) -> tuple[list[tuple[int, ...]], bytes]:
     runs = {}
     number = {s: runs.setdefault(bytes(ord(c) & g2._LAST_BITS for c in k), len(runs))
               for s, k in kids.items()}
-    return ([tuple(map(g2.LETTERS.__getitem__, run)) for run in runs],
-            bytes(map(number.__getitem__, states)))
-
-
-def _tree_places(letters, kind, at) -> tuple[list[dict[int, int]], list[int]]:
-    """Where the prefix tree puts each child: per tuple of child letters,
-    each letter's rank among them, and per word shorter than l, its first
-    child's position, one of ``at``'s int objects.  The child of the word at
-    position p by the letter a is at ``at[first[p] + ranks[kind[p]][a]]``."""
-    ranks = [{a: r for r, a in enumerate(kids)} for kids in letters]
+    letters = [tuple(map(g2.LETTERS.__getitem__, run)) for run in runs]
+    kind = bytes(map(number.__getitem__, states))
     first = list(map(at.__getitem__, islice(
         accumulate(map(len, map(letters.__getitem__, kind)), initial=1), len(kind))))
-    return ranks, first
+    return letters, kind, [{a: r for r, a in enumerate(tup)} for tup in letters], first
 
 
 def gl_count(l: int) -> int:
@@ -444,9 +447,8 @@ def _involution_positions(bl) -> list[int | None]:
     w = p + (a,), w[1:] is the child of p[1:] by a, and inv(w) is the child
     of inv(w[1:]) by the bar of w[0].  None where the involution, or the
     suffix it is grown from, has no place in the tree."""
-    letters, kind = bl._tree
-    at = list(bl.index.values())
-    ranks, first = _tree_places(letters, kind, at)
+    letters, kind, ranks, first = bl._tree
+    at = bl.model._at
     bar, code, letter = g2._BAR, g2.ORDER_INDEX, g2.LETTERS
     short = len(kind)
     # per word shorter than l only: the position of w[1:], and w[0] as its
@@ -526,7 +528,7 @@ def build_phi(bl: BlCrystal) -> PhiTable:
         return True
 
     e1, ea = mod._e1, mod._ea
-    highest = sorted((mod.weight(param(b)), b) for b in range(len(mod))
+    highest = sorted((mod.weight(param(b)), b) for b in mod._at
                      if e1[b] is None and ea[b] is None)
     if [wt for wt, _ in highest] != [(n, -2 * n) for n in range(l + 1)]:
         raise ConstructionFault(f"highest elements {[param(b) for _, b in highest]} "
@@ -571,14 +573,15 @@ class BlCrystal:
         # the tableau walk's words, by length and then in letter order, taken
         # from the walk that _prefix_tree checks the tree against
         self.elements = [w for n in range(l + 1) for w in g2._grown(n)[0]]
-        self.index = {w: n for n, w in enumerate(self.elements)}
+        # the model's own position ints, which every table below stores
+        self.index = dict(zip(self.elements, self.model._at))
         # per color, indexed like elements: the positions of the f_i and e_i
         # images (None where undefined), eps_i and phi_i
         self._fpos, self._epos = ([], [], []), ([], [], [])
         self._eps = ([], [], [])
         self._phi = ([], [], [])
-        # the prefix tree, kept for the E3/E4 check's letter weights
-        self._tree = _prefix_tree(l)
+        # the prefix tree and its places, kept for the R8/R9 and E3/E4 checks
+        self._tree = _prefix_tree(l, self.model._at)
         self._grow(*self._tree)
         self.phi = build_phi(self)
         self._zero()
@@ -598,7 +601,7 @@ class BlCrystal:
         self._fpos[0].extend([perm[m + 1] if phis[m] else None for m in inverse])
         self._epos[0].extend([perm[m - 1] if rs[m] else None for m in inverse])
 
-    def _grow(self, letters, kind):
+    def _grow(self, letters, kind, ranks, first):
         """Fill colors 1 and 2 along the prefix tree, each word from its
         prefix's row, in element order.
 
@@ -611,10 +614,7 @@ class BlCrystal:
         sliced, joined or hashed.  A step the rule needs that is undefined,
         or an image that is not a tableau, is a fault.
         """
-        # the index's own int objects: a computed position stored in every
-        # table would be a new int for each entry
-        at = list(self.index.values())
-        ranks, first = _tree_places(letters, kind, at)
+        at = self.model._at
 
         def sibling(rank, step):
             """The rank of the sibling by ``step``: None where the step is
@@ -728,7 +728,7 @@ def _word_weights(letters, kind) -> tuple[bytearray, bytearray]:
     along the prefix tree as its prefix's sums plus its last letter's.  A
     letter weighs at most 3, so |m| <= 3l fits a byte with that offset, and
     the sums take two bytes a word, where two lists of ints take sixteen.
-    ``letters`` and ``kind`` are the prefix tree (``_prefix_tree``)."""
+    ``letters`` and ``kind`` are from the prefix tree (``_prefix_tree``)."""
     wt1, wt2 = g2._WT1, g2._WT2
     steps = [tuple((wt1[a], wt2[a]) for a in kids) for kids in letters]
     m1s, m2s = bytearray([128]), bytearray([128])
@@ -765,7 +765,7 @@ def verify_construction(l: int) -> dict:
     ea_depth = _depths(ea)
     fa_depth = _depths(fa)
     phis = mod.r_phi0[1]
-    m1s, m2s = _word_weights(*bl._tree)
+    m1s, m2s = _word_weights(*bl._tree[:2])
     n = 0
     for (i, k, j, p, q), top in _strings(mod.blocks):
         # along the string r runs 0..top, wt_1 = k + p - 2q + r and

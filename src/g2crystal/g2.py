@@ -122,13 +122,9 @@ def _counts_ok(c) -> bool:
     return True
 
 
-def weight_pair(word) -> tuple[int, int]:
-    """(m1, m2) of a word's G2 weight: the sums of its letters' weights, as ints."""
-    return sum(map(_WT1.__getitem__, word)), sum(map(_WT2.__getitem__, word))
-
-
 def weight(word) -> ClassicalWeight:
-    return from_classical_pair(*weight_pair(word))
+    """A word's G2 weight, from (m1, m2): the sums of its letters' weights."""
+    return from_classical_pair(sum(map(_WT1.__getitem__, word)), sum(map(_WT2.__getitem__, word)))
 
 
 def strings(i: int, word):

@@ -42,10 +42,6 @@ class XY:
     def monomial(dx, dy, coeff=ONE):
         return XY({(dx, dy): coeff} if coeff else {})
 
-    @staticmethod
-    def const(c):
-        return XY.monomial(0, 0, c)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -96,8 +92,8 @@ Y = XY.monomial(0, 1)
 # -- tensor vectors -------------------------------------------------------
 
 
-def tvec(a, b, coeff=None):
-    return {(a, b): coeff if coeff is not None else XY.const(ONE)}
+def tvec(a, b):
+    return {(a, b): XY.monomial(0, 0)}
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +147,7 @@ def tensor_apply(gen, u):
 def tensor_divided(kind, i, k, u):
     for _ in range(k):
         u = tensor_apply((kind, i), u)
-    return vscale(XY.const(qfactorial(k, NORMS[i]).inv()), u)
+    return vscale(XY.monomial(0, 0, qfactorial(k, NORMS[i]).inv()), u)
 
 
 def tensor_weight(u):
@@ -166,7 +162,7 @@ def tensor_weight(u):
 
 def _constants(comps):
     """A tensor vector from its {pair: QRat} coefficients, each a constant XY."""
-    return {k: XY.const(c) for k, c in comps.items()}
+    return {k: XY.monomial(0, 0, c) for k, c in comps.items()}
 
 
 def _u_3la2():
@@ -234,7 +230,7 @@ def solve_u02():
     ca = b[ib] / det
     cb = -a[ib] / det
     sol = [ca * x + cb * y for x, y in zip(a, b)]
-    vecxy = {p: XY.const(c) for p, c in zip(pairs, sol) if c}
+    vecxy = {p: XY.monomial(0, 0, c) for p, c in zip(pairs, sol) if c}
     coeff = sol[index[(7, 8)]]
     return vecxy, coeff
 
@@ -464,13 +460,13 @@ def rmatrix_checks() -> dict:
     values = fusion_values()
     report = {"pass": True}
 
-    def matrix_relation(name, items, rows, top="2La1"):
+    def matrix_relation(name, items, rows):
         """The relation of one item family, its vectors v_i read by item number."""
         vecs = [values[n][0] for n in items]
         bad = []
         for i, vi in enumerate(vecs):
             # a stray fusion image (None) fails every row of its family
-            if None in vecs or vi * a[top] != sum(
+            if None in vecs or vi * a["2La1"] != sum(
                     (a[r] * vj.swap() for r, vj in zip(rows[i], vecs)), XY()):
                 bad.append(i + 1)
         report[name] = {"pass": not bad, "failures": bad}

@@ -33,6 +33,20 @@ def second_constraint_without_0_1(monkeypatch, fresh_enumeration):
     monkeypatch.setattr(g2, "_AT_MOST_ONE", groups)
 
 
+@pytest.fixture
+def drop_string(monkeypatch, fresh_caches):
+    """A mis-transcribed string range: the returned function drops one
+    f_0-string (i, k, j, p, q) from the model at every level, in place of
+    any string it dropped before, and empties the level caches."""
+    strings = affine._strings
+
+    def drop(key):
+        monkeypatch.setattr(affine, "_strings",
+                            lambda blocks: ((s, t) for s, t in strings(blocks) if s != key))
+        affine.clear_level_caches()
+    return drop
+
+
 def clear_qsuite_caches():
     """Empty every cache of the exact q-suite: each lru_cache of qlaurent,
     level1 and rmatrix, the twisted step tables among them, and the gcd memo."""

@@ -553,15 +553,31 @@ def test_prefix_rows_are_the_word_folds():
                 assert list(table.items()) == want, (l, i, k)
 
 
-def test_bl_tables_store_the_index_positions():
-    # every stored image position is one of index's own int objects, compared
-    # by identity: a computed position would be a new int object per entry
+def test_every_stored_position_is_a_model_position():
+    # the model's positions are B^l's: every table of both, Phi and the
+    # index store the model's own int objects, compared by identity
     for l in range(7):
-        bl = affine.bl_crystal(l)
-        ids = set(map(id, bl.index.values()))
-        for i in range(3):
-            for table in (bl._fpos[i], bl._epos[i]):
-                assert all(id(t) in ids for t in table if t is not None), (l, i)
+        mod, bl = affine.model(l), affine.bl_crystal(l)
+        ids = set(map(id, mod._at))
+        tables = [mod._f1, mod._e1, mod._ea, mod._ca, mod._fa, *bl._fpos, *bl._epos,
+                  bl.phi.perm, bl.phi.inverse, list(bl.index.values())]
+        for n, table in enumerate(tables):
+            assert all(id(t) in ids for t in table if t is not None), (l, n)
+
+
+def test_every_dropped_string_is_a_construction_fault(drop_string):
+    # a model without one of level 2's f_0-strings: the first operator that
+    # reads it, f_1, E_A or C_A, names the fault, and no lookup raises
+    keys = [s for s, _ in affine._strings(affine.model(2).blocks)]
+    assert len(keys) == 40
+    faults = Counter()
+    for key in keys:
+        drop_string(key)
+        with pytest.raises(affine.ConstructionFault) as fault:
+            affine.model(2)
+        faults[str(fault.value).partition(":")[0]] += 1
+    assert faults == {"f_1 left the crystal": 11, "E_A left the crystal": 15,
+                      "involution left the crystal": 14}
 
 
 def test_undefined_prefix_step_is_a_construction_fault(monkeypatch, fresh_caches):

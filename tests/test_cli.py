@@ -481,6 +481,20 @@ def test_enumerate_reports_a_wrong_enumeration_count(second_constraint_without_0
         "construction FAILED: enumeration of B(2*La1) gave 79 words, expected 77"]
 
 
+def test_verify_reports_a_dropped_model_string(drop_string, capsys):
+    # level 2 without the string (0, 2, 2, 2, 2), which f_1 of (0, 2, 2, 1, 1)
+    # runs into: one failed line after level 1's passes
+    drop_string((0, 2, 2, 2, 2))
+    code, out = run_cli(["verify", "--level", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == ("level 2: construction FAILED: f_1 left the crystal: "
+                         "AParam(i=0, k=2, j=2, p=1, q=1, r=1) -> "
+                         "AParam(i=0, k=2, j=2, p=2, q=2, r=0)")
+    assert len(lines) > 1 and all(line.startswith("level 1 ") and line.endswith(": pass")
+                                  for line in lines[:-1])
+
+
 def test_mistranscribed_action_coefficient_fails_qcheck(monkeypatch, fresh_qsuite, capsys):
     # warm: every q-suite table, cache and memo filled from the true table
     assert run_cli(["qcheck"], capsys)[0] == 0

@@ -182,7 +182,7 @@ def test_self_connected_detects_two_components():
     assert perfect._self_connected(split)
 
 
-def test_square_rule_matches_act_factor():
+def test_square_rule_matches_brackets_two_factor_f_and_e():
     # the flat BFS's two-factor rule, f and e, and the raising-only
     # _pair_step, on every pair x (x) y of B^2, against the general
     # bracketing rule: bracket's f_at and e_at fields

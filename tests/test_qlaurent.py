@@ -46,7 +46,7 @@ def test_reduction_shared_factors():
 
 def test_sparse_rule_on_every_ring():
     # the same cancel-and-drop rule for int, QRat and XY coefficients
-    for c, d in ((3, 4), (q(1), q(2) + 1), (XY.monomial(1, 0, q(1)), XY.const(q(2)))):
+    for c, d in ((3, 4), (q(1), q(2) + 1), (XY.monomial(1, 0, q(1)), XY.monomial(0, 0, q(2)))):
         out = {"a": c}
         put(out, "a", -c)
         put(out, "b", d)

@@ -8,8 +8,8 @@ q = QRat.q_power
 def test_tensor_lowering_comultiplication():
     # f_1 (v1 (x) v1) = v2 (x) v1 + q_1 v1 (x) v2
     img = R.tensor_apply(("f", 1), R.tvec(1, 1))
-    assert img[(2, 1)] == R.XY.const(ONE)
-    assert img[(1, 2)] == R.XY.const(q(3))
+    assert img[(2, 1)] == R.XY.monomial(0, 0, ONE)
+    assert img[(1, 2)] == R.XY.monomial(0, 0, q(3))
 
 
 def test_spectral_twist_on_affine_color():
@@ -48,7 +48,7 @@ def test_twisted_tables_match_the_comultiplication():
     for gen in [(kind, i) for kind in "fe" for i in range(3)]:
         for a in BASIS:
             for b in BASIS:
-                u = R.tvec(a, b, c)
+                u = {(a, b): c}
                 got = R.tensor_apply(gen, u)
                 assert got == _comultiplication(gen, u), (gen, a, b)
                 moved += len(got)
@@ -129,7 +129,7 @@ def test_stray_term_beside_the_target_is_no_coefficient(monkeypatch, fresh_qsuit
 
     def stray(ops, u):
         img = string(ops, u)
-        return {**img, (2, 1): R.XY.const(ONE)} if ops is R.STR_F0 else img
+        return {**img, (2, 1): R.XY.monomial(0, 0, ONE)} if ops is R.STR_F0 else img
 
     monkeypatch.setattr(R, "_string", stray)
     assert [n for n, (got, _) in R.fusion_values().items() if got is None] == [7, 8, 9]
@@ -169,7 +169,7 @@ def test_a_polynomials_are_polynomials_in_z():
 def test_perturbed_polynomial_fails_the_relations(monkeypatch):
     # a copy: the cached dict stays as it is
     a = dict(R.a_polynomials())
-    a["L12"] = a["L12"] + R.XY.const(q(2))
+    a["L12"] = a["L12"] + R.XY.monomial(0, 0, q(2))
     monkeypatch.setattr(R, "a_polynomials", lambda: a)
     rep = R.rmatrix_checks()
     failed = {k for k, v in rep.items() if isinstance(v, dict) and not v["pass"]}

@@ -201,7 +201,7 @@ def test_a2_string_lengths_match_bruteforce():
                     assert (a2.eps(color, t), a2.phi(color, t)) == (len(minus), len(plus))
 
 
-def test_two_factor_side_rule_matches_act_factor():
+def test_two_factor_side_rule_matches_brackets_f_and_e():
     # the two-factor closed form that B^l's tables and the square proof
     # apply is bracket's f_at and e_at on two factors, wherever either
     # acts: f acts on x iff phi_x > eps_y, e iff phi_x >= eps_y
