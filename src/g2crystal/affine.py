@@ -317,7 +317,7 @@ def _prefix_tree(l: int, at) -> tuple[list[tuple[int, ...]], bytes, list[dict], 
     """
     walk = [g2._grown(n)[1] for n in range(l + 1)]
     states = "".join(walk[:-1])
-    kids = {s: "".join(map(chr, g2._extensions(ord(s)))) for s in set(states)}
+    kids = {s: "".join(map(chr, g2._extensions(ord(s)))) for s in dict.fromkeys(states)}
     if "".join(map(kids.__getitem__, states)) != "".join(walk[1:]):
         raise ConstructionFault(f"the tableau words up to length {l} are out of step "
                                 "with their prefix tree")
@@ -749,7 +749,9 @@ def verify_construction(l: int) -> dict:
     place in its string, and C3 reads the E_A and F_A string depths of every
     element from one list each; E_A injectivity follows from C1, and its
     collisions are listed only when C1 fails; D1 runs over B^l's positions.
-    Counterexamples name parameters and words, not positions.
+    Counterexamples name parameters and words, not positions.  A check's
+    comment says what the build already implies; which checks catch a table
+    poisoned after the build is pinned in tests/test_affine.py.
     """
     mod = model(l)
     table = phi_table(l)
@@ -781,7 +783,10 @@ def verify_construction(l: int) -> dict:
                 bad["pair_mutual_inverse"].append((param(n), param(up)))
             if dn is not None and ea[dn] != n:
                 bad["pair_mutual_inverse"].append((param(n), param(dn)))
-            # (C2) commutation with f_0, including definedness, plus phi_0 preservation
+            # (C2) commutation with f_0, including definedness, plus phi_0
+            # preservation; the commutation half follows from E_A's build, which
+            # sends a string onto the start of one as long or longer, slice for
+            # slice; the phi_0 half does not, as that string may be longer
             up_ph0 = None if up is None else phis[up]
             if t is not None and ea[t] != (up + 1 if up_ph0 else None):
                 bad["affine_color_commutation"].append(param(n))
@@ -791,8 +796,9 @@ def verify_construction(l: int) -> dict:
             if fa_depth[n] - ea_depth[n] != gap:
                 bad["string_depth_weight"].append(param(n))
             # (E1)/(E2) color-1 and extra-color compatibility: the model's tables
-            # transported through Phi agree with the B^l tables; the f1 half follows
-            # from a successful build_phi, which walks every f_1 edge; the e1 half does not
+            # transported through Phi agree with the B^l tables; the f1 and FA halves
+            # follow from a successful build_phi, which walks every f_1 and F_A edge;
+            # the e1 and EA halves do not
             x = f1[n]
             if (None if x is None else fwd[x]) != bf1[w]:
                 bad["color1_compatibility"].append((param(n), "f1"))
@@ -807,10 +813,12 @@ def verify_construction(l: int) -> dict:
             # letters along the prefix tree, not read off B^l's eps/phi tables
             if m1s[w] - 128 != w1 + top - ph0 or m2s[w] - 128 != gap:
                 bad["weight_compatibility"].append(param(n))
-            # (E5) vanishing of the affine operators matches the model
-            if (bf0[w] is None) != (t is None):
+            # (E5) the affine operators match the model's, where they vanish
+            # and where they do not; this follows from BlCrystal._zero, which
+            # transports the model's f_0 and e_0 through Phi
+            if bf0[w] != (None if t is None else fwd[t]):
                 bad["vanishing_compatibility"].append((param(n), "f0"))
-            if (be0[w] is None) != (ph0 == top):
+            if be0[w] != (None if ph0 == top else fwd[n - 1]):
                 bad["vanishing_compatibility"].append((param(n), "e0"))
             n += 1
     # the per-element lists are not needed by the component passes below

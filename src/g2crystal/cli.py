@@ -123,9 +123,8 @@ def _verify_level(l, out) -> str | None:
     if not rep["all_pass"]:
         return "construction verification FAILED"
     prep = perfect.check_perfect(l)
-    for key, val in prep.to_json().items():
-        if isinstance(val, bool):
-            _emit(f"level {l} perfect.{key}: {'pass' if val else 'FAIL'}", out)
+    for key, val in prep.conditions().items():
+        _emit(f"level {l} perfect.{key}: {'pass' if val else 'FAIL'}", out)
     if not prep.all_pass():
         return "perfectness verification FAILED"
     return None
@@ -165,55 +164,47 @@ def cmd_connectivity(args, out) -> int:
 
 
 def cmd_qcheck(args, out) -> int:
-    """The q-suite, one section at a time: an ArithmeticError ends its
-    section like a construction fault, and the later sections still report."""
+    """The q-suite, one section at a time, each a (label, pass) row per
+    entry of its report: an ArithmeticError ends its section like a
+    construction fault, and the later sections still report."""
     from . import level1, rmatrix
 
-    def verdict(label, passed):
-        return f"{label}: {'pass' if passed else 'FAIL'}"
-
-    def relations():
-        rep = level1.verify_module_relations()
-        names = ("weight_rows", "ef_commutator", "serre")
-        return ([verdict(f"module relation {n}", rep[n]["pass"]) for n in names],
-                all(rep[n]["pass"] for n in names))
-
-    def one(label, check):
-        def section():
-            passed = check()["pass"]
-            return [verdict(label, passed)], passed
-        return section
+    def entries(prefix, rep, names):
+        return [(f"{prefix} {n}", rep[n]["pass"]) for n in names]
 
     def fusion():
-        fus = rmatrix.verify_fusion_identities()
-        items = fus["items"]
-        return ([verdict(f"fusion identity {n}", items[n]["pass"]) for n in sorted(items)],
-                fus["pass"])
+        items = rmatrix.verify_fusion_identities()["items"]
+        return entries("fusion identity", items, sorted(items))
 
     def checks():
         rm = rmatrix.rmatrix_checks()
-        return ([verdict(f"rmatrix {n}", rm[n]["pass"]) for n in sorted(rm)
-                 if isinstance(rm[n], dict)], rm["pass"])
+        return entries("rmatrix", rm, sorted(rm.keys() - {"pass"}))
 
     def dump():
         import json
 
         dump = {name: {str(k): repr(v) for k, v in vec.items()}
                 for name, vec in rmatrix.singular_vectors().items()}
-        return [json.dumps(dump)], True
+        _emit(json.dumps(dump), out)
+        return []
 
-    sections = [relations, one("prepolarization", level1.verify_prepolarization),
-                one("crystal compatibility", level1.crystal_compat_report),
-                one("singular vectors", rmatrix.verify_singular), fusion, checks]
+    sections = [
+        lambda: entries("module relation", level1.verify_module_relations(),
+                        ("weight_rows", "ef_commutator", "serre")),
+        lambda: [("prepolarization", level1.verify_prepolarization()["pass"])],
+        lambda: [("crystal compatibility", level1.crystal_compat_report()["pass"])],
+        lambda: [("singular vectors", rmatrix.verify_singular()["pass"])], fusion, checks]
     ok = True
     for section in sections + ([dump] if args.dump else []):
         try:
-            lines, passed = section()
+            rows = section()
         except ArithmeticError as exc:
-            lines, passed = [f"construction FAILED: {exc}"], False
-        for line in lines:
-            _emit(line, out)
-        ok &= passed
+            _emit(f"construction FAILED: {exc}", out)
+            ok = False
+            continue
+        for label, passed in rows:
+            _emit(f"{label}: {'pass' if passed else 'FAIL'}", out)
+            ok &= passed
     return 0 if ok else 1
 
 

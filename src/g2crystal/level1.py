@@ -114,9 +114,6 @@ def verify_module_relations() -> dict:
     def matrix_of(fn):
         return {a: fn(vec(a)) for a in BASIS}
 
-    def eq_maps(m1, m2):
-        return all(m1[a] == m2[a] for a in BASIS)
-
     # weight rows: t_i e_j t_i^{-1} = q_i^{<h_i, alpha_j>} e_j
     bad = []
     for i in range(3):
@@ -128,7 +125,7 @@ def verify_module_relations() -> dict:
                                                    v1_apply((kind, j), v1_apply(("t", i, -1), u))))
                 rhs = matrix_of(lambda u: vscale(QRat.q_power(NORMS[i] * s * aij),
                                                  v1_apply((kind, j), u)))
-                if not eq_maps(lhs, rhs):
+                if lhs != rhs:
                     bad.append((i, j, kind))
     report["weight_rows"] = {"pass": not bad, "failures": bad}
 

@@ -24,6 +24,12 @@ from .affine import ConstructionFault, _components, bl_crystal
 from .cartan import ClassicalWeight, dominant_weights, simple_root, weyl_dim
 
 
+# the perfectness conditions, each held as the field cond_<name>, in the
+# order every report lists them
+CONDITIONS = ("connected_square", "unique_top_weight", "level_bound", "eps_phi_bijective",
+              "self_connected")
+
+
 class PerfectReport:
     """The perfectness conditions of one level; reports compare field-wise."""
 
@@ -43,23 +49,16 @@ class PerfectReport:
     def __eq__(self, other):
         return vars(self) == vars(other) if type(other) is PerfectReport else NotImplemented
 
+    def conditions(self) -> dict[str, bool]:
+        return {name: getattr(self, "cond_" + name) for name in CONDITIONS}
+
     def all_pass(self) -> bool:
-        return (
-            self.cond_connected_square
-            and self.cond_unique_top_weight
-            and self.cond_level_bound
-            and self.cond_eps_phi_bijective
-            and self.cond_self_connected
-        )
+        return all(self.conditions().values())
 
     def to_json(self) -> dict:
         return {
             "level": self.level,
-            "connected_square": self.cond_connected_square,
-            "unique_top_weight": self.cond_unique_top_weight,
-            "level_bound": self.cond_level_bound,
-            "eps_phi_bijective": self.cond_eps_phi_bijective,
-            "self_connected": self.cond_self_connected,
+            **self.conditions(),
             "square_size": self.square_size,
             "square_components": self.square_components,
             "square_roots": self.square_roots,

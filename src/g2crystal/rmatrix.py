@@ -261,27 +261,23 @@ def verify_singular() -> dict:
     """Each named vector is killed by both finite raising operators and has
     the stated weight; the computed weights are the expected multiset, and
     their Weyl dimensions add up to the dimension of the tensor square."""
-    report = {"vectors": {}, "pass": True}
-    wts = []
+    vectors = {}
     for name, u in singular_vectors().items():
         killed = all(not tensor_apply(("e", i), u) for i in (1, 2))
         wt = tensor_weight(u)
         ok = killed and wt == EXPECTED_SINGULAR_WEIGHTS[name]
-        report["vectors"][name] = {"pass": ok, "weight": wt, "killed": killed}
-        report["pass"] &= ok
-        wts.append(wt)
-    report["decomposition"] = (
+        vectors[name] = {"pass": ok, "weight": wt, "killed": killed}
+    wts = [v["weight"] for v in vectors.values()]
+    decomposition = (
         None not in wts and sorted(wts) == sorted(EXPECTED_SINGULAR_WEIGHTS.values())
         and sum(weyl_dim(m2, m1) for m1, m2 in wts) == len(BASIS) ** 2)
     # the transcribed partial vector agrees with the solved one off the garbled terms
     u02, coeff = solve_u02()
-    known = _u_0_2_known()
-    diff = vsub(u02, known)
-    ok = all(k in ((7, 8), (8, 7)) for k in diff)
-    report["u02_partial_match"] = ok
-    report["u02_coefficient"] = str(coeff)
-    report["pass"] &= ok and report["decomposition"]
-    return report
+    match = all(k in ((7, 8), (8, 7)) for k in vsub(u02, _u_0_2_known()))
+    return {"vectors": vectors,
+            "pass": all(v["pass"] for v in vectors.values()) and decomposition and match,
+            "decomposition": decomposition, "u02_partial_match": match,
+            "u02_coefficient": str(coeff)}
 
 
 # -- the fusion identities -------------------------------------------------
@@ -378,15 +374,11 @@ def verify_fusion_identities() -> dict:
     (named by the highest vector of the component); they are
     verified exactly there.
     """
-    report = {"items": {}, "pass": True}
+    items = {}
     for n, (got, expected) in fusion_values().items():
-        ok = got == expected
-        report["items"][n] = {"pass": ok}
-        if not ok:
-            report["items"][n]["got"] = repr(got)
-            report["items"][n]["expected"] = repr(expected)
-        report["pass"] &= ok
-    return report
+        items[n] = {"pass": True} if got == expected else {
+            "pass": False, "got": repr(got), "expected": repr(expected)}
+    return {"items": items, "pass": all(v["pass"] for v in items.values())}
 
 
 # -- the transcribed coefficient polynomials of the intertwiner ----------
@@ -458,7 +450,7 @@ def rmatrix_checks() -> dict:
     """
     a = a_polynomials()
     values = fusion_values()
-    report = {"pass": True}
+    report = {}
 
     def matrix_relation(name, items, rows):
         """The relation of one item family, its vectors v_i read by item number."""
@@ -470,7 +462,6 @@ def rmatrix_checks() -> dict:
                     (a[r] * vj.swap() for r, vj in zip(rows[i], vecs)), XY()):
                 bad.append(i + 1)
         report[name] = {"pass": not bad, "failures": bad}
-        report["pass"] &= not bad
 
     l_rows = [["L11", "L12", "L13"], ["L21", "L22", "L23"], ["L31", "L32", "L33"]]
     z_rows = [["Z11", "Z12"], ["Z21", "Z22"]]
@@ -485,11 +476,8 @@ def rmatrix_checks() -> dict:
     y_q6x = Y - X.scale(_Q(6))
     x_q10y = X - Y.scale(_Q(10))
     y_q10x = Y - X.scale(_Q(10))
-    ok1 = x_q6y * a["2La1"] == a["3La2"] * y_q6x
-    ok2 = x_q6y * x_q10y * a["2La1"] == a["2La2"] * y_q6x * y_q10x
-    report["relation_3La2"] = {"pass": ok1}
-    report["relation_2La2"] = {"pass": ok2}
-    report["pass"] &= ok1 and ok2
+    report["relation_3La2"] = {"pass": x_q6y * a["2La1"] == a["3La2"] * y_q6x}
+    report["relation_2La2"] = {"pass": x_q6y * x_q10y * a["2La1"] == a["2La2"] * y_q6x * y_q10x}
 
     # kernel facts at z = q^6
     z6 = _Q(6)
@@ -505,10 +493,7 @@ def rmatrix_checks() -> dict:
     }
     for k, v in facts.items():
         report[k] = {"pass": v}
-        report["pass"] &= v
 
     # nonvanishing of the top-component scalar at the fusion points
-    ok = all(_zeval(a["2La1"], _Q(6 * k)) for k in range(1, 6))
-    report["phi_nonvanishing"] = {"pass": ok}
-    report["pass"] &= ok
-    return report
+    report["phi_nonvanishing"] = {"pass": all(_zeval(a["2La1"], _Q(6 * k)) for k in range(1, 6))}
+    return {"pass": all(v["pass"] for v in report.values()), **report}

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -997,3 +1001,70 @@ def test_derived_tables_are_made_once_per_level(monkeypatch, fresh_caches):
     affine.bl_crystal(3)
     assert affine.verify_construction(3)["all_pass"]
     assert calls == {"_prefix_tree": 1, "_r_phi0": 1}
+
+
+# per table poisoned after the level-3 build, and per poison (its first
+# defined entry made undefined, or sent to the first other image the table
+# holds), the checks of verify_construction that fail.  C_A is filled from
+# whole string slices, so an undefined C_A entry cannot occur.  A wrong
+# colour-0 image where one is defined, f_0 () = (1, 1) in place of (1,),
+# fails E5 alone: E5 compares the images, not only where they vanish.
+POISONED_CHECKS = {
+    ("_ea", None): {"pair_mutual_inverse", "string_depth_weight", "color2_compatibility"},
+    ("_ea", "image"): {"pair_mutual_inverse", "affine_color_commutation", "string_depth_weight",
+                       "EA_injective", "color2_compatibility"},
+    ("_fa", None): {"pair_mutual_inverse", "string_depth_weight", "color2_compatibility"},
+    ("_fa", "image"): {"pair_mutual_inverse", "color2_compatibility"},
+    ("_f1", None): {"color1_compatibility"},
+    ("_f1", "image"): {"color1_compatibility"},
+    ("_e1", None): {"color1_compatibility"},
+    ("_e1", "image"): {"color1_compatibility"},
+    ("_ca", "image"): {"anchor_formulas"},
+    ("_fpos[0]", None): {"vanishing_compatibility"},
+    ("_fpos[0]", "image"): {"vanishing_compatibility"},
+    ("_epos[0]", None): {"vanishing_compatibility"},
+    ("_epos[0]", "image"): {"vanishing_compatibility"},
+    ("_fpos[1]", None): {"color1_compatibility", "restriction_12"},
+    ("_fpos[1]", "image"): {"color1_compatibility", "restriction_10"},
+    ("_epos[1]", None): {"color1_compatibility"},
+    ("_epos[1]", "image"): {"color1_compatibility"},
+    ("_fpos[2]", None): {"color2_compatibility", "zero_two_commutation", "restriction_12"},
+    ("_fpos[2]", "image"): {"color2_compatibility", "zero_two_commutation"},
+    ("_epos[2]", None): {"color2_compatibility", "zero_two_commutation"},
+    ("_epos[2]", "image"): {"color2_compatibility", "zero_two_commutation"},
+}
+
+
+def test_every_poisoned_table_fails_its_checks(fresh_caches):
+    bl, mod = affine.bl_crystal(3), affine.model(3)
+    tables = {"_ea": mod._ea, "_fa": mod._fa, "_f1": mod._f1, "_e1": mod._e1, "_ca": mod._ca,
+              **{f"_fpos[{i}]": bl._fpos[i] for i in range(3)},
+              **{f"_epos[{i}]": bl._epos[i] for i in range(3)}}
+    assert affine.verify_construction(3)["all_pass"]
+    failed = {}
+    for (name, poison), expected in POISONED_CHECKS.items():
+        table = tables[name]
+        n, old = next((n, t) for n, t in enumerate(table) if t is not None)
+        table[n] = None if poison is None else next(t for t in table if t not in (None, old))
+        try:
+            rep = affine.verify_construction(3)
+        finally:
+            table[n] = old
+        assert not rep["all_pass"], (name, poison)
+        failed[name, poison] = {k for k, v in rep.items() if isinstance(v, dict) and not v["pass"]}
+    assert failed == POISONED_CHECKS
+    assert affine.verify_construction(3)["all_pass"]
+    # the f_0 example above: f_0 () = (1,), and the next image is (1, 1)
+    assert [bl.elements[t] for t in bl._fpos[0][:2]] == [(1,), (1, 1)]
+
+
+def test_prefix_tree_is_numbered_alike_under_every_hash_seed():
+    # the letter runs are numbered as they first occur, not in a set's
+    # order, which follows the string hash seed
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "from g2crystal import affine\nprint(affine.bl_crystal(4)._tree[:2])"
+    outs = [subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": str(src),
+                                            "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0].startswith("([(")
