@@ -110,6 +110,12 @@ def ca_string(i, k, j, p, q):
     return i, j, k, k - q + p, k + j - q
 
 
+def _blocks(l):
+    """The model's blocks (i, k, j) at level l: 0 <= i <= l//2, i <= k, j <= l-i."""
+    return [(i, k, j) for i in range(l // 2 + 1)
+            for k in range(i, l - i + 1) for j in range(i, l - i + 1)]
+
+
 def _strings(blocks):
     """Each f_0-string of the model, in element order: its (i, k, j, p, q)
     and its top, the largest r, j + q - 2p.  The elements run r innermost,
@@ -142,12 +148,7 @@ class AffineModel:
         if l < 0:
             raise ValueError("level must be nonnegative")
         self.l = l
-        self.blocks = [
-            (i, k, j)
-            for i in range(l // 2 + 1)
-            for k in range(i, l - i + 1)
-            for j in range(i, l - i + 1)
-        ]
+        self.blocks = _blocks(l)
         strings = list(_strings(self.blocks))
         # each string's (i, k, j, p, q), and the position of its r = 0 element
         self._keys = [s for s, _ in strings]
@@ -309,18 +310,12 @@ def _prefix_tree(l: int, at) -> tuple[list[tuple[int, ...]], bytes, list[dict], 
 
     ``g2._grown`` extends each word of length n - 1, in order, by the
     letters ``g2._extensions`` gives its state, so the elements are the
-    empty word and then each of those words' children in turn.  A tree
-    whose children's states are not the walk's, in the walk's order, is a
-    fault: the positions read off it would not name the walk's words.  The
-    states number a few hundred but give a handful of letter tuples, so a
-    byte names a word's tuple.
+    empty word and then each of those words' children in turn.  The states
+    number a few hundred but give a handful of letter tuples, so a byte
+    names a word's tuple.
     """
-    walk = [g2._grown(n)[1] for n in range(l + 1)]
-    states = "".join(walk[:-1])
+    states = "".join(g2._grown(n)[1] for n in range(l))
     kids = {s: "".join(map(chr, g2._extensions(ord(s)))) for s in dict.fromkeys(states)}
-    if "".join(map(kids.__getitem__, states)) != "".join(walk[1:]):
-        raise ConstructionFault(f"the tableau words up to length {l} are out of step "
-                                "with their prefix tree")
     # each distinct run of child letters, as their places in g2.LETTERS, numbered
     runs = {}
     number = {s: runs.setdefault(bytes(ord(c) & g2._LAST_BITS for c in k), len(runs))
@@ -337,55 +332,27 @@ def gl_count(l: int) -> int:
 
 
 def a_count(l: int) -> int:
-    return sum(
-        a2.dim(k, j)
-        for i in range(l // 2 + 1)
-        for k in range(i, l - i + 1)
-        for j in range(i, l - i + 1)
-    )
+    return sum(a2.dim(k, j) for i, k, j in _blocks(l))
 
 
 # -- explicit tableau anchors -------------------------------------------
 
 
 def _anchor_f0p(l, i, j, p) -> tuple[int, ...]:
-    """Word assigned to f_0^p applied to the highest element of B^i_(l-i,j), unsorted."""
-    y = (l - i - j) // 3
-    m = (l - i - j) % 3
-    if p <= i:
-        if m == 0:
-            w = (1,) * p + (6,) * y + g2.cstrip(y + i - p) + (-2,) * (y + j)
-        elif m == 1 and y + i > p:
-            w = (1,) * p + (6,) * (y + 1) + g2.cstrip(y + i - p - 1) + (-4,) + (-2,) * (y + j)
-        elif m == 1:
-            w = (1,) * i + (-5,) + (-2,) * j
-        else:
-            w = (1,) * p + (6,) * (y + 1) + g2.cstrip(y + i - p) + (-3,) + (-2,) * (y + j)
-    else:
-        if m == 0:
-            w = (1,) * i + (6,) * (p - i + y) + g2.cstrip(y) + (-2,) * (y + j - p + i)
-        elif m == 1 and y > 0:
-            w = (1,) * i + (6,) * (p - i + y + 1) + g2.cstrip(y - 1) + (-4,) + (-2,) * (y + j - p + i)
-        elif m == 1:
-            w = (1,) * i + (6,) * (p - i) + (-5,) + (-2,) * (j - p + i)
-        else:
-            w = (1,) * i + (6,) * (p - i + y + 1) + g2.cstrip(y) + (-3,) + (-2,) * (y + j - p + i)
-    return w
-
-
-def _anchor_highest(l, i, j) -> tuple[int, ...]:
-    """Word assigned to the highest element of B^i_(l-i,j), unsorted; four residue cases."""
-    y = (l - i - j) // 3
-    m = (l - i - j) % 3
+    """Word assigned to f_0^p applied to the highest element of B^i_(l-i,j),
+    unsorted; four residue cases of l - i - j mod 3.  Of the p steps,
+    a = min(p, i) add a 1 each, and the other b each put a 6 for a -2."""
+    y, m = divmod(l - i - j, 3)
+    a, b = min(p, i), max(p - i, 0)
+    ones, twos = (1,) * a, (-2,) * (y + j - b)
     if m == 0:
-        w = (6,) * y + g2.cstrip(y + i) + (-2,) * (y + j)
-    elif m == 1 and y + i > 0:
-        w = (6,) * (y + 1) + g2.cstrip(y + i - 1) + (-4,) + (-2,) * (y + j)
-    elif m == 1:
-        w = (-5,) + (-2,) * (j - i)
-    else:
-        w = (6,) * (y + 1) + g2.cstrip(y + i) + (-3,) + (-2,) * (y + j)
-    return w
+        return ones + (6,) * (y + b) + g2.cstrip(y + i - a) + twos
+    if m == 2:
+        return ones + (6,) * (y + b + 1) + g2.cstrip(y + i - a) + (-3,) + twos
+    if y + i > a:
+        return ones + (6,) * (y + b + 1) + g2.cstrip(y + i - a - 1) + (-4,) + twos
+    # y + i <= a = min(p, i) leaves y = 0 and a = i
+    return ones + (6,) * b + (-5,) + twos
 
 
 def _anchor_word(letters) -> tuple[int, ...]:
@@ -394,9 +361,11 @@ def _anchor_word(letters) -> tuple[int, ...]:
 
 
 def _anchor_cases(l):
-    """Yield (rule, model element, word) for each explicit anchor formula."""
+    """Yield (rule, model element, word) for each explicit anchor formula.
+
+    Each pair is yielded once: R2's k = l row is the boundary family
+    (6^p, -2^(l-p)), and R5's p = 0 word the highest element's."""
     for p in range(l + 1):
-        yield "R1", AParam(0, l, l, 0, 0, p), (6,) * p + (-2,) * (l - p)
         yield "R1", AParam(0, l, l, l, 2 * l, l - p), (2,) * (l - p) + (-6,) * p
     for k in range(l + 1):
         for p in range(l + 1):
@@ -406,29 +375,30 @@ def _anchor_cases(l):
         for q in range(1, l + k + 1):
             w = g2.apply_power("f", 1, w, 1)
             yield "R3", AParam(0, k, l, q, q, l - q) if q <= l else AParam(0, k, l, l, q, 0), w
-    for i in range(l // 2 + 1):
-        for j in range(i, l - i + 1):
-            yield "R4", AParam(i, l - i, j, 0, 0, 0), _anchor_word(_anchor_highest(l, i, j))
+    for i, k, j in _blocks(l):
+        if k == l - i:
             for p in range(j + 1):
                 w = _anchor_word(_anchor_f0p(l, i, j, p))
-                yield "R5", AParam(i, l - i, j, 0, 0, p), w
+                yield "R5", AParam(i, k, j, 0, 0, p), w
                 # a mis-transcribed (invalid) word fails R5 and voids its
                 # R6 string instead of raising inside g2.apply
                 w = w if g2.is_valid_word(w) else None
-                for q in range(1, (l - i - j) // 3 + j - max(i - p, 0) + 1):
+                for q in range(1, (k - j) // 3 + j - max(i - p, 0) + 1):
                     w = g2.apply_power("f", 1, w, 1)
-                    yield "R6", (AParam(i, l - i, j, q, q, p - q) if q <= p
-                                 else AParam(i, l - i, j, p, q, 0)), w
+                    yield "R6", (AParam(i, k, j, q, q, p - q) if q <= p
+                                 else AParam(i, k, j, p, q, 0)), w
 
 
 def verify_anchors(l: int, phi: PhiTable) -> dict[str, int]:
     """Failure counts per rule of the explicit anchor formulas against Phi.
 
-    R1 the boundary families, R2 their e_2-powers, R3/R6 f_1-powers over the
-    boundary and f_0-power anchors, R4/R5 the residue-case tableau formulas,
-    R8/R9 the involution law Phi(C_A b) = involution(Phi(b)) everywhere.
+    R1 the boundary family (2^(l-p), -6^p), R2 the e_2-powers of the family
+    (6^p, -2^(l-p)), R3/R6 f_1-powers over R2's p = l word and the f_0-power
+    anchors, R5 the residue-case tableau formula for f_0^p of each block's
+    highest element (at p = 0 the highest element's own), R8/R9 the
+    involution law Phi(C_A b) = involution(Phi(b)) everywhere.
     """
-    counts = dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0)
+    counts = dict.fromkeys(("R1", "R2", "R3", "R5", "R6", "R8/R9"), 0)
     mod, perm, words = model(l), phi.perm, phi.words
     for rule, b, w in _anchor_cases(l):
         n = mod.position(b)
@@ -570,9 +540,13 @@ class BlCrystal:
     def __init__(self, l: int):
         self.l = l
         self.model = model(l)
-        # the tableau walk's words, by length and then in letter order, taken
-        # from the walk that _prefix_tree checks the tree against
+        # the tableau walk's words, by length and then in letter order, the
+        # order of _prefix_tree's places
         self.elements = [w for n in range(l + 1) for w in g2._grown(n)[0]]
+        # zip would drop the words or positions past the shorter list
+        if len(self.elements) != len(self.model):
+            raise ConstructionFault(f"B^{l} has {len(self.elements)} words but the "
+                                    f"model {len(self.model)} elements")
         # the model's own position ints, which every table below stores
         self.index = dict(zip(self.elements, self.model._at))
         # per color, indexed like elements: the positions of the f_i and e_i
@@ -887,5 +861,5 @@ def verify_construction(l: int) -> dict:
                                 "failures": 0 if ok else 1,
                                 "counterexamples": []}
 
-    report["all_pass"] = all(v["pass"] for k, v in report.items() if isinstance(v, dict))
+    report["all_pass"] = all(v["pass"] for v in report.values())
     return report

@@ -22,15 +22,13 @@ from .qlaurent import ONE, ZERO, QRat, clear_memo, put, qbracket, qfactorial, va
 
 BASIS = g2.LETTERS + (9,)
 
-NORMS = ROOT_NORMS  # (alpha_i, alpha_i) for i = 0, 1, 2
-
 # <h_1, wt>, <h_2, wt> per basis label; label 9 has weight zero.
 _WT12 = {**g2.LETTER_WEIGHT, 9: (0, 0)}
 
 
 def qint(m: int, i: int) -> QRat:
     """[m]_i with q_0 = q_1 = q^3 and q_2 = q."""
-    return qbracket(m, NORMS[i])
+    return qbracket(m, ROOT_NORMS[i])
 
 
 def weight_pairing(i: int, a: int) -> int:
@@ -41,9 +39,9 @@ def weight_pairing(i: int, a: int) -> int:
     return (m1, m2)[i - 1]
 
 
-_B21 = qbracket(2, 3)
-_B22 = qbracket(2, 1)
-_B32 = qbracket(3, 1)
+_B21 = qint(2, 1)
+_B22 = qint(2, 2)
+_B32 = qint(3, 2)
 _B32_B21 = _B32 / _B21
 clear_memo()  # import leaves the gcd memo empty, as it leaves every cache
 
@@ -96,7 +94,7 @@ def v1_apply(gen, u):
     if kind == "t":
         s = gen[2]
         for a, c in u.items():
-            out[a] = c * QRat.q_power(NORMS[i] * s * weight_pairing(i, a))
+            out[a] = c * QRat.q_power(ROOT_NORMS[i] * s * weight_pairing(i, a))
         return out
     raise ValueError(f"unknown generator {gen!r}")
 
@@ -104,7 +102,7 @@ def v1_apply(gen, u):
 def v1_divided(kind, i, k, u):
     for _ in range(k):
         u = v1_apply((kind, i), u)
-    return vscale(qfactorial(k, NORMS[i]).inv(), u)
+    return vscale(qfactorial(k, ROOT_NORMS[i]).inv(), u)
 
 
 def verify_module_relations() -> dict:
@@ -123,7 +121,7 @@ def verify_module_relations() -> dict:
                 s = 1 if kind == "e" else -1
                 lhs = matrix_of(lambda u: v1_apply(("t", i, 1),
                                                    v1_apply((kind, j), v1_apply(("t", i, -1), u))))
-                rhs = matrix_of(lambda u: vscale(QRat.q_power(NORMS[i] * s * aij),
+                rhs = matrix_of(lambda u: vscale(QRat.q_power(ROOT_NORMS[i] * s * aij),
                                                  v1_apply((kind, j), u)))
                 if lhs != rhs:
                     bad.append((i, j, kind))
@@ -138,7 +136,7 @@ def verify_module_relations() -> dict:
                 lhs = vsub(v1_apply(("e", i), v1_apply(("f", j), u)),
                            v1_apply(("f", j), v1_apply(("e", i), u)))
                 if i == j:
-                    rhs = vscale(qbracket(weight_pairing(i, a), NORMS[i]), u)
+                    rhs = vscale(qbracket(weight_pairing(i, a), ROOT_NORMS[i]), u)
                 else:
                     rhs = {}
                 if lhs != rhs:
@@ -164,7 +162,7 @@ def verify_module_relations() -> dict:
                         bad.append((i, j, kind, a))
     report["serre"] = {"pass": not bad, "failures": bad}
 
-    report["all_pass"] = all(v["pass"] for v in report.values() if isinstance(v, dict))
+    report["all_pass"] = all(v["pass"] for v in report.values())
     return report
 
 
@@ -242,7 +240,7 @@ def polarization_gram() -> dict:
                 for b2, c in F_TABLE[i].get(b, ()):
                     k = gidx(a, b2)
                     if k is not None:
-                        tw = QRat.q_power(NORMS[i] * (-1 - weight_pairing(i, b2)))
+                        tw = QRat.q_power(ROOT_NORMS[i] * (-1 - weight_pairing(i, b2)))
                         row[k] = row[k] - c * tw
                         nontrivial = True
                 if nontrivial:
@@ -280,7 +278,7 @@ def verify_prepolarization() -> dict:
     """
     bad = []
     for i in range(3):
-        qi = QRat.q_power(-NORMS[i])
+        qi = QRat.q_power(-ROOT_NORMS[i])
         moves = [(kind, {a: v1_apply((kind, i), vec(a)) for a in BASIS},
                   {b: vscale(qi, v1_apply(("t", i, s), v1_apply((dual, i), vec(b))))
                    for b in BASIS})

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import weyl_dim
+from .cartan import ROOT_NORMS, weyl_dim
 from .level1 import (
-    BASIS, E_TABLE, F_TABLE, NORMS, _WT12, nullspace, qint, weight_pairing,
+    BASIS, E_TABLE, F_TABLE, _B21, _B22, _B32, _WT12, nullspace, weight_pairing,
 )
 from .qlaurent import ONE, ZERO, QRat, put, qfactorial, vadd, vscale, vsub
 
@@ -112,7 +112,7 @@ def _steps(kind, i):
     folded = {}
 
     def moves(x, other, sign):
-        e = sign * NORMS[i] * weight_pairing(i, other)
+        e = sign * ROOT_NORMS[i] * weight_pairing(i, other)
         if (x, e) not in folded:
             folded[x, e] = [(x2, coef * _Q(e) if e else coef) for x2, coef in table[x]]
         return folded[x, e]
@@ -147,7 +147,7 @@ def tensor_apply(gen, u):
 def tensor_divided(kind, i, k, u):
     for _ in range(k):
         u = tensor_apply((kind, i), u)
-    return vscale(XY.monomial(0, 0, qfactorial(k, NORMS[i]).inv()), u)
+    return vscale(XY.monomial(0, 0, qfactorial(k, ROOT_NORMS[i]).inv()), u)
 
 
 def tensor_weight(u):
@@ -170,28 +170,25 @@ def _u_3la2():
 
 
 def _u_2la2():
-    b22, b32 = qint(2, 2), qint(3, 2)
-    return _constants({(1, 5): ONE, (2, 4): -_Q(3), (3, 3): b22 / b32 * _Q(4),
+    return _constants({(1, 5): ONE, (2, 4): -_Q(3), (3, 3): _B22 / _B32 * _Q(4),
                        (4, 2): -_Q(7), (5, 1): _Q(10)})
 
 
 def _u_la1_3():
-    b21, b32 = qint(2, 1), qint(3, 2)
-    return _constants({(1, 8): ONE, (2, 6): -b21 * _Q(6), (3, 4): b21 / b32 * _Q(5),
-                       (4, 3): -(b21 / b32) * _Q(6), (6, 2): b21 * _Q(9), (8, 1): -_Q(12)})
+    return _constants({(1, 8): ONE, (2, 6): -_B21 * _Q(6), (3, 4): _B21 / _B32 * _Q(5),
+                       (4, 3): -(_B21 / _B32) * _Q(6), (6, 2): _B21 * _Q(9), (8, 1): -_Q(12)})
 
 
 def _u_0_2_known():
     """The transcribed weight-zero singular vector, minus its garbled terms."""
-    b21, b22, b32 = qint(2, 1), qint(2, 2), qint(3, 2)
-    inv32 = b32.inv()
+    inv32 = _B32.inv()
     comps = {
         (1, -1): ONE, (2, -2): -_Q(3), (3, -3): _Q(2) * inv32,
         (4, -4): -_Q(3) * inv32, (5, -5): _Q(6) * inv32, (6, -6): _Q(6),
-        (7, 7): -_Q(6) / (b22 * b32), (8, 8): -_Q(6) / b21,
+        (7, 7): -_Q(6) / (_B22 * _B32), (8, 8): -_Q(6) / _B21,
         (-5, 5): _Q(8) * inv32, (-6, 6): _Q(12), (-4, 4): -_Q(11) * inv32,
         (-3, 3): _Q(12) * inv32, (-2, 2): -_Q(15), (-1, 1): _Q(18),
-        (8, 9): -_Q(6) / (b21 * b21), (9, 8): -_Q(6) / (b21 * b21),
+        (8, 9): -_Q(6) / (_B21 * _B21), (9, 8): -_Q(6) / (_B21 * _B21),
     }
     return _constants(comps)
 
@@ -309,28 +306,27 @@ STR_15 = (("f", 0, 2), ("f", 1, 1), ("f", 2, 3), ("f", 1, 1), ("f", 2, 1))
 
 def fusion_items() -> dict:
     """The fifteen itemized identities: (string, source, target, coefficient)."""
-    b21, b22 = qint(2, 1), qint(2, 2)
     sing = singular_vectors()
     x2 = X * X
     y2 = Y * Y
     xy = X * Y
     items = {
-        1: (STR_F, "u_La1_1", (1, 1), XY.monomial(-1, -1, b21 * _Q(-3))),
-        2: (STR_F, "u_La1_2", (1, 1), XY.monomial(-1, -1, b21 * _Q(-3))),
+        1: (STR_F, "u_La1_1", (1, 1), XY.monomial(-1, -1, _B21 * _Q(-3))),
+        2: (STR_F, "u_La1_2", (1, 1), XY.monomial(-1, -1, _B21 * _Q(-3))),
         3: (STR_F, "u_La1_3", (1, 1),
             (X - Y.scale(_Q(6))) * (X + Y.scale(_Q(12))) *
-            XY.monomial(-2, -2, b21 * _Q(-6))),
-        4: (STR_E, "u_La1_1", (1, 1), Y.scale(b21) * (X + Y)),
-        5: (STR_E, "u_La1_2", (1, 1), X.scale(b21 * _Q(-6)) * (X + Y)),
+            XY.monomial(-2, -2, _B21 * _Q(-6))),
+        4: (STR_E, "u_La1_1", (1, 1), Y.scale(_B21) * (X + Y)),
+        5: (STR_E, "u_La1_2", (1, 1), X.scale(_B21 * _Q(-6)) * (X + Y)),
         # resolved to [2]_1([2]_1+[2]_2)(x-q^6 y)(x+y): the transcribed value
         # omits the (x+y) factor and misprints the scalar, and fails the
         # intertwiner consistency relation that the resolved value satisfies
         6: (STR_E, "u_La1_3", (1, 1),
-            ((X - Y.scale(_Q(6))) * (X + Y)).scale(b21 * (b21 + b22))),
-        7: (STR_F0, "u_La1_1", (1, 1), XY.monomial(0, -1, b21 * _Q(-6))),
-        8: (STR_F0, "u_La1_2", (1, 1), XY.monomial(-1, 0, b21)),
+            ((X - Y.scale(_Q(6))) * (X + Y)).scale(_B21 * (_B21 + _B22))),
+        7: (STR_F0, "u_La1_1", (1, 1), XY.monomial(0, -1, _B21 * _Q(-6))),
+        8: (STR_F0, "u_La1_2", (1, 1), XY.monomial(-1, 0, _B21)),
         9: (STR_F0, "u_La1_3", (1, 1), XY()),
-        10: (STR_F02, "u_0_1", (1, 1), XY.monomial(-1, -1, b21 * b21 * _Q(-3))),
+        10: (STR_F02, "u_0_1", (1, 1), XY.monomial(-1, -1, _B21 * _B21 * _Q(-3))),
         11: (STR_F02, "u_0_2", (1, 1),
              (x2 + y2.scale(_Q(30))) * XY.monomial(-2, -2, _Q(-12))),
         # the extremal target normalized as the plain lowest tensor pair: the
@@ -338,14 +334,14 @@ def fusion_items() -> dict:
         # string normalization of the target
         12: (STR_LONG, "u_0_1", (-1, -1),
              ((y2.scale(_Q(6)) + x2)
-              * xy.scale(b21 * b21 * (_Q(4) + _Q(2) + ONE) * _Q(-8))).shift(-4, -4)),
+              * xy.scale(_B21 * _B21 * (_Q(4) + _Q(2) + ONE) * _Q(-8))).shift(-4, -4)),
         # the same normalization as item 12
         13: (STR_LONG, "u_0_2", (-1, -1),
              ((y2.scale(_Q(22) + _Q(18))
                + xy.scale((_Q(6) + ONE) * (_Q(16) - _Q(14) + _Q(12) - 2 * _Q(10)
                                             + _Q(8) - 2 * _Q(6) + _Q(4) - _Q(2) + ONE))
                + x2.scale(_Q(4) + ONE))
-              * xy.scale(b22 * (_Q(4) + _Q(2) + ONE) * _Q(-10))).shift(-4, -4)),
+              * xy.scale(_B22 * (_Q(4) + _Q(2) + ONE) * _Q(-10))).shift(-4, -4)),
         14: (STR_14, "u_3La2", (1, 1),
              (X - Y.scale(_Q(6))) * (X + Y) * XY.monomial(-2, -2, _Q(-3))),
         15: (STR_15, "u_2La2", (1, 1),

@@ -593,23 +593,18 @@ def test_undefined_prefix_step_is_a_construction_fault(monkeypatch, fresh_caches
         affine.bl_crystal(2)
 
 
-def test_untabulated_prefix_is_a_construction_fault(fresh_caches, fresh_enumeration, monkeypatch):
-    # the walk's length-2 words with (1, 1) and its state moved after (1, 2):
-    # the prefix tree puts (1, 1) first among (1,)'s children
-    grown = g2._grown
+def test_negative_level_is_refused():
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        affine.AffineModel(-1)
 
-    def reordered(n):
-        words, states = grown(n)
-        if n == 2:
-            words = (words[1], words[0]) + words[2:]
-            states = states[1] + states[0] + states[2:]
-        return words, states
 
-    monkeypatch.setattr(g2, "_grown", reordered)
-    assert g2._grown(2)[0][:2] == ((1, 2), (1, 1))
-    with pytest.raises(affine.ConstructionFault,
-                       match=r"words up to length 2 are out of step with their prefix tree"):
-        affine.bl_crystal(2)
+def test_model_smaller_than_bl_is_a_construction_fault(monkeypatch, fresh_caches, capsys):
+    # a model with no f_0-string against B^1's 15 words: zip would pair
+    # none of them, and the prefix tree would index past the model
+    monkeypatch.setattr(affine, "_strings", lambda blocks: iter(()))
+    assert main(["verify", "--level", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "level 1: construction FAILED: B^1 has 15 words but the model 0 elements"]
 
 
 def test_construction_fault_on_bad_param():
@@ -627,10 +622,22 @@ def test_anchor_formulas_hold_through_level7(monkeypatch):
                         lambda l, i, j, p: calls.append((l, i, j, p)) or anchor_f0p(l, i, j, p))
     for l in range(1, 8):
         counts = affine.verify_anchors(l, affine.phi_table(l))
-        assert counts == dict.fromkeys(("R1", "R2", "R3", "R4", "R5", "R6", "R8/R9"), 0), l
+        assert counts == dict.fromkeys(("R1", "R2", "R3", "R5", "R6", "R8/R9"), 0), l
     branch = [(l, i, j, p) for l, i, j, p in calls
               if p > i >= 1 and (l - i - j) % 3 == 1 and (l - i - j) // 3 > 0]
     assert branch and min(l for l, *_ in branch) == 7
+    # each residue branch folds p <= i (a = min(p, i) ones) and p > i
+    # (b = p - i sixes); the level where each first reads a > 0 and b > 0
+    first = {}
+    for l, i, j, p in calls:
+        y, m = divmod(l - i - j, 3)
+        case = ("m=1, y+i>a" if y + i > min(p, i) else "m=1, else") if m == 1 else f"m={m}"
+        for part, used in (("a", p > 0 and i > 0), ("b", p > i)):
+            if used:
+                first.setdefault((case, part), l)
+    assert first == {("m=0", "a"): 2, ("m=0", "b"): 1, ("m=2", "a"): 4, ("m=2", "b"): 3,
+                     ("m=1, y+i>a", "a"): 5, ("m=1, y+i>a", "b"): 5,
+                     ("m=1, else", "a"): 3, ("m=1, else", "b"): 2}
     entry = affine.verify_construction(2)["anchor_formulas"]
     assert entry["pass"] and entry["failures"] == 0
 
@@ -653,20 +660,22 @@ def test_injected_ea_plus_case_is_a_construction_fault(monkeypatch, fresh_caches
 
 
 def test_injected_anchor_formula_fails_only_its_rule(monkeypatch, fresh_caches):
-    # the m == 2 residue case of the highest-element formula ends in -4, not -3
-    original = affine._anchor_highest
+    # the m == 2 residue case of the f_0^p formula ends in -4, not -3
+    original = affine._anchor_f0p
 
-    def anchor_highest(l, i, j):
+    def anchor_f0p(l, i, j, p):
         y, m = divmod(l - i - j, 3)
         if m == 2:
-            return g2.sort_word((6,) * (y + 1) + g2.cstrip(y + i) + (-4,) + (-2,) * (y + j))
-        return original(l, i, j)
+            a, b = min(p, i), max(p - i, 0)
+            return ((1,) * a + (6,) * (y + b + 1) + g2.cstrip(y + i - a) + (-4,)
+                    + (-2,) * (y + j - b))
+        return original(l, i, j, p)
 
-    monkeypatch.setattr(affine, "_anchor_highest", anchor_highest)
+    monkeypatch.setattr(affine, "_anchor_f0p", anchor_f0p)
     rep = affine.verify_construction(3)
     entry = rep["anchor_formulas"]
     assert not entry["pass"] and not rep["all_pass"]
-    assert [rule for rule, n in entry["rules"].items() if n] == ["R4"]
+    assert [rule for rule, n in entry["rules"].items() if n] == ["R5", "R6"]
     assert all(v["pass"] for name, v in rep.items()
                if isinstance(v, dict) and name != "anchor_formulas")
 

@@ -1,6 +1,7 @@
 import pytest
 
 from g2crystal import level1 as L
+from g2crystal.cartan import ROOT_NORMS
 from g2crystal.qlaurent import ONE, QRat
 
 q = QRat.q_power
@@ -107,12 +108,12 @@ def test_string_norm_lemma():
             fu = L.v1_apply(("f", i), u)
             f2u = L.v1_divided("f", i, 2, u)
             assert pair(u, u) == pair(f2u, f2u)
-            assert pair(u, u) == q(-L.NORMS[i]) * L.qint(2, i).inv() * pair(fu, fu)
+            assert pair(u, u) == q(-ROOT_NORMS[i]) * L.qint(2, i).inv() * pair(fu, fu)
         else:
             f2u = L.v1_divided("f", i, 2, u)
             f3u = L.v1_divided("f", i, 3, u)
             assert pair(u, u) == pair(f3u, f3u)
-            assert pair(u, u) == q(-2 * L.NORMS[i]) * L.qint(3, i).inv() * pair(f2u, f2u)
+            assert pair(u, u) == q(-2 * ROOT_NORMS[i]) * L.qint(3, i).inv() * pair(f2u, f2u)
 
 
 def test_crystal_compatibility():

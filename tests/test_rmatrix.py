@@ -1,5 +1,6 @@
 from g2crystal import rmatrix as R
-from g2crystal.level1 import BASIS, E_TABLE, F_TABLE, NORMS, qint, weight_pairing
+from g2crystal.cartan import ROOT_NORMS
+from g2crystal.level1 import BASIS, E_TABLE, F_TABLE, qint, weight_pairing
 from g2crystal.qlaurent import ONE, QRat, put
 
 q = QRat.q_power
@@ -29,12 +30,12 @@ def _comultiplication(gen, u):
         for (a, b), c in u.items():
             for a2, coef in F_TABLE[i].get(a, ()):
                 put(out, (a2, b), c.scale(coef).shift(-twist, 0))
-            tw = q(NORMS[i] * weight_pairing(i, a))
+            tw = q(ROOT_NORMS[i] * weight_pairing(i, a))
             for b2, coef in F_TABLE[i].get(b, ()):
                 put(out, (a, b2), c.scale(tw * coef).shift(0, -twist))
     else:
         for (a, b), c in u.items():
-            tw = q(-NORMS[i] * weight_pairing(i, b))
+            tw = q(-ROOT_NORMS[i] * weight_pairing(i, b))
             for a2, coef in E_TABLE[i].get(a, ()):
                 put(out, (a2, b), c.scale(coef * tw).shift(twist, 0))
             for b2, coef in E_TABLE[i].get(b, ()):
