@@ -12,7 +12,8 @@ the rest by commuting past f_0; F_A is the conjugate C_A E_A C_A under the
 involution, and the mutual-inverse property is verified rather than assumed.
 Every operator table is a list of image positions, None where undefined.
 The model's elements are positions, each (i, k, j, p, q, r) at its string's
-first position plus r (``position``, and ``param`` back), and its
+first position plus r, read with the string's length from one table of the
+numbered strings (``position``, and ``param`` back), and its
 ``elements`` list is built only when read.  B^l's ``index`` dict maps a word
 to its position: its values, and every entry of every table, the model's,
 B^l's and Phi's, are the model's own position ints (``_at``).  The model
@@ -59,49 +60,26 @@ AParam = namedtuple("AParam", "i k j p q r")
 def ea_plus(l, i, k, j, p, q):
     """E_A on the r = 0 layer, by the case table with level induction.
 
-    Returns (i', k', j', p', q') or None.  The level-induction case maps the
-    parameters to the corresponding element at level l-1 in block (k-1, j-1)
-    and transports the answer back.  A raising target with j = l-i falls out
-    of the block range and is the annihilation case.
+    Returns (i', k', j', p', q') or None.  Below a string's corner in a block
+    with i < k and i < j, the level-induction case maps the parameters to the
+    element at level l-1 in block (k-1, j-1) and transports the answer back.
+    Other strings lower k where q is small enough, or, on a block edge
+    min(k, j) = i where p is, move to block i' = i-1, i or i+1 as j - i is 0,
+    1 or more; every other string raises j, p and q, and at j = l-i that
+    target falls out of the block range: the annihilation case.
     """
-    if i < k and i < j:
-        if p == min(q, j):
-            if q <= j - 1 - (j - k) // 3:
-                return (i, k - 1, j, p, q)
-            if j < l - i:
-                return (i, k, j + 1, p + 1, q + 1)
-            return None
+    if i < k and i < j and p < min(q, j):
         inner = ea_plus(l - 1, i, k - 1, j - 1, p, q - 1)
         if inner is None:
             return None
         i2, k2, j2, p2, q2 = inner
         return (i2, k2 + 1, j2 + 1, p2, q2 + 1)
-    if k == i and j >= i + 2:
-        if p <= j - 1 - (j - i) // 3:
-            return (i + 1, k + 1, j - 1, p, q + 1)
-        if j < l - i:
-            return (i, k, j + 1, p + 1, q + 1)
-        return None
-    if k == i and j == i + 1:
-        if p <= i:
-            return (i, k + 1, j - 1, p, q + 1)
-        if j < l - i:
-            return (i, k, j + 1, p + 1, q + 1)
-        return None
-    if k == i and j == i:
-        if p <= i - 1:
-            return (i - 1, k + 1, j - 1, p, q + 1)
-        if j < l - i:
-            return (i, k, j + 1, p + 1, q + 1)
-        return None
-    # j == i, i + 1 <= k
-    if q <= p - 1 - (i - k) // 3:
+    # with i < j, p = min(q, j) here; with j = i, (j - k) is (i - k)
+    if i < k and q <= (j if i < j else p) - 1 - (j - k) // 3:
         return (i, k - 1, j, p, q)
-    if p == i:
-        if j < l - i:
-            return (i, k, j + 1, p + 1, q + 1)
-        return None
-    return (i - 1, k + 1, j - 1, p, q + 1)
+    if min(k, j) == i and p <= j - 1 - (j - i) // 3:
+        return (i + min(j - i, 2) - 1, k + 1, j - 1, p, q + 1)
+    return (i, k, j + 1, p + 1, q + 1) if j < l - i else None
 
 
 def ca_string(i, k, j, p, q):
@@ -126,13 +104,13 @@ def _strings(blocks):
                 yield (i, k, j, p, q), j + q - 2 * p
 
 
-def _r_phi0(blocks) -> tuple[bytes, bytes]:
+def _r_phi0(sizes) -> tuple[bytes, bytes]:
     """Per model position, r and phi_0 = top - r, joined from one run per
-    f_0-string.  A top is at most j + k <= 2l, so each fits a byte."""
-    tops = [top for _, top in _strings(blocks)]
-    ups = [bytes(range(top + 1)) for top in range(max(tops) + 1)]
-    return (b"".join(map(ups.__getitem__, tops)),
-            b"".join(ups[top][::-1] for top in tops))
+    f_0-string, given each string's length.  A top is at most j + k <= 2l,
+    so each fits a byte."""
+    ups = [bytes(range(n)) for n in range(max(sizes) + 1)]
+    return (b"".join(map(ups.__getitem__, sizes)),
+            b"".join(ups[n][::-1] for n in sizes))
 
 
 class AffineModel:
@@ -150,55 +128,61 @@ class AffineModel:
         self.l = l
         self.blocks = _blocks(l)
         strings = list(_strings(self.blocks))
-        # each string's (i, k, j, p, q), and the position of its r = 0 element
+        # per string, numbered in element order: its (i, k, j, p, q), the
+        # position of its r = 0 element and its length, top + 1 <= 2l + 1,
+        # so that each length fits a byte
         self._keys = [s for s, _ in strings]
-        self._starts = list(accumulate((top + 1 for _, top in strings), initial=0))
-        self._size = size = self._starts.pop()
-        self._start = start = dict(zip(self._keys, self._starts))
+        self._sizes = sizes = bytes(top + 1 for _, top in strings)
+        self._starts = starts = list(accumulate(sizes, initial=0))
+        self._size = size = starts.pop()
         # one int object per position, shared by every table and by B^l's: a
         # computed position stored in every table would be a new int per entry
         self._at = at = list(range(size))
+        # each string's number, one of at's ints, so that no int is made per string
+        self._number = number = dict(zip(self._keys, at))
         self._f1, self._e1, self._ea = f1, e1, ea = [None] * size, [None] * size, [None] * size
         self._ca = ca = []
-        for (s, top), a in zip(strings, self._starts):
+        for s, a, length in zip(self._keys, starts, sizes):
             i, k, j, p, q = s
-            # f_1 by the A2 string rule sends the string in two runs, and
-            # leaves every other r without an image.  While q < k + p, r =
-            # 0..q-p goes to (p, q+1, r); with lo = q-p+1, r = lo..top goes to
-            # (p+1, q+1, r-1).  The rule's max(q-p, 2q-2p-k) + 1 is lo, as q <=
-            # p + k gives 2q-2p-k <= q-p.  A target that is no string, or a
-            # run that ends past its target's top, is a fault.
+            # f_1 by the A2 string rule sends the string in two runs, each r
+            # lowered by d, and leaves every other r without an image.  While
+            # q < k + p, r = 0..q-p goes to (p, q+1, r); with lo = q-p+1, r =
+            # lo..top goes to (p+1, q+1, r-1).  The rule's max(q-p, 2q-2p-k) + 1
+            # is lo, as q <= p + k gives 2q-2p-k <= q-p.  A target that is no
+            # string, or a run that ends past its target's length, is a fault.
             lo = q - p + 1
-            for b, r0, r1 in (((i, k, j, p, q + 1), 0, lo if q < k + p else 0),
-                              ((i, k, j, p + 1, q + 1), lo, top + 1)):
+            for b, d, r0, r1 in (((i, k, j, p, q + 1), 0, 0, lo if q < k + p else 0),
+                                 ((i, k, j, p + 1, q + 1), 1, lo, length)):
                 if r0 < r1:
-                    d, t = b[3] - p, start.get(b)
-                    if t is None or r1 - 1 - d > b[2] + b[4] - 2 * b[3]:
+                    t = number.get(b)
+                    if t is None or r1 - d > sizes[t]:
                         raise ConstructionFault(f"f_1 left the crystal: {AParam(*s, r1 - 1)} -> "
                                                 f"{AParam(*b, r1 - 1 - d)}")
-                    t += r0 - d
+                    t = starts[t] + r0 - d
                     f1[a + r0:a + r1] = at[t:t + r1 - r0]
                     e1[t:t + r1 - r0] = at[a + r0:a + r1]
             # E_A keeps r, so it sends the string onto the start of another,
-            # which must reach r = top
+            # which must be at least as long
             base = ea_plus(l, *s)
             if base is not None:
-                t = start.get(base)
-                reach = -1 if t is None else base[2] + base[4] - 2 * base[3]
-                if reach < top:
-                    raise ConstructionFault(f"E_A left the crystal: {AParam(*s, reach + 1)} -> "
-                                            f"{AParam(*base, reach + 1)}")
-                ea[a:a + top + 1] = at[t:t + top + 1]
+                t = number.get(base)
+                if t is None or sizes[t] < length:
+                    reach = 0 if t is None else sizes[t]
+                    raise ConstructionFault(f"E_A left the crystal: {AParam(*s, reach)} -> "
+                                            f"{AParam(*base, reach)}")
+                t = starts[t]
+                ea[a:a + length] = at[t:t + length]
             # C_A sends the string onto another of its length, reversed
             image = ca_string(*s)
-            t = start.get(image)
+            t = number.get(image)
             if t is None:
                 raise ConstructionFault(
-                    f"involution left the crystal: {AParam(*s, 0)} -> {AParam(*image, top)}")
-            if image[2] + image[4] - 2 * image[3] != top:
+                    f"involution left the crystal: {AParam(*s, 0)} -> {AParam(*image, length - 1)}")
+            if sizes[t] != length:
                 raise ConstructionFault(f"involution sends the f_0-string of {AParam(*s, 0)} "
                                         f"onto that of {AParam(*image, 0)}, of another length")
-            ca += at[t:t + top + 1][::-1]
+            t = starts[t]
+            ca += reversed(at[t:t + length])
         # a slice of the wrong length moves every later position
         if {len(f1), len(e1), len(ea), len(ca)} != {size}:
             raise ConstructionFault(f"the level-{l} operator tables do not cover the "
@@ -209,15 +193,14 @@ class AffineModel:
         return self._size
 
     def position(self, b) -> int | None:
-        """The position of element ``b``, None if ``b`` is no element: what
-        ``index.get(b)`` gives, from its string's start plus r."""
+        """The position of element ``b``, None if ``b`` is no element: its
+        string's start plus r, where r is below the string's length."""
         if not isinstance(b, tuple) or len(b) != 6:
             return None
-        t = self._start.get(b[:5])
-        if t is None:
+        n = self._number.get(b[:5])
+        if n is None or b[5] not in range(self._sizes[n]):
             return None
-        i, k, j, p, q, r = b
-        return t + r if r in range(j + q - 2 * p + 1) else None
+        return self._starts[n] + b[5]
 
     def param(self, n: int) -> AParam:
         """The element at position ``n``, found by its string's start."""
@@ -238,7 +221,7 @@ class AffineModel:
     def r_phi0(self) -> tuple[bytes, bytes]:
         """Per position, r and phi_0 (``_r_phi0``), made once for B^l's
         colour 0 and the checks."""
-        return _r_phi0(self.blocks)
+        return _r_phi0(self._sizes)
 
     def _move(self, table, b):
         """``table``'s image of element ``b``, or None."""

@@ -210,8 +210,9 @@ def cmd_qcheck(args, out) -> int:
 
 # the largest level any command builds: cold, one fresh process per run
 # (wall time and the process's peak RSS), on a shared 2-core Xeon host with
-# Python 3.11, verify --level 10 takes 1.6-2.3 s and 51 MB, and every other
-# command at l = 10 (graph in each format) at most 3.5 s and 51 MB
+# Python 3.11, verify --level 10 takes 1.5-2.6 s and 50 MB, connectivity
+# 49 MB, graph --format json 2.1-3.5 s, and every other command at l = 10 at
+# most 46 MB; CI holds each command's peak RSS at MAX_LEVEL to 100 MB
 MAX_LEVEL = 10
 
 # per command: its function, its help line (None for none) and its options

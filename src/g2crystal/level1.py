@@ -17,13 +17,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import g2
-from .cartan import CARTAN_MATRIX, ROOT_NORMS
+from .cartan import CARTAN_MATRIX, ROOT_NORMS, from_classical_pair
 from .qlaurent import ONE, ZERO, QRat, clear_memo, put, qbracket, qfactorial, vadd, vscale, vsub
 
 BASIS = g2.LETTERS + (9,)
 
 # <h_1, wt>, <h_2, wt> per basis label; label 9 has weight zero.
 _WT12 = {**g2.LETTER_WEIGHT, 9: (0, 0)}
+# <h_0, wt>, <h_1, wt>, <h_2, wt> per basis label
+_PAIRINGS = {a: from_classical_pair(*wt) for a, wt in _WT12.items()}
 
 
 def qint(m: int, i: int) -> QRat:
@@ -33,10 +35,7 @@ def qint(m: int, i: int) -> QRat:
 
 def weight_pairing(i: int, a: int) -> int:
     """<h_i, wt(a)> for a basis label a."""
-    m1, m2 = _WT12[a]
-    if i == 0:
-        return -2 * m1 - m2
-    return (m1, m2)[i - 1]
+    return _PAIRINGS[a][i]
 
 
 _B21 = qint(2, 1)
@@ -219,7 +218,7 @@ def polarization_gram() -> dict:
     pairs = []
     for a in BASIS:
         for b in BASIS:
-            if a <= b and _WT12[a] == _WT12[b] and weight_pairing(0, a) == weight_pairing(0, b):
+            if a <= b and _WT12[a] == _WT12[b]:
                 pairs.append((a, b))
     index = {p: n for n, p in enumerate(pairs)}
 

@@ -151,6 +151,7 @@ def tensor_divided(kind, i, k, u):
 
 
 def tensor_weight(u):
+    """(<h_1, wt>, <h_2, wt>) shared by the pairs of u, None for none."""
     wts = {(_WT12[a][0] + _WT12[b][0], _WT12[a][1] + _WT12[b][1]) for (a, b) in u}
     if len(wts) > 1:
         raise ArithmeticError("tensor vector is not weight homogeneous")
@@ -203,8 +204,7 @@ def solve_u02():
     transcribed leading component and no component on the pure extra pair.
     Returns (vector, coefficient) with the shared resolved coefficient.
     """
-    pairs = [(a, b) for a in BASIS for b in BASIS
-             if (_WT12[a][0] + _WT12[b][0], _WT12[a][1] + _WT12[b][1]) == (0, 0)]
+    pairs = [(a, b) for a in BASIS for b in BASIS if tensor_weight([(a, b)]) == (0, 0)]
     index = {p: n for n, p in enumerate(pairs)}
     rows = []
     for i in (1, 2):
